@@ -19,10 +19,7 @@ import numpy as np
 __all__ = [
     "GridSpec",
     "DensityHistogram",
-    "DensityEstimate",
     "CollocationSet",
-    "bin_samples",
-    "empirical_density",
     "select_collocation",
 ]
 
@@ -120,10 +117,6 @@ class DensityHistogram:
 
     # -- accumulation ---------------------------------------------------
 
-    def add(self, sample):
-        """Bin one sample; off-grid samples only increment the total."""
-        self.add_batch(np.atleast_2d(np.asarray(sample, dtype=float)))
-
     def add_batch(self, batch):
         batch = np.atleast_2d(np.asarray(batch, dtype=float))
         flat, inside = self.grid.flat_indices(batch)
@@ -138,17 +131,6 @@ class DensityHistogram:
             store = self._sparse
             for u, c in zip(uniq.tolist(), cnt.tolist()):
                 store[u] = store.get(u, 0) + c
-
-    def merge(self, other: "DensityHistogram"):
-        """Add another worker's counts; grids and epsilon must match."""
-        if other.grid != self.grid or other.epsilon != self.epsilon:
-            raise ValueError("cannot merge histograms with different grids or noise levels")
-        self.total += other.total
-        if self._dense is not None:
-            self._dense += other._dense
-        else:
-            for u, c in other._sparse.items():
-                self._sparse[u] = self._sparse.get(u, 0) + c
 
     # -- queries ----------------------------------------------------------
 
@@ -224,45 +206,6 @@ class DensityHistogram:
             hist._sparse = {int(i): int(c) for i, c in rec}
         return hist
 
-    def export_csv(self, path):
-        """(bin center coords..., u_hat) for every occupied bin."""
-        flat, cnt = self.occupied()
-        centers = self.grid.centers(flat)
-        u = cnt / (self.grid.bin_volume * max(self.total, 1))
-        with open(path, "w") as fh:
-            cols = [f"x{i}" for i in range(self.grid.dim)]
-            fh.write(",".join(cols + ["u_hat"]) + "\n")
-            for row, val in zip(centers, u):
-                fh.write(",".join(f"{v:.17g}" for v in row) + f",{val:.17g}\n")
-
-
-@dataclass
-class DensityEstimate:
-    u_hat: float
-    n0: int
-    n: int
-    sufficient: bool
-
-
-def bin_samples(hist: DensityHistogram, sample):
-    """Accumulate one sample (spec-level single-sample entry point)."""
-    hist.add(sample)
-    return hist
-
-
-def empirical_density(hist: DensityHistogram, point, min_count=DEFAULT_MIN_COUNT) -> DensityEstimate:
-    """Empirical density at the bin containing ``point``.
-
-    Raises for points outside the grid.  The estimate is flagged
-    insufficient when the bin holds fewer than ``min_count`` samples.
-    """
-    flat, inside = hist.grid.flat_indices(np.atleast_2d(point))
-    if not inside[0]:
-        raise ValueError("point lies outside the histogram grid")
-    n0 = int(hist.counts_at_flat(flat)[0])
-    u = n0 / (hist.grid.bin_volume * hist.total) if hist.total > 0 else 0.0
-    return DensityEstimate(u_hat=u, n0=n0, n=hist.total, sufficient=n0 >= min_count)
-
 
 @dataclass
 class CollocationSet:
@@ -275,14 +218,6 @@ class CollocationSet:
 
     def __len__(self):
         return self.points.shape[0]
-
-    def point_data(self, i):
-        """Per-epsilon (u_hat, N0, N) triples for point i, keyed by eps."""
-        out = {}
-        for eps, n0 in self.counts.items():
-            n = self.totals[eps]
-            out[eps] = (int(n0[i]), int(n))
-        return out
 
 
 def _weighted_sample_without_replacement(rng, weights, k):

@@ -7,15 +7,15 @@ the Hamiltonian flow of  H(x, p) = f(x)^T p + 1/2 p^T A p,
 
 along which  dV/ds = 1/2 p^T A p >= 0.  A first-order symplectic Euler
 step (implicit in x, explicit in p) keeps the energy H bounded over long
-arcs, which an explicit scheme would not.  Only constant diffusion A is
-supported: the extra force term grad_x(1/2 p^T A(x) p) vanishes then,
-and every registered benchmark is additive-noise.
+arcs, which an explicit scheme would not.  The diffusion A is the
+system's constant matrix (sigma is constant and required), so the force
+term grad_x(1/2 p^T A(x) p) of a state-dependent A does not arise.  All
+curves of a batch advance together through one batched step kernel.
 
-A simplified fixed-horizon minimum-action search complements the
-characteristics where their directions fail to cover a region of
-interest: starting from points on a level set {V = C}, the discrete
+A simplified fixed-horizon minimum-action search estimates V at a single
+target point: starting from points on a level set {V = C}, the discrete
 action of a path to the target is minimized by gradient descent over the
-interior nodes.
+interior nodes.  No pipeline stage calls it yet.
 """
 
 from __future__ import annotations
@@ -30,11 +30,9 @@ __all__ = [
     "ActionPath",
     "SolverFailure",
     "hamiltonian",
-    "symplectic_char_step",
+    "char_step",
     "seed_characteristics",
-    "trace_curve",
     "trace_curves",
-    "transport_z0",
     "min_action_estimate",
     "min_action_scan",
     "export_expanded_csv",
@@ -85,52 +83,35 @@ class ActionPath:
     action: float
 
 
-def _require_constant_diffusion(system):
-    a = system.constant_diffusion
-    if a is None:
-        raise ValueError("characteristic expansion requires constant (additive) diffusion")
-    return a
+def _quad(p, a):
+    """p_b^T A p_b for each row of p."""
+    return np.einsum("bi,ij,bj->b", p, a, p)
 
 
 def hamiltonian(system, x, p):
-    """H(x, p) = f^T p + 1/2 p^T A p."""
-    a = _require_constant_diffusion(system)
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    return float(system.drift(x) @ p + 0.5 * p @ a @ p)
+    """H(x, p) = f^T p + 1/2 p^T A p for batches (B, n), (B, n) -> (B,)."""
+    return np.einsum("bi,bi->b", system.drift(x), p) + 0.5 * _quad(p, system.a)
 
 
-def symplectic_char_step(system, state: CharState, h, transport=None) -> CharState:
-    """One implicit-in-x symplectic Euler step.
+def char_step(system, x, p, h):
+    """One implicit-in-x symplectic Euler step for a batch of curves.
 
     x_{k+1} solves  x = x_k + h (f(x) + A p_k)  by fixed-point iteration,
-    then  p_{k+1} = p_k - h (grad f(x_{k+1}))^T p_k.  The quasi-potential
-    accumulates  h/2 p_k^T A p_k  and, when a transport coefficient
-    callable is supplied, log_z accumulates  -h c(x_k).
+    then  p_{k+1} = p_k - h (grad f(x_{k+1}))^T p_k.  Returns
+    (x_{k+1}, p_{k+1}, dv, converged): dv = h/2 p_k^T A p_k is the
+    quasi-potential increment, and ``converged`` flags the rows whose
+    iteration settled within FIXED_POINT_MAX_ITER sweeps.
     """
-    if h <= 0:
-        raise ValueError("step size must be positive")
-    a = _require_constant_diffusion(system)
-    xk, pk = state.x, state.p
-    drive = a @ pk
-    x = xk + h * (system.drift(xk) + drive)  # explicit predictor
+    drive = p @ system.a.T
+    xi = x + h * (system.drift(x) + drive)  # explicit predictor
     for _ in range(FIXED_POINT_MAX_ITER):
-        x_next = xk + h * (system.drift(x) + drive)
-        if np.max(np.abs(x_next - x)) < FIXED_POINT_TOL:
-            x = x_next
+        x_next = x + h * (system.drift(xi) + drive)
+        converged = np.max(np.abs(x_next - xi), axis=1) < FIXED_POINT_TOL
+        xi = x_next
+        if converged.all():
             break
-        x = x_next
-    else:
-        raise SolverFailure(f"fixed-point iteration stalled at s={state.s:g}")
-    p_next = pk - h * (system.drift_jacobian(x).T @ pk)
-    dlog = -h * float(transport(xk)) if transport is not None else 0.0
-    return CharState(
-        x=x,
-        p=p_next,
-        v=state.v + 0.5 * h * float(pk @ a @ pk),
-        log_z=state.log_z + dlog,
-        s=state.s + h,
-    )
+    p_next = p - h * np.einsum("bji,bj->bi", system.drift_jacobian(xi), p)
+    return xi, p_next, 0.5 * h * _quad(p, system.a), converged
 
 
 def seed_characteristics(system, trained, level, count, seed, domain,
@@ -156,13 +137,11 @@ def seed_characteristics(system, trained, level, count, seed, domain,
         hit = np.abs(vals - level) < rel_band * level
         if not hit.any():
             continue
-        grads = trained.grad_v(batch[hit])
-        for xpt, vv, g in zip(batch[hit], vals[hit], np.atleast_2d(grads)):
-            if abs(hamiltonian(system, xpt, g)) >= energy_tol:
-                continue
-            out.append(CharState(x=xpt.copy(), p=np.asarray(g, dtype=float).copy(), v=float(vv)))
-            if len(out) == count:
-                break
+        xs, vs = batch[hit], vals[hit]
+        grads = np.asarray(trained.grad_v(xs), dtype=float)
+        good = np.nonzero(np.abs(hamiltonian(system, xs, grads)) < energy_tol)[0]
+        out += [CharState(x=xs[i].copy(), p=grads[i].copy(), v=float(vs[i]))
+                for i in good[:count - len(out)]]
     if len(out) < count:
         raise SolverFailure(
             f"found only {len(out)} of {count} seeds near level {level:g} "
@@ -170,103 +149,44 @@ def seed_characteristics(system, trained, level, count, seed, domain,
     return out
 
 
-def trace_curve(system, init: CharState, h, v_max, domain, samples_per_curve,
-                transport=None, max_steps=2_000_000,
-                energy_tol=SEED_ENERGY_TOL) -> CharacteristicCurve:
-    """Integrate one characteristic until v reaches v_max, the curve leaves
-    the domain box, or the step cap hits.
-
-    Samples are recorded uniformly in v (not in s) so level bands are
-    covered evenly; short curves simply return fewer samples.  Two guards
-    cut a curve whose discrete state stops being a trustworthy
-    characteristic: an energy drift beyond ``energy_tol`` (the costate
-    growth outran the step size), and a costate collapse (p^T A p falling
-    to a tiny fraction of its seed value, which happens when the curve
-    runs into a critical point of the flow and would afterwards coast
-    along plain trajectories while its accumulated v is stale).
-    """
-    lo, hi = (np.asarray(v, dtype=float) for v in domain)
-    a_mat = _require_constant_diffusion(system)
-    h0 = hamiltonian(system, init.x, init.p)
-    if init.v >= v_max:
-        return CharacteristicCurve(states=[], reason="reached_v_max", h0=h0, max_energy_drift=0.0)
-    levels = init.v + (v_max - init.v) * (np.arange(samples_per_curve) + 1) / samples_per_curve
-    rate_floor = STALL_RATE_FRACTION * float(init.p @ a_mat @ init.p)
-    state = init
-    samples = []
-    next_level = 0
-    drift_max = 0.0
-    reason = "step_limit"
-    for _ in range(max_steps):
-        try:
-            state = symplectic_char_step(system, state, h, transport=transport)
-        except SolverFailure:
-            reason = "solver_failure"
-            break
-        drift = abs(hamiltonian(system, state.x, state.p) - h0)
-        if drift > energy_tol:
-            reason = "solver_failure"
-            break
-        if float(state.p @ a_mat @ state.p) < rate_floor:
-            reason = "stalled"
-            break
-        drift_max = max(drift_max, drift)
-        crossed = False
-        while next_level < samples_per_curve and state.v >= levels[next_level] - 1e-15:
-            next_level += 1
-            crossed = True
-        if crossed:
-            samples.append(state)  # one sample per step even if it crossed several levels
-        if next_level >= samples_per_curve or state.v >= v_max:
-            reason = "reached_v_max"
-            break
-        if np.any(state.x < lo) or np.any(state.x > hi):
-            reason = "left_domain"
-            break
-    return CharacteristicCurve(states=samples, reason=reason, h0=h0, max_energy_drift=drift_max)
-
-
-def transport_z0(curve: CharacteristicCurve, z0_init):
-    """Prefactor along the curve:  Z0(s) = Z0(0) exp(log_z(s))."""
-    if not curve.states:
-        return np.empty(0)
-    return float(z0_init) * np.exp(np.asarray([st.log_z for st in curve.states]))
-
-
 def trace_curves(system, seeds, h, v_max, domain, samples_per_curve,
                  transport=None, max_steps=2_000_000,
                  energy_tol=SEED_ENERGY_TOL, transport_every=1):
-    """Vectorized trace_curve over a batch of seeds.
+    """Integrate a batch of characteristics, each until its v reaches
+    v_max, it leaves the domain box, or the step cap hits.
 
-    Semantically equivalent to mapping trace_curve over the seeds (same
-    scheme, guards and sampling rule) but advancing all curves in one
-    numpy batch, which is what makes hundreds of 10^4-step curves cheap.
-    The batched transport callable receives an (alive, n) block.  With
-    transport_every = k the coefficient is refreshed every k steps and
-    held over the subinterval; c varies on the curve scale, not the step
-    scale, so k steps spanning a small fraction of unit s-length leave
-    the accumulated integral essentially unchanged while removing the
-    dominant cost (the network Hessian inside c).
+    All live curves advance together through ``char_step``, which is what
+    makes hundreds of 10^4-step curves cheap.  Samples are recorded
+    uniformly in v (not in s) so level bands are covered evenly; short
+    curves simply return fewer samples.  Two guards cut a curve whose
+    discrete state stops being a trustworthy characteristic: an energy
+    drift beyond ``energy_tol`` (the costate growth outran the step size),
+    and a costate collapse (p^T A p falling to a tiny fraction of its seed
+    value, which happens when the curve runs into a critical point of the
+    flow and would afterwards coast along plain trajectories while its
+    accumulated v is stale).
+
+    When a transport coefficient callable is supplied, log_z accumulates
+    -h c(x_k); it receives an (alive, n) block.  With transport_every = k
+    the coefficient is refreshed every k steps and held over the
+    subinterval; c varies on the curve scale, not the step scale, so k
+    steps spanning a small fraction of unit s-length leave the accumulated
+    integral essentially unchanged while removing the dominant cost (the
+    network Hessian inside c).
     """
     if not seeds:
         return []
     lo, hi = (np.asarray(v, dtype=float) for v in domain)
-    a = _require_constant_diffusion(system)
     c = len(seeds)
-    n = lo.shape[0]
     x = np.stack([s.x for s in seeds]).astype(float)
     p = np.stack([s.p for s in seeds]).astype(float)
     v = np.array([s.v for s in seeds], dtype=float)
     logz = np.array([s.log_z for s in seeds], dtype=float)
     s_par = np.array([s.s for s in seeds], dtype=float)
 
-    def ham(xb, pb):
-        return np.einsum("bi,bi->b", system.drift(xb), pb) + \
-            0.5 * np.einsum("bi,ij,bj->b", pb, a, pb)
-
-    h0 = ham(x, p)
+    h0 = hamiltonian(system, x, p)
     levels = v[:, None] + (v_max - v)[:, None] * (np.arange(samples_per_curve) + 1) / samples_per_curve
-    rate_floor = STALL_RATE_FRACTION * np.einsum("bi,ij,bj->b", p, a, p)
+    rate_floor = STALL_RATE_FRACTION * _quad(p, system.a)
     next_level = np.zeros(c, dtype=int)
     drift_max = np.zeros(c)
     reasons = np.array(["step_limit"] * c, dtype=object)
@@ -279,19 +199,8 @@ def trace_curves(system, seeds, h, v_max, domain, samples_per_curve,
         if not alive.any():
             break
         idx = np.nonzero(alive)[0]
-        xk, pk = x[idx], p[idx]
-        drive = pk @ a.T
-        xi = xk + h * (system.drift(xk) + drive)
-        converged = np.zeros(idx.shape[0], dtype=bool)
-        for _ in range(FIXED_POINT_MAX_ITER):
-            x_next = xk + h * (system.drift(xi) + drive)
-            converged = np.max(np.abs(x_next - xi), axis=1) < FIXED_POINT_TOL
-            xi = x_next
-            if converged.all():
-                break
-        failed = ~converged
-        p_next = pk - h * np.einsum("bji,bj->bi", system.drift_jacobian(xi), pk)
-        dv = 0.5 * h * np.einsum("bi,ij,bj->b", pk, a, pk)
+        xk = x[idx]
+        xi, p_next, dv, converged = char_step(system, xk, p[idx], h)
         if transport is not None:
             if step_no % transport_every == 0:
                 c_cache[idx] = np.asarray(transport(xk), dtype=float)
@@ -300,9 +209,9 @@ def trace_curves(system, seeds, h, v_max, domain, samples_per_curve,
         v[idx] += dv
         s_par[idx] += h
 
-        energy_drift = np.abs(ham(xi, p_next) - h0[idx])
-        stalled = np.einsum("bi,ij,bj->b", p_next, a, p_next) < rate_floor[idx]
-        bad = failed | (energy_drift > energy_tol) | stalled
+        energy_drift = np.abs(hamiltonian(system, xi, p_next) - h0[idx])
+        stalled = _quad(p_next, system.a) < rate_floor[idx]
+        bad = ~converged | (energy_drift > energy_tol) | stalled
         drift_max[idx[~bad]] = np.maximum(drift_max[idx[~bad]], energy_drift[~bad])
         for pos, j in enumerate(idx[bad]):
             reasons[j] = "stalled" if stalled[bad][pos] else "solver_failure"
@@ -336,13 +245,19 @@ def trace_curves(system, seeds, h, v_max, domain, samples_per_curve,
 
 
 def discrete_action(system, nodes, dt, a_inv):
-    """Trapezoid discretization of  int 1/2 (phi' - f)^T A^-1 (phi' - f) ds."""
-    vel = np.diff(nodes, axis=0) / dt
-    fa = system.drift(nodes[:-1])
-    fb = system.drift(nodes[1:])
-    ra = (vel - fa) @ a_inv
-    rb = (vel - fb) @ a_inv
-    return 0.25 * dt * float(np.einsum("bi,bi->", vel - fa, ra) + np.einsum("bi,bi->", vel - fb, rb))
+    """Trapezoid discretization of  int 1/2 (phi' - f)^T A^-1 (phi' - f) ds.
+
+    A diverging path overflows to an infinite action, which
+    min_action_estimate reports as a SolverFailure.
+    """
+    with np.errstate(over="ignore"):
+        vel = np.diff(nodes, axis=0) / dt
+        fa = system.drift(nodes[:-1])
+        fb = system.drift(nodes[1:])
+        ra = (vel - fa) @ a_inv
+        rb = (vel - fb) @ a_inv
+        return 0.25 * dt * float(np.einsum("bi,bi->", vel - fa, ra) +
+                                 np.einsum("bi,bi->", vel - fb, rb))
 
 
 def _action_gradient(system, nodes, dt, a_inv):
@@ -368,7 +283,7 @@ def min_action_estimate(system, x_target, surface_points, horizon, n_nodes,
     the analytic action gradient.  Raises when A is not positive definite
     or when the action increases for 50 consecutive iterations.
     """
-    a = _require_constant_diffusion(system)
+    a = system.a
     eigs = np.linalg.eigvalsh(a)
     if eigs.min() <= 0:
         raise ValueError("diffusion matrix must be positive definite for the action")
@@ -422,21 +337,14 @@ def min_action_scan(system, x_target, surface_points, n_nodes, iters, lr_per_dt,
     return best, best_path
 
 
-def export_expanded_csv(curves, path, z0_inits=None):
-    """(coords..., v, z0-if-present, origin=characteristic) rows."""
-    rows = []
-    for ci, curve in enumerate(curves):
-        z0 = transport_z0(curve, z0_inits[ci]) if z0_inits is not None else None
-        for k, st in enumerate(curve.states):
-            rows.append((st.x, st.v, None if z0 is None else z0[k]))
+def export_expanded_csv(curves, path):
+    """(coords..., v, origin=characteristic) rows."""
+    rows = [(st.x, st.v) for curve in curves for st in curve.states]
     if not rows:
         raise ValueError("no curve samples to export")
     dim = rows[0][0].shape[0]
-    with_z = z0_inits is not None
     with open(path, "w") as fh:
-        cols = [f"x{i}" for i in range(dim)] + ["v"] + (["z0"] if with_z else []) + ["origin"]
-        fh.write(",".join(cols) + "\n")
-        for x, v, z in rows:
+        fh.write(",".join([f"x{i}" for i in range(dim)] + ["v", "origin"]) + "\n")
+        for x, v in rows:
             coords = ",".join(f"{c:.17g}" for c in x)
-            zpart = f",{z:.17g}" if with_z else ""
-            fh.write(f"{coords},{v:.17g}{zpart},characteristic\n")
+            fh.write(f"{coords},{v:.17g},characteristic\n")

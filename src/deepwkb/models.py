@@ -1,10 +1,11 @@
 """SDE system abstraction and the registered benchmark systems.
 
-Every system bundles the drift f, the noise factor sigma, the diffusion
-matrix A = sigma sigma^T, the drift Jacobian and the divergence terms
-that appear in the transport operator.  All evaluators accept either a
-single state of shape (n,) or a batch of shape (B, n) and are pure
-functions, safe to call concurrently.
+Every system bundles the drift f, the constant noise factor sigma, the
+diffusion matrix A = sigma sigma^T, the drift Jacobian and the drift
+divergence that appears in the transport operator.  sigma is required:
+the noise is additive, so A is one (n, n) array stored on the system.
+The drift evaluators accept either a single state of shape (n,) or a
+batch of shape (B, n) and are pure functions, safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["SdeSystem", "BenchmarkId", "make_benchmark", "eval_derivatives", "BENCHMARKS"]
+__all__ = ["SdeSystem", "make_benchmark", "BENCHMARKS"]
 
 
 def _as_batch(x, dim):
@@ -31,11 +32,12 @@ def _as_batch(x, dim):
 
 @dataclass
 class SdeSystem:
-    """A small-noise SDE dX = f(X) dt + sqrt(eps) sigma(X) dB.
+    """A small-noise SDE dX = f(X) dt + sqrt(eps) sigma dB, sigma constant.
 
     attractor_dim is the dimension d of the attractor of the zero-noise
     flow (0 for an equilibrium, 1 for a limit cycle, ...).  It enters the
     normalization scaling eps^((n-d)/2) and must be supplied by the user.
+    ``a`` is the diffusion matrix sigma sigma^T, computed once.
     """
 
     dim_state: int
@@ -44,79 +46,21 @@ class SdeSystem:
     drift_jacobian: Callable[[np.ndarray], np.ndarray]
     drift_divergence: Callable[[np.ndarray], np.ndarray]
     attractor_dim: int
-    # All registered benchmarks carry additive noise; a constant factor is
-    # stored and the callable accessors derive from it.
-    sigma_constant: np.ndarray | None = None
+    sigma_constant: np.ndarray
     name: str = "custom"
     params: dict = field(default_factory=dict)
+    a: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.dim_state < 1 or self.dim_noise < 1:
             raise ValueError("dim_state and dim_noise must be >= 1")
         if self.attractor_dim < 0:
             raise ValueError("attractor_dim must be >= 0")
-        if self.sigma_constant is not None:
-            self.sigma_constant = np.asarray(self.sigma_constant, dtype=float)
-            if self.sigma_constant.shape != (self.dim_state, self.dim_noise):
-                raise ValueError("sigma_constant has wrong shape")
-
-    # -- diffusion -----------------------------------------------------
-
-    def sigma(self, x):
-        """Noise factor sigma(x), shape (n, m) or (B, n, m)."""
-        xb, single = _as_batch(x, self.dim_state)
-        s = np.broadcast_to(self.sigma_constant, (xb.shape[0],) + self.sigma_constant.shape)
-        return s[0] if single else np.array(s)
-
-    def diffusion(self, x):
-        """Diffusion matrix A(x) = sigma sigma^T, shape (n, n) or (B, n, n)."""
-        xb, single = _as_batch(x, self.dim_state)
-        a = self.sigma_constant @ self.sigma_constant.T
-        ab = np.broadcast_to(a, (xb.shape[0],) + a.shape)
-        return a if single else np.array(ab)
-
-    def diffusion_row_divergence(self, x):
-        """Vector (sum_i d_i a^{ij})_j; identically zero for constant sigma."""
-        xb, single = _as_batch(x, self.dim_state)
-        out = np.zeros_like(xb)
-        return out[0] if single else out
-
-    @property
-    def constant_diffusion(self) -> np.ndarray | None:
-        """A as a constant matrix when sigma does not depend on x, else None."""
-        if self.sigma_constant is None:
-            return None
-        return self.sigma_constant @ self.sigma_constant.T
-
-
-@dataclass(frozen=True)
-class BenchmarkId:
-    """Name plus parameter map selecting one of the registered systems."""
-
-    name: str
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        for key, val in self.params.items():
-            if not np.isfinite(val):
-                raise ValueError(f"benchmark parameter {key} is not finite")
-
-
-def eval_derivatives(system: SdeSystem, x):
-    """Evaluate (f, A, grad f, div f, row-div A) consistently at one x.
-
-    Bundled so the loss kernels touch the state array once.
-    """
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("state is not finite")
-    return (
-        system.drift(x),
-        system.diffusion(x),
-        system.drift_jacobian(x),
-        system.drift_divergence(x),
-        system.diffusion_row_divergence(x),
-    )
+        shape = (self.dim_state, self.dim_noise)
+        if np.shape(self.sigma_constant) != shape:  # None has shape ()
+            raise ValueError(f"sigma_constant must be a constant {shape} array")
+        self.sigma_constant = np.asarray(self.sigma_constant, dtype=float)
+        self.a = self.sigma_constant @ self.sigma_constant.T
 
 
 # ---------------------------------------------------------------------------
@@ -327,20 +271,14 @@ BENCHMARKS = {
 }
 
 
-def make_benchmark(bid, **params) -> SdeSystem:
-    """Build a registered benchmark system.
+def make_benchmark(name, **params) -> SdeSystem:
+    """Build a registered benchmark system from its name and parameters.
 
-    Accepts a BenchmarkId or a name string plus keyword parameters.
     Unknown names and non-finite parameters raise ValueError.
     """
-    if isinstance(bid, BenchmarkId):
-        name, kwargs = bid.name, dict(bid.params)
-        kwargs.update(params)
-    else:
-        name, kwargs = str(bid), dict(params)
     if name not in BENCHMARKS:
         raise ValueError(f"unknown benchmark {name!r}; known: {sorted(BENCHMARKS)}")
-    for key, val in kwargs.items():
+    for key, val in params.items():
         if not np.isfinite(val):
             raise ValueError(f"benchmark parameter {key} is not finite")
-    return BENCHMARKS[name](**kwargs)
+    return BENCHMARKS[name](**params)

@@ -25,6 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
+from .models import _as_batch
+
 __all__ = [
     "MlpSpec",
     "MlpParams",
@@ -149,17 +151,6 @@ def init_params(spec: MlpSpec, seed) -> MlpParams:
         w[...] = rng.uniform(-bound, bound, size=w.shape)
         b[...] = 0.0
     return params
-
-
-def _as_batch(x, dim):
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        if x.shape[0] != dim:
-            raise ValueError(f"input has length {x.shape[0]}, expected {dim}")
-        return x[None, :], True
-    if x.ndim != 2 or x.shape[1] != dim:
-        raise ValueError(f"input batch has shape {x.shape}, expected (B, {dim})")
-    return x, False
 
 
 def _forward_trace(params, xb):

@@ -8,7 +8,8 @@ A run is described by a versioned JSON config and driven stage by stage:
 Each stage persists its outputs under the run directory and records them
 in ``manifest.json`` together with a content hash of the config sections
 it depends on (chained through its upstream stages), so re-running a
-completed stage with an unchanged config is a no-op unless forced.
+completed stage with an unchanged config is a no-op unless forced.  A
+stage that does run first deletes the outputs of its previous run.
 Wall-clock times go to a separate ``timing.log``; the manifest itself
 stays bitwise reproducible across identical runs.
 """
@@ -372,13 +373,9 @@ def _stage_validate(cfg: RunConfig, outdir: Path):
 def _stage_train_v(cfg: RunConfig, outdir: Path):
     system = cfg.system()
     results, points, u_top = _load_regressions(outdir, with_points=True)
-    attractor_points = np.load(outdir / "attractor.npy")
-
-    class _Attr:
-        points = attractor_points
-
     tcfg = cfg.train_cfg("train_v", _derive_seed(cfg["seed"], "train_v"))
-    sets = assemble_qp_sets(_Attr, points, results, tcfg, largest_eps_density=u_top)
+    sets = assemble_qp_sets(np.load(outdir / "attractor.npy"), points, results, tcfg,
+                            largest_eps_density=u_top)
     trained = train_qp(sets, tcfg, system)
     net.save_checkpoint(outdir / "checkpoint_v.dwkbnet", trained.params,
                         extra=json.dumps({"alpha": trained.alpha}).encode())
@@ -445,15 +442,10 @@ def _stage_expand(cfg: RunConfig, outdir: Path):
     # learned parameters, artificial targets drop out in favor of curves).
     if e["refine_epochs"] > 0 and len(rows):
         results, points, u_top = _load_regressions(outdir, with_points=True)
-        attractor_points = np.load(outdir / "attractor.npy")
-
-        class _Attr:
-            points = attractor_points
-
         tcfg = cfg.train_cfg("train_v", _derive_seed(cfg["seed"], "refine_v"))
         tcfg.epochs = e["refine_epochs"]
         tcfg.fine_tune_epochs = max(1, e["refine_epochs"] // 5)
-        sets = assemble_qp_sets(_Attr, points, results, tcfg,
+        sets = assemble_qp_sets(np.load(outdir / "attractor.npy"), points, results, tcfg,
                                 largest_eps_density=u_top,
                                 expanded=(arr["point"], arr["v"]))
         refined = train_qp(sets, tcfg, system, initial=trained.params)
@@ -593,9 +585,7 @@ def fp_residual_grid(system, values, grid: GridSpec, eps):
     n = grid.dim
     centers = grid.centers(np.arange(grid.n_cells))
     f = system.drift(centers)
-    a = system.constant_diffusion
-    if a is None:
-        a_all = system.diffusion(centers)
+    a = system.a
     widths = grid.widths
 
     residual = np.zeros_like(values)
@@ -604,10 +594,9 @@ def fp_residual_grid(system, values, grid: GridSpec, eps):
         residual -= _first_diff(fu, i, widths[i])
     for i in range(n):
         for j in range(n):
-            aij = a[i, j] if a is not None else a_all[:, i, j].reshape(grid.bins_per_dim)
-            if np.all(aij == 0.0):
+            if a[i, j] == 0.0:
                 continue
-            au = aij * values
+            au = a[i, j] * values
             if i == j:
                 residual += 0.5 * eps * _second_diff(au, i, widths[i])
             else:
@@ -673,7 +662,8 @@ def run_stage(stage, cfg: RunConfig, manifest: RunManifest, force=False) -> RunM
     """Execute exactly one stage; idempotent re-runs are skipped.
 
     Raises DependencyError when an upstream stage has not completed, and
-    refuses hash mismatches (stale upstream) unless forced.
+    refuses hash mismatches (stale upstream) unless forced.  The files
+    the manifest recorded for the stage's previous run are deleted first.
     """
     if stage not in _STAGE_FUNCS:
         raise ValueError(f"unknown stage {stage!r}; stages: {STAGES}")
@@ -690,6 +680,11 @@ def run_stage(stage, cfg: RunConfig, manifest: RunManifest, force=False) -> RunM
     if not force and manifest.up_to_date(stage, cfg_hash):
         return manifest
 
+    previous = manifest.data["stages"].pop(stage, None)
+    if previous is not None:
+        for name in previous["outputs"]:
+            (manifest.outdir / name).unlink(missing_ok=True)
+        manifest.save()
     manifest.outdir.mkdir(parents=True, exist_ok=True)
     t0 = time.monotonic()
     outputs, info = _STAGE_FUNCS[stage](cfg, manifest.outdir)

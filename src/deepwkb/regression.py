@@ -141,13 +141,13 @@ def solve_rescaled_ls(design, d_weights, response):
 
 
 def regress_point(data: PointData, ladder: NoiseLadder, dims,
-                  far_field_threshold=np.inf,
                   min_count=DEFAULT_MIN_COUNT,
                   point=None) -> RegressionResult | None:
     """Full per-point estimate; returns None when the point is excluded.
 
     v_hat is reported as fitted even when slightly negative; clipping is
-    left to the training stage.
+    left to the training stage.  A fit whose v_hat is not NaN is flagged
+    reliable until apply_far_field_threshold compares it with the others.
     """
     if ladder is not None and not np.array_equal(data.eps, ladder.values):
         raise ValueError("point data does not match the noise ladder")
@@ -172,7 +172,7 @@ def regress_point(data: PointData, ladder: NoiseLadder, dims,
         rss_rescaled=rss,
         dof=used - 3,
         used_rows=used,
-        reliable=used > 3 and v_hat <= far_field_threshold,
+        reliable=not np.isnan(v_hat),  # build_response guarantees used > 3
         se_v=float(se[0]),
         se_log_z0=float(se[1]),
     )

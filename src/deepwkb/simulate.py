@@ -2,7 +2,7 @@
 
 Trajectories advance with the explicit scheme
 
-    x <- x + f(x) dt + sqrt(eps * dt) * sigma(x) xi,   xi ~ N(0, I_m),
+    x <- x + f(x) dt + sqrt(eps * dt) * sigma xi,   xi ~ N(0, I_m),
 
 run in a vectorized batch, and push retained states to a caller-supplied
 sink every ``sample_interval`` time units.  Each trajectory owns an
@@ -13,8 +13,7 @@ not depend on chunking internals.
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -23,16 +22,12 @@ __all__ = [
     "SimConfig",
     "SimSummary",
     "AttractorSample",
-    "RawDumpSink",
     "simulate_ensemble",
     "integrate_ode",
     "sample_attractor",
-    "read_raw_dump",
 ]
 
 _CHUNK_STEPS = 4096
-_RAW_MAGIC = b"DWKB"
-_RAW_VERSION = 1
 
 
 @dataclass
@@ -124,7 +119,7 @@ def simulate_ensemble(system, cfg: SimConfig, sink: Callable[[np.ndarray], None]
 
     gens = _trajectory_generators(cfg.seed, cfg.n_traj)
     sqrt_noise = np.sqrt(cfg.epsilon * cfg.dt)
-    sigma_const = system.sigma_constant
+    sigma_t = system.sigma_constant.T
     restart = cfg.escape_policy == "restart_at_last_inside"
 
     escapes = 0
@@ -139,12 +134,7 @@ def simulate_ensemble(system, cfg: SimConfig, sink: Callable[[np.ndarray], None]
             noise[j, :chunk] = g.standard_normal((chunk, m))
         for k in range(chunk):
             step += 1
-            xi = noise[:, k, :]
-            if sigma_const is not None:
-                kick = xi @ sigma_const.T
-            else:
-                kick = np.einsum("bnm,bm->bn", system.sigma(x), xi)
-            x_new = x + system.drift(x) * cfg.dt + sqrt_noise * kick
+            x_new = x + system.drift(x) * cfg.dt + sqrt_noise * (noise[:, k, :] @ sigma_t)
             bad = ~np.all(np.isfinite(x_new), axis=1)
             if bad.any():
                 x_new[bad] = x[bad]
@@ -206,33 +196,3 @@ def sample_attractor(system, x0, burn_in, collect_time, count, dt=0.01, seed=0) 
     idx = rng.choice(pool.shape[0], size=count, replace=False)
     return AttractorSample(points=pool[np.sort(idx)], burn_in=float(burn_in))
 
-
-class RawDumpSink:
-    """Stream samples to an open binary file as little-endian f64 tuples.
-
-    Layout: 16-byte header (magic ``DWKB``, version u32, n u32, reserved
-    u32), then the raw coordinates.
-    """
-
-    def __init__(self, fh, dim):
-        self.fh = fh
-        self.dim = dim
-        fh.write(_RAW_MAGIC + struct.pack("<III", _RAW_VERSION, dim, 0))
-
-    def __call__(self, batch):
-        arr = np.ascontiguousarray(batch, dtype="<f8")
-        if arr.ndim != 2 or arr.shape[1] != self.dim:
-            raise ValueError("batch has wrong shape for raw dump")
-        self.fh.write(arr.tobytes())
-
-
-def read_raw_dump(fh):
-    """Read back a raw dump written by RawDumpSink; returns (B, n) array."""
-    header = fh.read(16)
-    if header[:4] != _RAW_MAGIC:
-        raise ValueError("bad magic in raw dump")
-    version, dim, _ = struct.unpack("<III", header[4:])
-    if version != _RAW_VERSION:
-        raise ValueError(f"unsupported raw dump version {version}")
-    data = np.frombuffer(fh.read(), dtype="<f8")
-    return data.reshape(-1, dim)

@@ -111,25 +111,6 @@ class TrainedQp:
         return net.hessian_input(self.params, x) / self.alpha
 
 
-@dataclass
-class AnalyticQp:
-    """Oracle stand-in for TrainedQp backed by closed-form callables."""
-
-    v_fn: object
-    grad_fn: object
-    hess_fn: object
-    alpha: float = 1.0
-
-    def v(self, x):
-        return self.v_fn(x)
-
-    def grad_v(self, x):
-        return self.grad_fn(x)
-
-    def hess_v(self, x):
-        return self.hess_fn(x)
-
-
 def hj_residual(system, grad_v, x):
     """Hamilton-Jacobi residual  f . g + 1/2 g^T A g  for g = grad V."""
     g = np.asarray(grad_v, dtype=float)
@@ -137,34 +118,25 @@ def hj_residual(system, grad_v, x):
     gb = g[None, :] if single else g
     xb = np.asarray(x, dtype=float)
     xb = xb[None, :] if xb.ndim == 1 else xb
-    f = system.drift(xb)
-    a_const = system.constant_diffusion
-    if a_const is not None:
-        quad = 0.5 * np.einsum("bi,ij,bj->b", gb, a_const, gb)
-    else:
-        quad = 0.5 * np.einsum("bi,bij,bj->b", gb, system.diffusion(xb), gb)
-    out = np.einsum("bi,bi->b", f, gb) + quad
+    out = np.einsum("bi,bi->b", system.drift(xb), gb) + \
+        0.5 * np.einsum("bi,ij,bj->b", gb, system.a, gb)
     return float(out[0]) if single else out
 
 
-def assemble_qp_sets(attractor, colloc, regressions, cfg: QpTrainConfig,
-                     largest_eps_density=None, expanded=None,
-                     keep_artificial=False, artificial_clearance=0.25) -> QpTrainingSets:
-    """Build (X1, X2, X3) from the attractor sample, the collocation set
-    and the per-point regressions.
+def assemble_qp_sets(attractor_points, points, regressions, cfg: QpTrainConfig,
+                     largest_eps_density=None, expanded=None) -> QpTrainingSets:
+    """Build (X1, X2, X3) from the attractor points, the collocation
+    points and the per-point regressions.
 
     Reliable points enter X2 with their fitted value.  The remaining
     collocation points (unreliable, or with empirical density at the
     largest noise level below the far-field threshold) receive the
     artificial value C so the far field is not left unconstrained.  When
-    characteristic-curve data is supplied through ``expanded`` its points
-    join X2 and the artificial points are dropped by default.  With
-    keep_artificial=True the artificial points farther than
-    ``artificial_clearance`` from every curve sample are retained: the
-    curves carry real values where they reach, while the uncovered far
-    field keeps its anti-flattening pressure.
+    characteristic-curve data is supplied through ``expanded`` as a
+    (points, values) pair, its points join X2 and the artificial points
+    are dropped.
     """
-    points = colloc.points if hasattr(colloc, "points") else np.asarray(colloc)
+    points = np.asarray(points)
     reliable_pts, reliable_targets = [], []
     far_pts = []
     for i in range(len(points)):
@@ -188,7 +160,6 @@ def assemble_qp_sets(attractor, colloc, regressions, cfg: QpTrainConfig,
     t2 = [reliable_targets]
     art = [np.zeros(len(reliable_pts), dtype=bool)]
     ref = [np.ones(len(reliable_pts), dtype=bool)]
-    exp_pts = None
     if expanded is not None:
         exp_pts, exp_v = (np.asarray(a) for a in expanded)
         if len(exp_pts):
@@ -196,19 +167,11 @@ def assemble_qp_sets(attractor, colloc, regressions, cfg: QpTrainConfig,
             t2.append(exp_v)
             art.append(np.zeros(len(exp_pts), dtype=bool))
             ref.append(np.zeros(len(exp_pts), dtype=bool))
-    if far_pts and (expanded is None or keep_artificial):
-        far_pts = np.asarray(far_pts)
-        if exp_pts is not None and len(exp_pts):
-            # keep only artificial points the curves do not already cover
-            keep = np.ones(len(far_pts), dtype=bool)
-            for i, q in enumerate(far_pts):
-                keep[i] = np.min(np.linalg.norm(exp_pts - q, axis=1)) > artificial_clearance
-            far_pts = far_pts[keep]
-        if len(far_pts):
-            x2.append(far_pts)
-            t2.append(np.full(len(far_pts), c_value))
-            art.append(np.ones(len(far_pts), dtype=bool))
-            ref.append(np.zeros(len(far_pts), dtype=bool))
+    elif far_pts:
+        x2.append(np.asarray(far_pts))
+        t2.append(np.full(len(far_pts), c_value))
+        art.append(np.ones(len(far_pts), dtype=bool))
+        ref.append(np.zeros(len(far_pts), dtype=bool))
 
     x3 = points
     if cfg.residual_count is not None and cfg.residual_count < len(points):
@@ -217,7 +180,7 @@ def assemble_qp_sets(attractor, colloc, regressions, cfg: QpTrainConfig,
         x3 = points[np.sort(keep)]
 
     sets = QpTrainingSets(
-        x1=np.asarray(attractor.points),
+        x1=np.asarray(attractor_points),
         x2=np.concatenate(x2, axis=0),
         x2_targets=np.concatenate(t2),
         x2_artificial=np.concatenate(art),
@@ -253,11 +216,7 @@ def qp_loss(kind, params: MlpParams, batch, system):
         x = np.asarray(batch)
         g = net.grad_input(params, x)
         f = system.drift(x)
-        a_const = system.constant_diffusion
-        if a_const is not None:
-            ag = g @ a_const.T
-        else:
-            ag = np.einsum("bij,bj->bi", system.diffusion(x), g)
+        ag = g @ system.a.T
         resid = np.einsum("bi,bi->b", f, g) + 0.5 * np.einsum("bi,bi->b", g, ag)
         value = float(np.mean(resid**2))
         coeff = 2.0 * resid / x.shape[0]

@@ -4,9 +4,10 @@ Z0 satisfies the first-order transport equation
 
     b . grad Z0 + c Z0 = 0,
     b = f + A grad V,
-    c = div f + 1/2 sum_ij a^ij d^2_ij V + sum_ij (d_i a^ij) d_j V,
+    c = div f + 1/2 sum_ij a^ij d^2_ij V,
 
-whose coefficients are evaluated with the trained, alpha-corrected
+where A = (a^ij) is the system's constant diffusion matrix.  The
+coefficients are evaluated with the trained, alpha-corrected
 quasi-potential.  Targets come from two sources: linear extrapolation of
 the rescaled densities to eps = 0 on the attractor (Y1), and the
 exponential of the regression intercept near the attractor together with
@@ -72,17 +73,8 @@ def transport_coefficients(system, trained, x):
     hess = trained.hess_v(xb)
     if hess.ndim == 2:
         hess = hess[None, :, :]
-    a_const = system.constant_diffusion
-    if a_const is not None:
-        ag = grad @ a_const.T
-        trace_term = 0.5 * np.einsum("ij,bij->b", a_const, hess)
-    else:
-        a = system.diffusion(xb)
-        ag = np.einsum("bij,bj->bi", a, grad)
-        trace_term = 0.5 * np.einsum("bij,bij->b", a, hess)
-    b = system.drift(xb) + ag
-    row_div = system.diffusion_row_divergence(xb)
-    c = system.drift_divergence(xb) + trace_term + np.einsum("bj,bj->b", row_div, grad)
+    b = system.drift(xb) + grad @ system.a.T
+    c = system.drift_divergence(xb) + 0.5 * np.einsum("ij,bij->b", system.a, hess)
     if single:
         return b[0], float(c[0])
     return b, c

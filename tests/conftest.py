@@ -1,7 +1,28 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from deepwkb.models import make_benchmark
+
+
+@dataclass
+class AnalyticQp:
+    """Oracle stand-in for TrainedQp backed by closed-form callables."""
+
+    v_fn: object
+    grad_fn: object
+    hess_fn: object
+    alpha: float = 1.0
+
+    def v(self, x):
+        return self.v_fn(x)
+
+    def grad_v(self, x):
+        return self.grad_fn(x)
+
+    def hess_v(self, x):
+        return self.hess_fn(x)
 
 
 @pytest.fixture

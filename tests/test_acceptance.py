@@ -14,7 +14,7 @@ import pytest
 
 from deepwkb import net
 from deepwkb.density import DensityHistogram, GridSpec
-from deepwkb.expand import CharState, min_action_scan, trace_curve
+from deepwkb.expand import CharState, min_action_scan, trace_curves
 from deepwkb.models import figure8_hamiltonian, make_benchmark
 from deepwkb.net import MlpParams, MlpSpec
 from deepwkb.pipeline import (RunConfig, evaluate_wkb_grid, fp_residual_grid,
@@ -235,10 +235,10 @@ def test_criterion_5_symplectic_characteristics():
     domain = (np.array([-5.0]), np.array([5.0]))
     worst_v = 0.0
     drifts = {}
-    for x0 in (0.1, 0.2, -0.15):
-        for h in (1e-4, 5e-5):
-            init = CharState(x=np.array([x0]), p=np.array([2 * x0]), v=x0**2)
-            curve = trace_curve(ou, init, h, 0.4, domain, 20)
+    seeds = [CharState(x=np.array([x0]), p=np.array([2 * x0]), v=x0**2)
+             for x0 in (0.1, 0.2, -0.15)]
+    for h in (1e-4, 5e-5):
+        for x0, curve in zip((0.1, 0.2, -0.15), trace_curves(ou, seeds, h, 0.4, domain, 20)):
             assert curve.reason == "reached_v_max"
             xs = curve.points().ravel()
             vs = curve.values()

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from deepwkb.density import (CollocationSet, DensityHistogram, GridSpec,
-                             bin_samples, empirical_density, select_collocation)
+from deepwkb.density import DEFAULT_MIN_COUNT, DensityHistogram, GridSpec, select_collocation
 from deepwkb.models import make_benchmark
 from deepwkb.simulate import SimConfig, simulate_ensemble
 
@@ -17,24 +16,28 @@ def test_grid_invariants():
     assert g.n_cells == 200
 
 
+def u_hat(hist, point):
+    """Empirical density N0 / (h N) at the bin holding ``point``."""
+    return hist.counts_at(np.atleast_2d(point))[0] / (hist.grid.bin_volume * hist.total)
+
+
 def test_density_definition():
     # 1000 samples, 100 in one bin of volume 0.01 -> u_hat = 10
     g = GridSpec((0.0,), (1.0,), (100,))
     hist = DensityHistogram(g, epsilon=0.1)
     hist.add_batch(np.full((100, 1), 0.135))       # bin 13
     hist.add_batch(np.full((900, 1), 55.0))        # off grid: total only
-    est = empirical_density(hist, np.array([0.135]))
     assert hist.total == 1000
-    assert est.n0 == 100 and est.u_hat == pytest.approx(10.0)
-    assert est.sufficient
+    assert hist.counts_at(np.array([[0.135]]))[0] == 100
+    assert u_hat(hist, [0.135]) == pytest.approx(10.0)
 
 
 def test_boundary_tie_break_lower_index():
     g = GridSpec((0.0,), (1.0,), (10,))
     hist = DensityHistogram(g, epsilon=0.1)
-    bin_samples(hist, np.array([0.2]))   # shared edge of bins 1 and 2
-    bin_samples(hist, np.array([0.0]))   # grid lower edge: first bin
-    bin_samples(hist, np.array([1.0]))   # grid upper edge: last bin
+    hist.add_batch(np.array([[0.2]]))   # shared edge of bins 1 and 2
+    hist.add_batch(np.array([[0.0]]))   # grid lower edge: first bin
+    hist.add_batch(np.array([[1.0]]))   # grid upper edge: last bin
     flat, cnt = hist.occupied()
     assert dict(zip(flat.tolist(), cnt.tolist())) == {0: 1, 1: 1, 9: 1}
 
@@ -42,20 +45,22 @@ def test_boundary_tie_break_lower_index():
 def test_empty_histogram():
     g = GridSpec((0.0,), (1.0,), (4,))
     hist = DensityHistogram(g, epsilon=0.1)
-    est = empirical_density(hist, np.array([0.5]))
-    assert est.u_hat == 0.0 and est.n0 == 0 and hist.total == 0
-    assert not est.sufficient
+    assert hist.counts_at(np.array([[0.5]]))[0] == 0 and hist.total == 0
+    flat, cnt = hist.occupied()
+    assert flat.size == 0 and cnt.size == 0
 
 
 def test_insufficient_flag_and_outside_error():
+    # The count floor separates 19 from 20 samples; off-grid points hold none.
     g = GridSpec((0.0,), (1.0,), (10,))
     hist = DensityHistogram(g, epsilon=0.1)
     hist.add_batch(np.full((19, 1), 0.35))
-    assert not empirical_density(hist, np.array([0.35])).sufficient
-    hist.add(np.array([0.35]))
-    assert empirical_density(hist, np.array([0.35])).sufficient
-    with pytest.raises(ValueError, match="outside"):
-        empirical_density(hist, np.array([1.5]))
+    assert hist.counts_at(np.array([[0.35]]))[0] < DEFAULT_MIN_COUNT
+    hist.add_batch(np.array([[0.35]]))
+    assert hist.counts_at(np.array([[0.35]]))[0] >= DEFAULT_MIN_COUNT
+    flat, inside = g.flat_indices(np.array([[1.5]]))
+    assert not inside[0] and flat[0] == -1
+    assert hist.counts_at(np.array([[1.5]]))[0] == 0
 
 
 def test_unit_density_example():
@@ -63,36 +68,25 @@ def test_unit_density_example():
     hist = DensityHistogram(g, epsilon=0.1)
     hist.add_batch(np.full((100, 1), 0.00005))
     hist.total = 10**6  # remaining samples landed elsewhere
-    est = empirical_density(hist, np.array([0.00005]))
-    assert est.u_hat == pytest.approx(1.0)
+    assert u_hat(hist, [0.00005]) == pytest.approx(1.0)
 
 
-def test_merge_matches_concatenation(rng):
+def test_chunked_batches_match_one_batch(rng):
     g = GridSpec((-1.0, -1.0), (1.0, 1.0), (8, 8))
     samples = rng.normal(0, 0.8, size=(5000, 2))
     whole = DensityHistogram(g, epsilon=0.2)
     whole.add_batch(samples)
-    parts = [DensityHistogram(g, epsilon=0.2) for _ in range(3)]
-    for i, part in enumerate(parts):
-        part.add_batch(samples[i::3])
-    merged = parts[0]
-    merged.merge(parts[1])
-    merged.merge(parts[2])
-    assert merged.total == whole.total
-    f1, c1 = merged.occupied()
+    chunked = DensityHistogram(g, epsilon=0.2)
+    for i in range(3):
+        chunked.add_batch(samples[i::3])
+    assert chunked.total == whole.total
+    f1, c1 = chunked.occupied()
     f2, c2 = whole.occupied()
     assert np.array_equal(f1, f2) and np.array_equal(c1, c2)
     # conservation: binned count equals the independently counted inside samples
     inside = np.all((samples >= -1.0) & (samples <= 1.0), axis=1).sum()
-    assert merged.binned_count == inside
-    assert merged.total == len(samples)
-
-
-def test_merge_rejects_mismatched_grids():
-    a = DensityHistogram(GridSpec((0.0,), (1.0,), (4,)), epsilon=0.1)
-    b = DensityHistogram(GridSpec((0.0,), (1.0,), (8,)), epsilon=0.1)
-    with pytest.raises(ValueError):
-        a.merge(b)
+    assert chunked.binned_count == inside
+    assert chunked.total == len(samples)
 
 
 def test_sparse_storage_for_high_dimensions(rng):
@@ -119,17 +113,6 @@ def test_histogram_file_round_trip(tmp_path, rng):
         fa, ca = hist.occupied()
         fb, cb = back.occupied()
         assert np.array_equal(fa, fb) and np.array_equal(ca, cb)
-
-
-def test_csv_export(tmp_path):
-    g = GridSpec((0.0,), (1.0,), (4,))
-    hist = DensityHistogram(g, epsilon=0.1)
-    hist.add_batch(np.array([[0.1], [0.1], [0.6]]))
-    path = tmp_path / "hist.csv"
-    hist.export_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x0,u_hat"
-    assert len(lines) == 3  # two occupied bins
 
 
 def test_riemann_sum_approaches_one():

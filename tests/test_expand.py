@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
 
-from deepwkb.expand import (CharState, SolverFailure, discrete_action,
+from deepwkb.expand import (CharState, SolverFailure, char_step, discrete_action,
                             hamiltonian, min_action_estimate, min_action_scan,
-                            seed_characteristics, symplectic_char_step,
-                            trace_curve, transport_z0)
-from deepwkb.models import make_benchmark
-from deepwkb.train_v import AnalyticQp
+                            seed_characteristics, trace_curves)
+from deepwkb.models import SdeSystem, make_benchmark
 
-from conftest import figure8_quasipotential
+from conftest import AnalyticQp, figure8_quasipotential
 
 OU_DOMAIN = (np.array([-5.0]), np.array([5.0]))
 
@@ -21,35 +19,38 @@ def ou_oracle():
     )
 
 
+def trace_one(system, init, *args, **kwargs):
+    (curve,) = trace_curves(system, [init], *args, **kwargs)
+    return curve
+
+
 def test_hand_computed_implicit_step(ou1d):
     # H = -x p + p^2/2, h = 0.1 from (0.1, 0.2): the x-update is implicit,
     # x1 (1 + h) = x0 + h p0.
-    state = CharState(x=np.array([0.1]), p=np.array([0.2]), v=0.0)
-    out = symplectic_char_step(ou1d, state, 0.1)
-    assert out.x[0] == pytest.approx(0.12 / 1.1, abs=1e-12)
-    assert out.p[0] == pytest.approx(0.22, abs=1e-15)
-    assert hamiltonian(ou1d, out.x, out.p) == pytest.approx(2.0e-4, abs=1e-5)
-    assert out.v == pytest.approx(0.1 * 0.5 * 0.2**2, abs=1e-15)
+    x, p, dv, converged = char_step(ou1d, np.array([[0.1]]), np.array([[0.2]]), 0.1)
+    assert converged.tolist() == [True]
+    assert x[0, 0] == pytest.approx(0.12 / 1.1, abs=1e-12)
+    assert p[0, 0] == pytest.approx(0.22, abs=1e-15)
+    assert hamiltonian(ou1d, x, p)[0] == pytest.approx(2.0e-4, abs=1e-5)
+    assert dv[0] == pytest.approx(0.1 * 0.5 * 0.2**2, abs=1e-15)
 
 
 def test_zero_costate_follows_implicit_flow(ou1d):
-    state = CharState(x=np.array([0.5]), p=np.array([0.0]), v=0.0)
-    out = symplectic_char_step(ou1d, state, 0.1)
-    assert out.v == 0.0
-    assert out.x[0] == pytest.approx(0.5 / 1.1, abs=1e-12)  # implicit Euler of dx = -x
+    x, _, dv, _ = char_step(ou1d, np.array([[0.5]]), np.array([[0.0]]), 0.1)
+    assert dv[0] == 0.0
+    assert x[0, 0] == pytest.approx(0.5 / 1.1, abs=1e-12)  # implicit Euler of dx = -x
 
 
-def test_step_accumulates_v_exactly(ou1d, rng):
+def test_step_accumulates_v_exactly(ou1d):
     h = 1e-3
-    state = CharState(x=np.array([0.3]), p=np.array([0.7]), v=0.2)
-    out = symplectic_char_step(ou1d, state, h)
-    assert out.v - state.v == pytest.approx(h * 0.5 * 0.7**2, abs=1e-15)
+    _, _, dv, _ = char_step(ou1d, np.array([[0.3]]), np.array([[0.7]]), h)
+    assert dv[0] == pytest.approx(h * 0.5 * 0.7**2, abs=1e-15)
 
 
 def test_characteristic_on_manifold(ou1d):
     # From (0.2, 0.4) on p = 2x: v tracks x^2 and the curve reaches v_max.
     init = CharState(x=np.array([0.2]), p=np.array([0.4]), v=0.04)
-    curve = trace_curve(ou1d, init, 1e-4, 0.4, OU_DOMAIN, 20)
+    curve = trace_one(ou1d, init, 1e-4, 0.4, OU_DOMAIN, 20)
     assert curve.reason == "reached_v_max"
     assert len(curve.states) == 20
     xs = curve.points().ravel()
@@ -64,7 +65,7 @@ def test_energy_drift_halves_with_step(ou1d):
     init = CharState(x=np.array([0.2]), p=np.array([0.4]), v=0.04)
     drifts = {}
     for h in (1e-4, 5e-5):
-        curve = trace_curve(ou1d, init, h, 0.4, OU_DOMAIN, 10)
+        curve = trace_one(ou1d, init, h, 0.4, OU_DOMAIN, 10)
         drifts[h] = curve.max_energy_drift
     assert drifts[5e-5] < 0.6 * drifts[1e-4]
 
@@ -73,26 +74,26 @@ def test_energy_drift_vdp_bounded_horizon():
     sys_ = make_benchmark("vdp")
     drifts = {}
     for h in (1e-3, 5e-4):
-        state = CharState(x=np.array([2.0, 0.0]), p=np.array([0.1, -0.2]), v=0.0)
-        h0 = hamiltonian(sys_, state.x, state.p)
+        x, p = np.array([[2.0, 0.0]]), np.array([[0.1, -0.2]])
+        h0 = hamiltonian(sys_, x, p)[0]
         worst = 0.0
         for _ in range(round(1.0 / h)):  # fixed s-horizon 1.0
-            state = symplectic_char_step(sys_, state, h)
-            worst = max(worst, abs(hamiltonian(sys_, state.x, state.p) - h0))
+            x, p, _, _ = char_step(sys_, x, p, h)
+            worst = max(worst, abs(hamiltonian(sys_, x, p)[0] - h0))
         drifts[h] = worst
     assert drifts[5e-4] < 0.6 * drifts[1e-3]
 
 
 def test_curve_terminates_below_seed_level(ou1d):
     init = CharState(x=np.array([0.7]), p=np.array([1.4]), v=0.49)
-    curve = trace_curve(ou1d, init, 1e-3, 0.4, OU_DOMAIN, 10)
+    curve = trace_one(ou1d, init, 1e-3, 0.4, OU_DOMAIN, 10)
     assert curve.reason == "reached_v_max"
     assert curve.states == []
 
 
 def test_curve_leaves_domain(ou1d):
     init = CharState(x=np.array([0.2]), p=np.array([0.4]), v=0.04)
-    curve = trace_curve(ou1d, init, 1e-3, 10.0, (np.array([-0.5]), np.array([0.5])), 100)
+    curve = trace_one(ou1d, init, 1e-3, 10.0, (np.array([-0.5]), np.array([0.5])), 100)
     assert curve.reason == "left_domain"
 
 
@@ -123,10 +124,9 @@ def test_figure8_curves_track_exact_quasipotential(figure8):
     domain = (np.array([-3.0, -3.0]), np.array([3.0, 3.0]))
     seeds = seed_characteristics(figure8, oracle, 0.06, 10, seed=9, domain=domain,
                                  rel_band=0.02)
-    for s in seeds:
+    for curve in trace_curves(figure8, seeds, 1e-4, 0.3, domain, 10):
         # The energy guard may cut a curve short out in the stiff corner
         # region; whatever samples it recorded must track the exact V.
-        curve = trace_curve(figure8, s, 1e-4, 0.3, domain, 10)
         assert curve.states, curve.reason
         pts = curve.points()
         vs = curve.values()
@@ -134,40 +134,31 @@ def test_figure8_curves_track_exact_quasipotential(figure8):
 
 
 def test_transport_constant_coefficient(ou1d):
-    # c = 1 along the curve: after s the factor is exp(-s).
+    # c = 1 along the curve: log_z = -s, so after s the factor is exp(-s).
     init = CharState(x=np.array([0.2]), p=np.array([0.4]), v=0.04)
-    state = init
-    h = 1e-3
-    for _ in range(1000):  # s = 1
-        state = symplectic_char_step(ou1d, state, h, transport=lambda x: 1.0)
-    assert state.log_z == pytest.approx(-1.0, abs=1e-12)
-    curve_like = trace_curve(ou1d, init, 1e-3, 0.4, OU_DOMAIN, 5,
-                             transport=lambda x: 1.0)
-    z = transport_z0(curve_like, 0.7)
-    assert np.all(z < 0.7)  # strictly decaying factor
-    assert np.array_equal(transport_z0(curve_like, 0.0), np.zeros(len(curve_like.states)))
+    curve = trace_one(ou1d, init, 1e-3, 0.4, OU_DOMAIN, 5, transport=lambda x: 1.0)
+    assert curve.states[-1].s > 1.0
+    for st in curve.states:
+        assert st.log_z == pytest.approx(-st.s, abs=1e-12)
+    assert np.all(np.diff([st.log_z for st in curve.states]) < 0)  # strictly decaying factor
 
 
 def test_transport_zero_coefficient_for_exact_ou(ou1d):
     # c(x) = div f + 1/2 tr(A hess V) = -1 + 1 = 0: Z0 constant on curves.
     init = CharState(x=np.array([0.2]), p=np.array([0.4]), v=0.04)
-    curve = trace_curve(ou1d, init, 1e-3, 0.4, OU_DOMAIN, 8,
-                        transport=lambda x: -1.0 + 1.0)
-    z = transport_z0(curve, np.pi**-0.5)
+    curve = trace_one(ou1d, init, 1e-3, 0.4, OU_DOMAIN, 8, transport=lambda x: -1.0 + 1.0)
+    z = np.pi**-0.5 * np.exp([st.log_z for st in curve.states])
     assert np.allclose(z, np.pi**-0.5, atol=1e-15)
 
 
 def test_nonconstant_diffusion_rejected():
-    from deepwkb.models import SdeSystem
-
-    weird = SdeSystem(dim_state=1, dim_noise=1,
-                      drift=lambda x: -np.atleast_2d(x),
-                      drift_jacobian=lambda x: -np.ones((np.atleast_2d(x).shape[0], 1, 1)),
-                      drift_divergence=lambda x: -np.ones(np.atleast_2d(x).shape[0]),
-                      attractor_dim=0, sigma_constant=None)
-    state = CharState(x=np.array([0.1]), p=np.array([0.1]), v=0.0)
-    with pytest.raises(ValueError, match="constant"):
-        symplectic_char_step(weird, state, 0.01)
+    # The noise factor is a required constant (n, m) array.
+    with pytest.raises(ValueError, match="sigma_constant"):
+        SdeSystem(dim_state=1, dim_noise=1,
+                  drift=lambda x: -np.atleast_2d(x),
+                  drift_jacobian=lambda x: -np.ones((np.atleast_2d(x).shape[0], 1, 1)),
+                  drift_divergence=lambda x: -np.ones(np.atleast_2d(x).shape[0]),
+                  attractor_dim=0, sigma_constant=None)
 
 
 # ---------------------------------------------------------------------------

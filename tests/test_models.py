@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from deepwkb.models import BenchmarkId, eval_derivatives, make_benchmark
+from deepwkb.models import make_benchmark
 from deepwkb.train_v import hj_residual
 
 from conftest import figure8_quasipotential
@@ -28,7 +28,7 @@ def test_nonfinite_parameter_rejected():
     with pytest.raises(ValueError, match="not finite"):
         make_benchmark("vdp", mu=np.inf)
     with pytest.raises(ValueError, match="not finite"):
-        BenchmarkId("figure8", {"mu": np.nan})
+        make_benchmark("figure8", mu=np.nan)
 
 
 def test_rossler_drift_at_origin():
@@ -39,12 +39,11 @@ def test_rossler_drift_at_origin():
 def test_ou1d_basics():
     sys_ = make_benchmark("ou1d")
     assert sys_.drift_jacobian(np.array([3.0])) == pytest.approx(np.array([[-1.0]]))
-    f, a, jac, div_f, div_a = eval_derivatives(sys_, np.array([0.5]))
-    assert f == pytest.approx(np.array([-0.5]))
-    assert a == pytest.approx(np.array([[1.0]]))
-    assert jac == pytest.approx(np.array([[-1.0]]))
-    assert div_f == pytest.approx(-1.0)
-    assert div_a == pytest.approx(np.array([0.0]))
+    x = np.array([0.5])
+    assert sys_.drift(x) == pytest.approx(np.array([-0.5]))
+    assert sys_.a == pytest.approx(np.array([[1.0]]))
+    assert sys_.drift_jacobian(x) == pytest.approx(np.array([[-1.0]]))
+    assert sys_.drift_divergence(x) == pytest.approx(-1.0)
 
 
 def test_figure8_drift_decomposition(rng):
@@ -92,11 +91,9 @@ def test_divergences_and_diffusion(name, rng):
     sys_ = make_benchmark(name)
     lo, hi = (np.asarray(b, dtype=float) for b in BOXES[name])
     pts = rng.uniform(lo, hi, size=(50, sys_.dim_state))
-    # additive noise: sigma = I exactly, A = sigma sigma^T, zero row divergence
+    # additive noise: sigma = I exactly, A = sigma sigma^T
     assert np.array_equal(sys_.sigma_constant, np.eye(sys_.dim_state))
-    a = sys_.diffusion(pts[0])
-    assert np.array_equal(a, sys_.sigma_constant @ sys_.sigma_constant.T)
-    assert np.array_equal(sys_.diffusion_row_divergence(pts), np.zeros_like(pts))
+    assert np.array_equal(sys_.a, sys_.sigma_constant @ sys_.sigma_constant.T)
     jac = sys_.drift_jacobian(pts)
     assert np.max(np.abs(np.trace(jac, axis1=1, axis2=2) - sys_.drift_divergence(pts))) < 1e-12
 
@@ -122,7 +119,3 @@ def test_figure8_zero_level_set_tangency():
     f = sys_.drift(pts)
     assert np.max(np.abs(np.einsum("bi,bi->b", f, grad_h))) < 1e-12
 
-
-def test_eval_derivatives_rejects_bad_state(ou1d):
-    with pytest.raises(ValueError):
-        eval_derivatives(ou1d, np.array([np.nan]))

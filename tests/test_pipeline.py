@@ -71,6 +71,23 @@ def test_dependency_order_enforced(tmp_path):
         run_stage("paint", cfg, manifest)
 
 
+def test_rerun_deletes_outputs_it_no_longer_writes(tmp_path):
+    # Rerunning simulate with one noise level fewer must not leave the old
+    # level's histogram behind for the next stages to read.
+    tiny = {"sim": {"dt": 0.04, "total_time": 4.0, "n_traj": 4, "sample_interval": 0.4,
+                    "escape_policy": "none", "burn_in_fraction": 0.01, "x0": None},
+            "attractor": {"x0": [0.5], "burn_in": 1.0, "collect_time": 1.0,
+                          "count": 10, "dt": 0.01}}
+    ladder = [0.09, 0.16, 0.25, 0.36, 0.49]
+    manifest = RunManifest(tmp_path)
+    run_stage("simulate", ou_mini_config(ladder=ladder, **tiny), manifest)
+    assert (tmp_path / "hist_04.dwkbhist").exists()
+    run_stage("simulate", ou_mini_config(ladder=ladder[:4], **tiny), manifest)
+    assert not (tmp_path / "hist_04.dwkbhist").exists()
+    assert (tmp_path / "hist_03.dwkbhist").exists()
+    assert "hist_04.dwkbhist" not in RunManifest(tmp_path).data["stages"]["simulate"]["outputs"]
+
+
 # -- analytic diagnostics ----------------------------------------------------
 
 

@@ -1,11 +1,8 @@
-import io
-
 import numpy as np
 import pytest
 
 from deepwkb.models import SdeSystem, make_benchmark, figure8_hamiltonian
-from deepwkb.simulate import (RawDumpSink, SimConfig, integrate_ode,
-                              read_raw_dump, sample_attractor, simulate_ensemble)
+from deepwkb.simulate import SimConfig, integrate_ode, sample_attractor, simulate_ensemble
 
 
 class Collector:
@@ -238,13 +235,3 @@ def test_sample_attractor_count_guard(ou1d):
         sample_attractor(ou1d, np.array([0.0]), burn_in=1.0, collect_time=1.0,
                          count=1000, dt=0.1)
 
-
-def test_raw_dump_round_trip(ou1d):
-    buf = io.BytesIO()
-    sink = RawDumpSink(buf, dim=1)
-    simulate_ensemble(ou1d, ou_config(total_time=5.0), sink)
-    buf.seek(0)
-    arr = read_raw_dump(buf)
-    ref = Collector()
-    simulate_ensemble(ou1d, ou_config(total_time=5.0), ref)
-    assert np.array_equal(arr, ref.stacked())

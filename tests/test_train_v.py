@@ -4,7 +4,6 @@ import pytest
 from deepwkb import net
 from deepwkb.net import AdamState, MlpParams, MlpSpec
 from deepwkb.regression import RegressionResult
-from deepwkb.simulate import AttractorSample
 from deepwkb.train_v import (QpTrainConfig, QpTrainingSets, TrainingDiverged,
                              alternating_adam, assemble_qp_sets, estimate_alpha,
                              hj_residual, qp_loss, train_qp)
@@ -117,7 +116,7 @@ def test_assemble_sets_composition(rng):
     reliable = np.abs(pts[:, 0]) < 1.0
     results = _make_results(pts, lambda p: p[0] ** 2, reliable)
     results[3] = None if not reliable[3] else results[3]
-    attractor = AttractorSample(points=np.zeros((5, 1)), burn_in=1.0)
+    attractor = np.zeros((5, 1))
     cfg = QpTrainConfig(artificial_value=2.5)
     u_top = np.where(reliable, 1.0, 0.0)  # far points have no density mass
     sets = assemble_qp_sets(attractor, pts, results, cfg, largest_eps_density=u_top)
@@ -134,7 +133,7 @@ def test_assemble_keeps_small_negative_targets(rng):
     pts = np.array([[0.1], [0.2], [0.3]])
     results = _make_results(pts, lambda p: -0.003 if p[0] == 0.1 else p[0] ** 2,
                             [True, True, True])
-    attractor = AttractorSample(points=np.zeros((2, 1)), burn_in=1.0)
+    attractor = np.zeros((2, 1))
     sets = assemble_qp_sets(attractor, pts, results, QpTrainConfig())
     assert -0.003 in sets.x2_targets  # no pre-clipping, the hinge handles sign
     assert sets.x2_artificial.sum() == 0  # all reliable: no artificial points
@@ -144,7 +143,7 @@ def test_assemble_expanded_replaces_artificial(rng):
     pts = rng.uniform(-2, 2, size=(30, 1))
     reliable = np.abs(pts[:, 0]) < 0.8
     results = _make_results(pts, lambda p: p[0] ** 2, reliable)
-    attractor = AttractorSample(points=np.zeros((2, 1)), burn_in=1.0)
+    attractor = np.zeros((2, 1))
     curve_pts = rng.uniform(-1.5, 1.5, size=(40, 1))
     sets = assemble_qp_sets(attractor, pts, results, QpTrainConfig(),
                             largest_eps_density=np.zeros(30),
@@ -158,7 +157,7 @@ def test_assemble_expanded_replaces_artificial(rng):
 def test_assemble_requires_reliable_targets():
     pts = np.array([[0.5], [1.0]])
     results = _make_results(pts, lambda p: p[0] ** 2, [False, False])
-    attractor = AttractorSample(points=np.zeros((2, 1)), burn_in=1.0)
+    attractor = np.zeros((2, 1))
     with pytest.raises(ValueError, match="reliable"):
         assemble_qp_sets(attractor, pts, results, QpTrainConfig())
 
@@ -218,7 +217,7 @@ def test_estimate_alpha_median_robust():
 def test_train_qp_smoke_and_determinism(ou1d, rng):
     pts = np.linspace(-1.2, 1.2, 60)[:, None]
     results = _make_results(pts, lambda p: p[0] ** 2, np.ones(60, bool))
-    attractor = AttractorSample(points=np.zeros((20, 1)), burn_in=1.0)
+    attractor = np.zeros((20, 1))
     cfg = QpTrainConfig(epochs=3, fine_tune_epochs=1, widths=(1, 8, 6, 1), seed=7)
     sets = assemble_qp_sets(attractor, pts, results, cfg)
     t1 = train_qp(sets, cfg, ou1d)
@@ -232,7 +231,7 @@ def test_train_qp_smoke_and_determinism(ou1d, rng):
 def test_train_qp_continues_from_initial(ou1d):
     pts = np.linspace(-1.2, 1.2, 30)[:, None]
     results = _make_results(pts, lambda p: p[0] ** 2, np.ones(30, bool))
-    attractor = AttractorSample(points=np.zeros((5, 1)), burn_in=1.0)
+    attractor = np.zeros((5, 1))
     cfg = QpTrainConfig(epochs=1, fine_tune_epochs=0, widths=(1, 6, 1), seed=1)
     sets = assemble_qp_sets(attractor, pts, results, cfg)
     first = train_qp(sets, cfg, ou1d)

@@ -5,11 +5,11 @@ from deepwkb import net
 from deepwkb.models import SdeSystem, make_benchmark
 from deepwkb.net import MlpParams, MlpSpec
 from deepwkb.regression import RegressionResult
-from deepwkb.train_v import AnalyticQp, QpTrainConfig
+from deepwkb.train_v import QpTrainConfig
 from deepwkb.train_z import (ZTrainingSets, assemble_z_sets, train_z,
                              transport_coefficients, z_loss)
 
-from conftest import figure8_quasipotential
+from conftest import AnalyticQp, figure8_quasipotential
 
 
 def ou_oracle():

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .models import _as_batch
+
 __all__ = [
     "GridSpec",
     "DensityHistogram",
@@ -76,7 +78,7 @@ class GridSpec:
         A point on a shared boundary goes to the lower-index bin; the grid's
         lower edge belongs to bin 0.
         """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        pts = _as_batch(points, self.dim)
         lo, hi = self.lower_arr, self.upper_arr
         t = (pts - lo) / self.widths
         idx = np.ceil(t).astype(np.int64) - 1
@@ -118,9 +120,8 @@ class DensityHistogram:
     # -- accumulation ---------------------------------------------------
 
     def add_batch(self, batch):
-        batch = np.atleast_2d(np.asarray(batch, dtype=float))
         flat, inside = self.grid.flat_indices(batch)
-        self.total += batch.shape[0]
+        self.total += flat.shape[0]
         if not inside.any():
             return
         hit = flat[inside]
@@ -209,10 +210,10 @@ class DensityHistogram:
 
 @dataclass
 class CollocationSet:
-    """Collocation points with origin tags and per-noise-level counts."""
+    """Collocation points with per-noise-level counts.  The first
+    round(M * traj_fraction) points are the trajectory-weighted draw."""
 
     points: np.ndarray                      # (M, n)
-    origins: np.ndarray                     # (M,) strings
     counts: dict = field(default_factory=dict)   # eps -> (M,) bin counts
     totals: dict = field(default_factory=dict)   # eps -> total N
 
@@ -226,13 +227,14 @@ def _weighted_sample_without_replacement(rng, weights, k):
     return np.argpartition(keys, k - 1)[:k]
 
 
-def select_collocation(system, grid: GridSpec, histograms, m_points, traj_fraction=0.5, seed=0) -> CollocationSet:
+def select_collocation(grid: GridSpec, histograms, m_points, traj_fraction=0.5, seed=0) -> CollocationSet:
     """Pick collocation points: a trajectory-weighted half and a uniform half.
 
     The trajectory half is drawn without replacement over occupied bins of
     the histogram at the largest noise level, proportionally to bin counts;
     the remainder is drawn uniformly over the rest of the grid.  All points
-    are snapped to bin centers and annotated with per-epsilon counts.
+    are snapped to bin centers, the trajectory-weighted ones first, and
+    annotated with per-epsilon counts.
     """
     hists = sorted(histograms, key=lambda h: h.epsilon)
     if not hists:
@@ -273,7 +275,6 @@ def select_collocation(system, grid: GridSpec, histograms, m_points, traj_fracti
         chosen.append(np.asarray(picked, dtype=np.int64))
 
     flat = np.concatenate(chosen) if chosen else np.empty(0, dtype=np.int64)
-    origins = np.array(["trajectory"] * n_traj_pts + ["uniform"] * n_unif)
     points = grid.centers(flat)
 
     counts = {}
@@ -281,4 +282,4 @@ def select_collocation(system, grid: GridSpec, histograms, m_points, traj_fracti
     for h in hists:
         counts[h.epsilon] = h.counts_at_flat(flat)
         totals[h.epsilon] = h.total
-    return CollocationSet(points=points, origins=origins, counts=counts, totals=totals)
+    return CollocationSet(points=points, counts=counts, totals=totals)

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .models import _as_batch
+
 __all__ = [
     "CharState",
     "CharacteristicCurve",
@@ -40,7 +42,8 @@ __all__ = [
 
 FIXED_POINT_TOL = 1e-12
 FIXED_POINT_MAX_ITER = 50
-SEED_ENERGY_TOL = 0.05
+ENERGY_TOL = 0.05   # bound on |H| at a seed and on the energy drift along a curve
+MAX_CURVE_STEPS = 2_000_000
 STALL_RATE_FRACTION = 1e-4   # terminate when p^T A p falls this far below its seed value
 _DIVERGENCE_PATIENCE = 50
 
@@ -68,12 +71,6 @@ class CharacteristicCurve:
     reason: str
     h0: float               # energy at the seed
     max_energy_drift: float
-
-    def points(self):
-        return np.asarray([st.x for st in self.states])
-
-    def values(self):
-        return np.asarray([st.v for st in self.states])
 
 
 @dataclass
@@ -115,13 +112,12 @@ def char_step(system, x, p, h):
 
 
 def seed_characteristics(system, trained, level, count, seed, domain,
-                         rel_band=0.1, energy_tol=SEED_ENERGY_TOL,
-                         max_tries=200000):
+                         rel_band=0.1, max_tries=200000):
     """Rejection-sample seed states near the level set {V = level}.
 
     Candidates are uniform in the domain box, kept when
     |V(x) - level| < rel_band * level, and given the costate
-    p = grad V(x).  Seeds whose Hamiltonian exceeds ``energy_tol`` in
+    p = grad V(x).  Seeds whose Hamiltonian exceeds ENERGY_TOL in
     magnitude indicate a badly trained gradient and are rejected.
     """
     if count == 0:
@@ -139,7 +135,7 @@ def seed_characteristics(system, trained, level, count, seed, domain,
             continue
         xs, vs = batch[hit], vals[hit]
         grads = np.asarray(trained.grad_v(xs), dtype=float)
-        good = np.nonzero(np.abs(hamiltonian(system, xs, grads)) < energy_tol)[0]
+        good = np.nonzero(np.abs(hamiltonian(system, xs, grads)) < ENERGY_TOL)[0]
         out += [CharState(x=xs[i].copy(), p=grads[i].copy(), v=float(vs[i]))
                 for i in good[:count - len(out)]]
     if len(out) < count:
@@ -150,17 +146,16 @@ def seed_characteristics(system, trained, level, count, seed, domain,
 
 
 def trace_curves(system, seeds, h, v_max, domain, samples_per_curve,
-                 transport=None, max_steps=2_000_000,
-                 energy_tol=SEED_ENERGY_TOL, transport_every=1):
+                 transport=None, transport_every=1):
     """Integrate a batch of characteristics, each until its v reaches
-    v_max, it leaves the domain box, or the step cap hits.
+    v_max, it leaves the domain box, or MAX_CURVE_STEPS steps pass.
 
     All live curves advance together through ``char_step``, which is what
     makes hundreds of 10^4-step curves cheap.  Samples are recorded
     uniformly in v (not in s) so level bands are covered evenly; short
     curves simply return fewer samples.  Two guards cut a curve whose
     discrete state stops being a trustworthy characteristic: an energy
-    drift beyond ``energy_tol`` (the costate growth outran the step size),
+    drift beyond ENERGY_TOL (the costate growth outran the step size),
     and a costate collapse (p^T A p falling to a tiny fraction of its seed
     value, which happens when the curve runs into a critical point of the
     flow and would afterwards coast along plain trajectories while its
@@ -195,7 +190,7 @@ def trace_curves(system, seeds, h, v_max, domain, samples_per_curve,
     samples = [[] for _ in range(c)]
 
     c_cache = np.zeros(c)
-    for step_no in range(max_steps):
+    for step_no in range(MAX_CURVE_STEPS):
         if not alive.any():
             break
         idx = np.nonzero(alive)[0]
@@ -211,7 +206,7 @@ def trace_curves(system, seeds, h, v_max, domain, samples_per_curve,
 
         energy_drift = np.abs(hamiltonian(system, xi, p_next) - h0[idx])
         stalled = _quad(p_next, system.a) < rate_floor[idx]
-        bad = ~converged | (energy_drift > energy_tol) | stalled
+        bad = ~converged | (energy_drift > ENERGY_TOL) | stalled
         drift_max[idx[~bad]] = np.maximum(drift_max[idx[~bad]], energy_drift[~bad])
         for pos, j in enumerate(idx[bad]):
             reasons[j] = "stalled" if stalled[bad][pos] else "solver_failure"
@@ -292,7 +287,7 @@ def min_action_estimate(system, x_target, surface_points, horizon, n_nodes,
     dt = horizon / n_nodes
 
     best = None
-    for y in np.atleast_2d(np.asarray(surface_points, dtype=float)):
+    for y in _as_batch(surface_points, system.dim_state):
         nodes = np.linspace(y, x_target, n_nodes + 1)
         action = discrete_action(system, nodes, dt, a_inv)
         rising = 0

@@ -4,8 +4,10 @@ Every system bundles the drift f, the constant noise factor sigma, the
 diffusion matrix A = sigma sigma^T, the drift Jacobian and the drift
 divergence that appears in the transport operator.  sigma is required:
 the noise is additive, so A is one (n, n) array stored on the system.
-The drift evaluators accept either a single state of shape (n,) or a
-batch of shape (B, n) and are pure functions, safe to call concurrently.
+The drift evaluators take a batch of states of shape (B, n), the only
+input shape they accept, and return (B, n) drifts, (B, n, n) Jacobians
+and (B,) divergences.  They are pure functions, safe to call
+concurrently.
 """
 
 from __future__ import annotations
@@ -19,15 +21,11 @@ __all__ = ["SdeSystem", "make_benchmark", "BENCHMARKS"]
 
 
 def _as_batch(x, dim):
-    """Promote x to shape (B, dim); return (batch, was_single)."""
+    """Return x as a float (B, dim) array; any other shape raises ValueError."""
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        if x.shape[0] != dim:
-            raise ValueError(f"state has length {x.shape[0]}, expected {dim}")
-        return x[None, :], True
     if x.ndim != 2 or x.shape[1] != dim:
         raise ValueError(f"state batch has shape {x.shape}, expected (B, {dim})")
-    return x, False
+    return x
 
 
 @dataclass
@@ -71,19 +69,16 @@ class SdeSystem:
 
 def _make_ou(dim):
     def drift(x):
-        xb, single = _as_batch(x, dim)
-        out = -xb
-        return out[0] if single else out
+        xb = _as_batch(x, dim)
+        return -xb
 
     def jac(x):
-        xb, single = _as_batch(x, dim)
-        j = np.broadcast_to(-np.eye(dim), (xb.shape[0], dim, dim))
-        return -np.eye(dim) if single else np.array(j)
+        xb = _as_batch(x, dim)
+        return np.array(np.broadcast_to(-np.eye(dim), (xb.shape[0], dim, dim)))
 
     def div(x):
-        xb, single = _as_batch(x, dim)
-        out = np.full(xb.shape[0], -float(dim))
-        return out[0] if single else out
+        xb = _as_batch(x, dim)
+        return np.full(xb.shape[0], -float(dim))
 
     def build(**params):
         if params:
@@ -103,37 +98,28 @@ def _make_vdp(**params):
         raise ValueError(f"unknown vdp parameters {sorted(params)}")
 
     def drift(x):
-        xb, single = _as_batch(x, 2)
+        xb = _as_batch(x, 2)
         u, v = xb[:, 0], xb[:, 1]
-        out = np.stack([mu * (u - u**3 / 3.0 - v), u / mu], axis=1)
-        return out[0] if single else out
+        return np.stack([mu * (u - u**3 / 3.0 - v), u / mu], axis=1)
 
     def jac(x):
-        xb, single = _as_batch(x, 2)
+        xb = _as_batch(x, 2)
         u = xb[:, 0]
         j = np.zeros((xb.shape[0], 2, 2))
         j[:, 0, 0] = mu * (1.0 - u**2)
         j[:, 0, 1] = -mu
         j[:, 1, 0] = 1.0 / mu
-        return j[0] if single else j
+        return j
 
     def div(x):
-        xb, single = _as_batch(x, 2)
-        out = mu * (1.0 - xb[:, 0] ** 2)
-        return out[0] if single else out
+        xb = _as_batch(x, 2)
+        return mu * (1.0 - xb[:, 0] ** 2)
 
     return SdeSystem(
         dim_state=2, dim_noise=2, drift=drift, drift_jacobian=jac,
         drift_divergence=div, attractor_dim=1, sigma_constant=np.eye(2),
         name="vdp", params={"mu": mu},
     )
-
-
-def figure8_hamiltonian(x):
-    """H = y^2/2 + x^4/12 - x^2/2 for states of shape (..., 2)."""
-    x = np.asarray(x, dtype=float)
-    u, v = x[..., 0], x[..., 1]
-    return v**2 / 2.0 + u**4 / 12.0 - u**2 / 2.0
 
 
 def _make_figure8(**params):
@@ -149,13 +135,12 @@ def _make_figure8(**params):
         return u, v, h, hx, hy
 
     def drift(x):
-        xb, single = _as_batch(x, 2)
+        xb = _as_batch(x, 2)
         u, v, h, hx, hy = _parts(xb)
-        out = np.stack([hy - mu * h * hx, -hx - mu * h * hy], axis=1)
-        return out[0] if single else out
+        return np.stack([hy - mu * h * hx, -hx - mu * h * hy], axis=1)
 
     def jac(x):
-        xb, single = _as_batch(x, 2)
+        xb = _as_batch(x, 2)
         u, v, h, hx, hy = _parts(xb)
         hxx = u**2 - 1.0
         j = np.zeros((xb.shape[0], 2, 2))
@@ -163,13 +148,12 @@ def _make_figure8(**params):
         j[:, 0, 1] = 1.0 - mu * hy * hx       # H_xy = 0
         j[:, 1, 0] = -hxx - mu * hx * hy
         j[:, 1, 1] = -mu * (hy * hy + h)      # H_yy = 1
-        return j[0] if single else j
+        return j
 
     def div(x):
-        xb, single = _as_batch(x, 2)
+        xb = _as_batch(x, 2)
         u, v, h, hx, hy = _parts(xb)
-        out = -mu * (hx * hx + hy * hy + h * (u**2 - 1.0) + h)
-        return out[0] if single else out
+        return -mu * (hx * hx + hy * hy + h * (u**2 - 1.0) + h)
 
     return SdeSystem(
         dim_state=2, dim_noise=2, drift=drift, drift_jacobian=jac,
@@ -185,9 +169,9 @@ def _make_coupled_vdp(**params):
         raise ValueError(f"unknown coupled_vdp parameters {sorted(params)}")
 
     def drift(x):
-        xb, single = _as_batch(x, 4)
+        xb = _as_batch(x, 4)
         x1, y1, x2, y2 = xb.T
-        out = np.stack(
+        return np.stack(
             [
                 mu * (x1 - x1**3 / 3.0 - y1) + delta * (x1 - x2),
                 x1 / mu,
@@ -196,10 +180,9 @@ def _make_coupled_vdp(**params):
             ],
             axis=1,
         )
-        return out[0] if single else out
 
     def jac(x):
-        xb, single = _as_batch(x, 4)
+        xb = _as_batch(x, 4)
         x1, x2 = xb[:, 0], xb[:, 2]
         j = np.zeros((xb.shape[0], 4, 4))
         j[:, 0, 0] = mu * (1.0 - x1**2) + delta
@@ -210,12 +193,11 @@ def _make_coupled_vdp(**params):
         j[:, 2, 3] = -mu
         j[:, 2, 0] = -delta
         j[:, 3, 2] = 1.0 / mu
-        return j[0] if single else j
+        return j
 
     def div(x):
-        xb, single = _as_batch(x, 4)
-        out = mu * (2.0 - xb[:, 0] ** 2 - xb[:, 2] ** 2) + 2.0 * delta
-        return out[0] if single else out
+        xb = _as_batch(x, 4)
+        return mu * (2.0 - xb[:, 0] ** 2 - xb[:, 2] ** 2) + 2.0 * delta
 
     return SdeSystem(
         dim_state=4, dim_noise=4, drift=drift, drift_jacobian=jac,
@@ -232,13 +214,12 @@ def _make_rossler(**params):
         raise ValueError(f"unknown rossler parameters {sorted(params)}")
 
     def drift(x):
-        xb, single = _as_batch(x, 3)
+        xb = _as_batch(x, 3)
         u, v, w = xb.T
-        out = np.stack([-v - w, u + a * v, b + w * (u - c)], axis=1)
-        return out[0] if single else out
+        return np.stack([-v - w, u + a * v, b + w * (u - c)], axis=1)
 
     def jac(x):
-        xb, single = _as_batch(x, 3)
+        xb = _as_batch(x, 3)
         u, w = xb[:, 0], xb[:, 2]
         j = np.zeros((xb.shape[0], 3, 3))
         j[:, 0, 1] = -1.0
@@ -247,12 +228,11 @@ def _make_rossler(**params):
         j[:, 1, 1] = a
         j[:, 2, 0] = w
         j[:, 2, 2] = u - c
-        return j[0] if single else j
+        return j
 
     def div(x):
-        xb, single = _as_batch(x, 3)
-        out = a + xb[:, 0] - c
-        return out[0] if single else out
+        xb = _as_batch(x, 3)
+        return a + xb[:, 0] - c
 
     return SdeSystem(
         dim_state=3, dim_noise=3, drift=drift, drift_jacobian=jac,

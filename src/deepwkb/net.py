@@ -13,14 +13,19 @@ operations needed by the training losses:
                          -- parameter gradient of w . grad_x NN(x),
                             i.e. reverse mode through the tangent pass,
 
-plus a bias-corrected Adam step.  Everything runs in float64: the
+plus a bias-corrected Adam step.  Every kernel takes a batch of input
+points of shape (B, n), the only input shape accepted, and returns one
+value, gradient or Hessian per row.  Everything runs in float64: the
 second-order training signals are too fragile at single precision.
 """
 
 from __future__ import annotations
 
+import os
 import struct
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy.special import expit
@@ -167,11 +172,9 @@ def _forward_trace(params, xb):
 
 
 def forward(params: MlpParams, x):
-    """Network output; scalar for an (n,) input, (B,) for a batch."""
-    xb, single = _as_batch(x, params.spec.dim_in)
-    _, acts = _forward_trace(params, xb)
-    out = acts[-1][:, 0]
-    return float(out[0]) if single else out
+    """Network outputs (B,) for a (B, n) batch."""
+    _, acts = _forward_trace(params, _as_batch(x, params.spec.dim_in))
+    return acts[-1][:, 0]
 
 
 def _sigma_prime(z):
@@ -187,14 +190,12 @@ def _sigma_prime2(z):
 def grad_params(params: MlpParams, x, upstream, l2_lambda=None) -> np.ndarray:
     """Flat gradient of  sum_b upstream_b * NN(x_b)  plus the L2 term.
 
-    ``upstream`` is a scalar for single inputs or one coefficient per batch
-    row.  The L2 term is lambda * weights (biases untouched); pass
-    l2_lambda=0.0 to obtain the bare data gradient.
+    ``upstream`` holds one coefficient per batch row.  The L2 term is
+    lambda * weights (biases untouched); pass l2_lambda=0.0 to obtain the
+    bare data gradient.
     """
-    xb, single = _as_batch(x, params.spec.dim_in)
+    xb = _as_batch(x, params.spec.dim_in)
     ups = np.asarray(upstream, dtype=float)
-    if ups.ndim == 0:
-        ups = np.full(xb.shape[0], float(ups))
     if ups.shape != (xb.shape[0],):
         raise ValueError("upstream has wrong shape")
     lam = params.spec.l2_lambda if l2_lambda is None else l2_lambda
@@ -218,26 +219,25 @@ def grad_params(params: MlpParams, x, upstream, l2_lambda=None) -> np.ndarray:
 
 
 def grad_input(params: MlpParams, x):
-    """Input gradient grad_x NN(x); (n,) for a single point, (B, n) batched."""
-    xb, single = _as_batch(x, params.spec.dim_in)
+    """Input gradients grad_x NN(x_b), shape (B, n)."""
+    xb = _as_batch(x, params.spec.dim_in)
     zs, _ = _forward_trace(params, xb)
     n_layers = params.spec.n_layers
     delta = np.ones((xb.shape[0], 1))
     for l in range(n_layers - 1, 0, -1):
         w, _ = params.layers[l]
         delta = (delta @ w) * _sigma_prime(zs[l - 1])
-    g = delta @ params.layers[0][0]
-    return g[0] if single else g
+    return delta @ params.layers[0][0]
 
 
 def hessian_input(params: MlpParams, x):
-    """Input Hessian; (n, n) for a single point, (B, n, n) batched.
+    """Input Hessians, shape (B, n, n).
 
     Forward-over-reverse: the n input tangent directions ride through the
     forward pass, then through the adjoint recursion.  The result is
     symmetrized to strip last-bit asymmetry.
     """
-    xb, single = _as_batch(x, params.spec.dim_in)
+    xb = _as_batch(x, params.spec.dim_in)
     n = params.spec.dim_in
     bsz = xb.shape[0]
     n_layers = params.spec.n_layers
@@ -265,26 +265,24 @@ def hessian_input(params: MlpParams, x):
         delta_dot = s_dot * sp[:, :, None] + (s * spp)[:, :, None] * zdots[l - 1]
     w1 = params.layers[0][0]
     h = np.einsum("bit,ij->bjt", delta_dot, w1, optimize=True)
-    h = 0.5 * (h + np.swapaxes(h, 1, 2))
-    return h[0] if single else h
+    return 0.5 * (h + np.swapaxes(h, 1, 2))
 
 
-def grad_params_of_directional_input_grad(params: MlpParams, x, w_dir, coeff=None) -> np.ndarray:
+def grad_params_of_directional_input_grad(params: MlpParams, x, w_dir, coeff) -> np.ndarray:
     """Flat gradient w.r.t. parameters of  sum_b c_b * (w_b . grad_x NN(x_b)).
 
-    ``w_dir`` holds one direction per batch row; ``coeff`` defaults to 1.
-    No L2 term is added here (the loss assemblies own the regularizer).
+    ``w_dir`` holds one direction per batch row, (B, n), and ``coeff`` one
+    coefficient per row, (B,).  No L2 term is added here (the loss
+    assemblies own the regularizer).
     """
-    xb, single = _as_batch(x, params.spec.dim_in)
+    xb = _as_batch(x, params.spec.dim_in)
     wb = np.asarray(w_dir, dtype=float)
-    if wb.ndim == 1:
-        wb = wb[None, :]
     if wb.shape != xb.shape:
         raise ValueError("direction batch must match input batch")
     bsz = xb.shape[0]
-    c = np.ones(bsz) if coeff is None else np.asarray(coeff, dtype=float)
-    if c.ndim == 0:
-        c = np.full(bsz, float(c))
+    c = np.asarray(coeff, dtype=float)
+    if c.shape != (bsz,):
+        raise ValueError("coeff must hold one value per batch row")
 
     n_layers = params.spec.n_layers
     zs, acts = _forward_trace(params, xb)
@@ -364,9 +362,23 @@ def adam_step(state: AdamState, params: MlpParams, grads):
 # ---------------------------------------------------------------------------
 
 
+@contextmanager
+def write_atomically(path):
+    """Binary handle on a sibling temporary file that replaces ``path`` when
+    the block completes; on failure ``path`` keeps its previous content."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_checkpoint(path, params: MlpParams, adam_states=None, extra=None):
     states = list(adam_states or [])
-    with open(path, "wb") as fh:
+    with write_atomically(path) as fh:
         fh.write(_NET_MAGIC)
         fh.write(struct.pack("<II", _NET_VERSION, params.spec.n_layers))
         fh.write(np.asarray(params.spec.widths, dtype="<u4").tobytes())

@@ -29,7 +29,7 @@ from . import expand as expand_mod
 from . import net
 from .density import DensityHistogram, GridSpec, select_collocation
 from .models import make_benchmark
-from .regression import (NoiseLadder, RegressionResult, export_csv,
+from .regression import (RegressionResult, export_csv,
                          extrapolate_z0_attractor, regress_collocation, PointData)
 from .simulate import SimConfig, sample_attractor, simulate_ensemble
 from .train_v import QpTrainConfig, TrainedQp, assemble_qp_sets, train_qp
@@ -127,9 +127,6 @@ class RunConfig:
         self.data = _deep_merge(DEFAULT_CONFIG, data)
         self.validate()
 
-    def __eq__(self, other):
-        return isinstance(other, RunConfig) and self.data == other.data
-
     def __getitem__(self, key):
         return self.data[key]
 
@@ -155,9 +152,6 @@ class RunConfig:
     def grid(self) -> GridSpec:
         g = self.data["grid"]
         return GridSpec(tuple(g["lower"]), tuple(g["upper"]), tuple(g["bins"]))
-
-    def ladder(self) -> NoiseLadder:
-        return NoiseLadder(tuple(self.data["ladder"]))
 
     def train_cfg(self, section, seed) -> QpTrainConfig:
         s = self.data[section]
@@ -213,7 +207,8 @@ class RunManifest:
 
     def save(self):
         self.outdir.mkdir(parents=True, exist_ok=True)
-        self.path.write_text(json.dumps(self.data, sort_keys=True, indent=2) + "\n")
+        with net.write_atomically(self.path) as fh:
+            fh.write((json.dumps(self.data, sort_keys=True, indent=2) + "\n").encode())
 
     def stage_complete(self, stage):
         return stage in self.data["stages"]
@@ -266,7 +261,7 @@ def _stage_simulate(cfg: RunConfig, outdir: Path):
     attractor = sample_attractor(system, np.asarray(x0, dtype=float),
                                  att["burn_in"], att["collect_time"], att["count"],
                                  dt=att["dt"], seed=_derive_seed(cfg["seed"], "attractor"))
-    np.save(outdir / "attractor.npy", attractor.points)
+    np.save(outdir / "attractor.npy", attractor)
 
     outputs = ["attractor.npy"]
     info = {"per_eps": []}
@@ -306,11 +301,11 @@ def _stage_regress(cfg: RunConfig, outdir: Path):
     grid = cfg.grid()
     hists = _load_hists(cfg, outdir)
     coll = cfg.data["collocation"]
-    colloc = select_collocation(system, grid, hists, coll["m_points"],
+    colloc = select_collocation(grid, hists, coll["m_points"],
                                 traj_fraction=coll["traj_fraction"],
                                 seed=_derive_seed(cfg["seed"], "collocation"))
     results, threshold = regress_collocation(
-        colloc, cfg.ladder(), (system.dim_state, system.attractor_dim), grid,
+        colloc, cfg.data["ladder"], (system.dim_state, system.attractor_dim), grid,
         min_count=coll["min_count"], far_field_percentile=coll["far_field_percentile"])
 
     top = hists[-1]
@@ -336,7 +331,8 @@ def _stage_regress(cfg: RunConfig, outdir: Path):
     }
 
 
-def _load_regressions(outdir, with_points=False):
+def _load_regressions(outdir):
+    """(results, collocation points, top-level densities) from regression.npy."""
     arr = np.load(outdir / "regression.npy")
     results = []
     for row in arr:
@@ -351,13 +347,11 @@ def _load_regressions(outdir, with_points=False):
             used_rows=int(row["used_rows"]), reliable=bool(row["reliable"]),
             se_v=float(row["se_v"]), se_log_z0=float(row["se_log_z0"]),
         ))
-    if with_points:
-        return results, np.asarray(arr["point"]), np.asarray(arr["u_top"])
-    return results
+    return results, np.asarray(arr["point"]), np.asarray(arr["u_top"])
 
 
 def _stage_validate(cfg: RunConfig, outdir: Path):
-    results = _load_regressions(outdir)
+    results, _, _ = _load_regressions(outdir)
     report = validate_wkb(results, significance=cfg.data["validate"]["significance"],
                           dof=len(cfg.data["ladder"]) - 3)
     report.write(outdir / "validation.txt")
@@ -372,7 +366,7 @@ def _stage_validate(cfg: RunConfig, outdir: Path):
 
 def _stage_train_v(cfg: RunConfig, outdir: Path):
     system = cfg.system()
-    results, points, u_top = _load_regressions(outdir, with_points=True)
+    results, points, u_top = _load_regressions(outdir)
     tcfg = cfg.train_cfg("train_v", _derive_seed(cfg["seed"], "train_v"))
     sets = assemble_qp_sets(np.load(outdir / "attractor.npy"), points, results, tcfg,
                             largest_eps_density=u_top)
@@ -441,7 +435,7 @@ def _stage_expand(cfg: RunConfig, outdir: Path):
     # Continue training V on the expanded set (curriculum: start from the
     # learned parameters, artificial targets drop out in favor of curves).
     if e["refine_epochs"] > 0 and len(rows):
-        results, points, u_top = _load_regressions(outdir, with_points=True)
+        results, points, u_top = _load_regressions(outdir)
         tcfg = cfg.train_cfg("train_v", _derive_seed(cfg["seed"], "refine_v"))
         tcfg.epochs = e["refine_epochs"]
         tcfg.fine_tune_epochs = max(1, e["refine_epochs"] // 5)
@@ -463,7 +457,7 @@ def _stage_train_z(cfg: RunConfig, outdir: Path):
     dims = (system.dim_state, system.attractor_dim)
     hists = _load_hists(cfg, outdir)
     eps = np.asarray(cfg.data["ladder"])
-    results = _load_regressions(outdir)
+    results, _, _ = _load_regressions(outdir)
     trained_v = _load_trained_v(outdir)
 
     # Attractor targets by extrapolation to eps = 0.

@@ -30,7 +30,6 @@ import numpy as np
 from .density import DEFAULT_MIN_COUNT
 
 __all__ = [
-    "NoiseLadder",
     "PointData",
     "RegressionResult",
     "build_design_matrix",
@@ -42,27 +41,6 @@ __all__ = [
     "extrapolate_z0_attractor",
     "export_csv",
 ]
-
-
-@dataclass(frozen=True)
-class NoiseLadder:
-    """Strictly increasing noise strengths; K > 3 so that dof = K - 3 > 0."""
-
-    eps: tuple
-
-    def __post_init__(self):
-        eps = np.asarray(self.eps, dtype=float)
-        if eps.ndim != 1 or eps.shape[0] <= 3:
-            raise ValueError("noise ladder needs more than 3 levels")
-        if np.any(eps <= 0) or np.any(np.diff(eps) <= 0):
-            raise ValueError("noise levels must be positive and strictly increasing")
-
-    @property
-    def values(self):
-        return np.asarray(self.eps, dtype=float)
-
-    def __len__(self):
-        return len(self.eps)
 
 
 @dataclass
@@ -90,9 +68,9 @@ class RegressionResult:
     se_log_z0: float
 
 
-def build_design_matrix(ladder) -> np.ndarray:
+def build_design_matrix(eps) -> np.ndarray:
     """K x 3 matrix with rows (-1/eps_i, 1, eps_i)."""
-    eps = ladder.values if isinstance(ladder, NoiseLadder) else np.asarray(ladder, dtype=float)
+    eps = np.asarray(eps, dtype=float)
     return np.stack([-1.0 / eps, np.ones_like(eps), eps], axis=1)
 
 
@@ -140,17 +118,15 @@ def solve_rescaled_ls(design, d_weights, response):
     return beta, resid, float(resid @ resid)
 
 
-def regress_point(data: PointData, ladder: NoiseLadder, dims,
-                  min_count=DEFAULT_MIN_COUNT,
-                  point=None) -> RegressionResult | None:
-    """Full per-point estimate; returns None when the point is excluded.
+def regress_point(data: PointData, dims, point,
+                  min_count=DEFAULT_MIN_COUNT) -> RegressionResult | None:
+    """Full per-point estimate at the collocation point ``point``; returns
+    None when the point is excluded.
 
     v_hat is reported as fitted even when slightly negative; clipping is
     left to the training stage.  A fit whose v_hat is not NaN is flagged
     reliable until apply_far_field_threshold compares it with the others.
     """
-    if ladder is not None and not np.array_equal(data.eps, ladder.values):
-        raise ValueError("point data does not match the noise ladder")
     try:
         response, dw, keep = build_response(data, dims, min_count=min_count)
     except InsufficientRowsError:
@@ -164,7 +140,7 @@ def regress_point(data: PointData, ladder: NoiseLadder, dims,
     used = int(keep.sum())
     v_hat = float(beta[0])
     return RegressionResult(
-        point=np.asarray(point, dtype=float) if point is not None else np.empty(0),
+        point=np.asarray(point, dtype=float),
         v_hat=v_hat,
         log_z0_hat=float(beta[1]),
         slope=float(beta[2]),
@@ -178,24 +154,24 @@ def regress_point(data: PointData, ladder: NoiseLadder, dims,
     )
 
 
-def regress_collocation(colloc, ladder: NoiseLadder, dims, grid,
+def regress_collocation(colloc, eps, dims, grid,
                         min_count=DEFAULT_MIN_COUNT,
                         far_field_percentile=95.0):
-    """Regress every collocation point, then fix reliability flags.
+    """Regress every collocation point over the noise ladder ``eps``, then
+    fix reliability flags.
 
     The far-field threshold is the given percentile of v_hat over the
     points that survived row filtering, recomputed per run.  Returns
     (results, threshold) where results[i] is None for excluded points.
     """
-    eps = ladder.values
+    eps = np.asarray(eps, dtype=float)
     h = grid.bin_volume
     results = []
     for i in range(len(colloc)):
         n0 = np.array([colloc.counts[e][i] for e in eps], dtype=float)
         n = np.array([colloc.totals[e] for e in eps], dtype=float)
         data = PointData(eps=eps, u_hat=n0 / (h * n), n0=n0, n=n)
-        results.append(regress_point(data, ladder, dims, min_count=min_count,
-                                     point=colloc.points[i]))
+        results.append(regress_point(data, dims, colloc.points[i], min_count=min_count))
     threshold = apply_far_field_threshold(results, far_field_percentile)
     return results, threshold
 

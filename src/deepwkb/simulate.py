@@ -21,7 +21,6 @@ import numpy as np
 __all__ = [
     "SimConfig",
     "SimSummary",
-    "AttractorSample",
     "simulate_ensemble",
     "integrate_ode",
     "sample_attractor",
@@ -77,14 +76,6 @@ class SimSummary:
     samples_emitted: int
     escapes: int
     aborted_trajectories: int
-
-
-@dataclass
-class AttractorSample:
-    """Points collected from the deterministic flow after burn-in."""
-
-    points: np.ndarray  # (count, n)
-    burn_in: float
 
 
 def _trajectory_generators(seed, n_traj):
@@ -159,18 +150,20 @@ def simulate_ensemble(system, cfg: SimConfig, sink: Callable[[np.ndarray], None]
     )
 
 
-def integrate_ode(system, x0, dt, total_time, record_every=1):
-    """Integrate the zero-noise flow with the classical 4th-order scheme.
+def integrate_ode(system, x0, dt, total_time):
+    """Integrate the zero-noise flow from the state x0 of shape (n,) with
+    the classical 4th-order scheme, stepping it as a (1, n) batch row.
 
-    Returns the recorded states as an array of shape (k, n) including the
-    initial state.  Raises on divergence to non-finite values.
+    Returns every state as an array of shape (k, n) including the initial
+    state.  Raises on divergence to non-finite values.
     """
-    x = np.asarray(x0, dtype=float).copy()
-    if x.shape != (system.dim_state,):
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (system.dim_state,):
         raise ValueError("x0 has wrong dimension")
+    x = x0[None, :]
     n_steps = round(total_time / dt)
     f = system.drift
-    out = [x.copy()]
+    out = [x]
     for k in range(n_steps):
         k1 = f(x)
         k2 = f(x + 0.5 * dt * k1)
@@ -179,14 +172,14 @@ def integrate_ode(system, x0, dt, total_time, record_every=1):
         x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(x)):
             raise FloatingPointError(f"deterministic flow diverged at t={(k + 1) * dt:g}")
-        if (k + 1) % record_every == 0:
-            out.append(x.copy())
-    return np.asarray(out)
+        out.append(x)
+    return np.concatenate(out)
 
 
-def sample_attractor(system, x0, burn_in, collect_time, count, dt=0.01, seed=0) -> AttractorSample:
+def sample_attractor(system, x0, burn_in, collect_time, count, dt=0.01, seed=0) -> np.ndarray:
     """Integrate past the transient, then draw ``count`` states uniformly
-    in time (without replacement) from the next ``collect_time`` units."""
+    in time (without replacement) from the next ``collect_time`` units;
+    returns them as a (count, n) array in time order."""
     traj = integrate_ode(system, x0, dt, burn_in + collect_time)
     skip = round(burn_in / dt)
     pool = traj[skip + 1:]
@@ -194,5 +187,5 @@ def sample_attractor(system, x0, burn_in, collect_time, count, dt=0.01, seed=0) 
         raise ValueError(f"requested {count} points but only {pool.shape[0]} are available")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     idx = rng.choice(pool.shape[0], size=count, replace=False)
-    return AttractorSample(points=pool[np.sort(idx)], burn_in=float(burn_in))
+    return pool[np.sort(idx)]
 

@@ -14,6 +14,10 @@ what stops the fit from drifting away from a genuine Hamilton-Jacobi
 solution.  Because that equation is scale invariant, the trained network
 represents alpha * V for some alpha near one; the scale is recovered
 afterwards by comparing network outputs with the regression targets.
+
+Every point set is a (B, n) batch, and the accessors of TrainedQp take
+and return batches: V as (B,), grad V as (B, n), its Hessian as
+(B, n, n).
 """
 
 from __future__ import annotations
@@ -112,15 +116,13 @@ class TrainedQp:
 
 
 def hj_residual(system, grad_v, x):
-    """Hamilton-Jacobi residual  f . g + 1/2 g^T A g  for g = grad V."""
+    """Hamilton-Jacobi residual  f . g + 1/2 g^T A g  for g = grad V.
+
+    ``grad_v`` and ``x`` are (B, n) batches; returns (B,).
+    """
     g = np.asarray(grad_v, dtype=float)
-    single = g.ndim == 1
-    gb = g[None, :] if single else g
-    xb = np.asarray(x, dtype=float)
-    xb = xb[None, :] if xb.ndim == 1 else xb
-    out = np.einsum("bi,bi->b", system.drift(xb), gb) + \
-        0.5 * np.einsum("bi,ij,bj->b", gb, system.a, gb)
-    return float(out[0]) if single else out
+    return np.einsum("bi,bi->b", system.drift(x), g) + \
+        0.5 * np.einsum("bi,ij,bj->b", g, system.a, g)
 
 
 def assemble_qp_sets(attractor_points, points, regressions, cfg: QpTrainConfig,
@@ -309,18 +311,19 @@ def train_qp(sets: QpTrainingSets, cfg: QpTrainConfig, system,
     return TrainedQp(params=params, alpha=alpha, log=log)
 
 
-def estimate_alpha(params: MlpParams, points, targets,
-                   floor=ALPHA_TARGET_FLOOR, min_points=ALPHA_MIN_POINTS) -> float:
+def estimate_alpha(params: MlpParams, points, targets) -> float:
     """Scale factor between the trained network and the regression targets.
 
     The Hamilton-Jacobi equation fixes V only up to a constant factor, so
     the network realizes alpha * V.  The median of the pointwise ratios
-    over targets above a small floor is robust to stray outliers.
+    over the targets above ALPHA_TARGET_FLOOR (at least ALPHA_MIN_POINTS
+    of them) is robust to stray outliers.
     """
     targets = np.asarray(targets, dtype=float)
-    mask = targets > floor
-    if mask.sum() < min_points:
-        raise ValueError(f"only {int(mask.sum())} targets above {floor}; cannot estimate alpha")
+    mask = targets > ALPHA_TARGET_FLOOR
+    if mask.sum() < ALPHA_MIN_POINTS:
+        raise ValueError(f"only {int(mask.sum())} targets above {ALPHA_TARGET_FLOOR}; "
+                         "cannot estimate alpha")
     ratios = net.forward(params, np.asarray(points)[mask]) / targets[mask]
     alpha = float(np.median(ratios))
     if not np.isfinite(alpha) or alpha <= 0:

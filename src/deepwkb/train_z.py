@@ -13,7 +13,9 @@ the rescaled densities to eps = 0 on the attractor (Y1), and the
 exponential of the regression intercept near the attractor together with
 characteristic-transported values (Y2).  Y3 drives the transport
 residual.  Accuracy far from the attractor is deliberately not chased:
-exp(-V/eps) suppresses whatever error lives there.
+exp(-V/eps) suppresses whatever error lives there.  Point sets are
+(B, n) batches, and the coefficients and losses are evaluated a batch at
+a time.
 """
 
 from __future__ import annotations
@@ -61,22 +63,15 @@ class TrainedZ:
 
 
 def transport_coefficients(system, trained, x):
-    """Transport-operator coefficients (b, c) at x, using the trained V.
+    """Transport-operator coefficients (b, c) on a (B, n) batch x, using
+    the trained V: b is (B, n) and c is (B,).
 
-    ``trained`` needs v/grad_v/hess_v accessors (a TrainedQp, or any
-    analytic stand-in with the same surface).
+    ``trained`` needs batched grad_v/hess_v accessors (a TrainedQp, or
+    any analytic stand-in with the same surface).
     """
     xb = np.asarray(x, dtype=float)
-    single = xb.ndim == 1
-    xb = xb[None, :] if single else xb
-    grad = np.atleast_2d(trained.grad_v(xb))
-    hess = trained.hess_v(xb)
-    if hess.ndim == 2:
-        hess = hess[None, :, :]
-    b = system.drift(xb) + grad @ system.a.T
-    c = system.drift_divergence(xb) + 0.5 * np.einsum("ij,bij->b", system.a, hess)
-    if single:
-        return b[0], float(c[0])
+    b = system.drift(xb) + trained.grad_v(xb) @ system.a.T
+    c = system.drift_divergence(xb) + 0.5 * np.einsum("ij,bij->b", system.a, trained.hess_v(xb))
     return b, c
 
 

@@ -3,9 +3,10 @@
 Under the WKB-plus-binomial-noise model the rescaled per-point residual
 sum of squares follows chi^2(K - 3).  The pooled sample of RSS values
 over reliable collocation points is therefore tested against that law
-with a one-sample Kolmogorov-Smirnov test; in addition the fraction of
-points in the extreme chi^2 tail is bounded.  Both rules together decide
-"holds" / "does not hold".
+with a one-sample Kolmogorov-Smirnov test.  In addition the number of
+points beyond the chi^2 0.999 quantile is tested against its
+Binomial(n, 0.001) law.  Both tests together decide "holds" / "does not
+hold".
 """
 
 from __future__ import annotations
@@ -13,14 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc
+from scipy.special import bdtrc, gammainc, gammaincinv
 
 __all__ = ["ValidationReport", "chi2_cdf", "chi2_quantile", "ks_test", "validate_wkb"]
 
 _KS_SERIES_TERMS = 100
 DEFAULT_SIGNIFICANCE = 0.01
 TAIL_QUANTILE = 0.999
-MAX_TAIL_FRACTION = 0.005
 MIN_SAMPLE = 50
 
 
@@ -68,20 +68,10 @@ def chi2_cdf(x, k):
 
 
 def chi2_quantile(p, k):
-    """Inverse of chi2_cdf by bisection; monotonicity makes this exact
-    to the tolerance of the CDF."""
+    """Inverse of chi2_cdf through the inverse regularized incomplete gamma."""
     if not 0.0 < p < 1.0:
         raise ValueError("quantile level must lie in (0, 1)")
-    lo, hi = 0.0, float(max(k, 1))
-    while chi2_cdf(hi, k) < p:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if chi2_cdf(mid, k) < p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return float(2.0 * gammaincinv(k / 2.0, p))
 
 
 def _kolmogorov_sf(lam):
@@ -110,30 +100,27 @@ def ks_test(sample, k):
     return d, _kolmogorov_sf(np.sqrt(n) * d)
 
 
-def validate_wkb(results, significance=DEFAULT_SIGNIFICANCE, dof=None) -> ValidationReport:
+def validate_wkb(results, dof, significance=DEFAULT_SIGNIFICANCE) -> ValidationReport:
     """Pool rescaled RSS over reliable points and test against chi^2(dof).
 
-    Points flagged unreliable or with a row count different from the
-    common ladder (mismatched dof) are excluded.  The hypothesis holds
-    when the pooled KS p-value reaches the significance level and the
-    fraction of points beyond the chi^2 0.999 quantile stays below 0.5%.
+    ``dof`` is K - 3 for the K-level ladder.  Points flagged unreliable or
+    with a row count different from the ladder's (mismatched dof) are
+    excluded.  The hypothesis holds when the pooled KS p-value reaches the
+    significance level and so does the chance that a correct model puts
+    at least as many of the n points beyond the chi^2 0.999 quantile,
+    P(Binom(n, 0.001) >= k).
     """
-    usable = [r for r in results if r is not None]
-    if dof is None:
-        rows = np.array([r.used_rows for r in usable if r.reliable])
-        if rows.size == 0:
-            raise ValueError("no reliable points to validate")
-        dof = int(np.bincount(rows).argmax()) - 3
-    kept = [r for r in usable if r.reliable and r.dof == dof]
+    kept = [r for r in results if r is not None and r.reliable and r.dof == dof]
     n_excluded = len(results) - len(kept)
     if not kept:
         raise ValueError("no reliable points to validate")
     rss = np.array([r.rss_rescaled for r in kept])
     d, p = ks_test(rss, dof)
-    tail = float(np.mean(rss > chi2_quantile(TAIL_QUANTILE, dof)))
-    passed = p >= significance and tail < MAX_TAIL_FRACTION
+    n_tail = int(np.sum(rss > chi2_quantile(TAIL_QUANTILE, dof)))
+    tail_p = bdtrc(n_tail - 1, len(kept), 1.0 - TAIL_QUANTILE)  # P(Binom >= n_tail)
+    passed = p >= significance and tail_p >= significance
     return ValidationReport(
-        rss=rss, dof=dof, ks_statistic=d, p_value=p, tail_fraction=tail,
+        rss=rss, dof=dof, ks_statistic=d, p_value=p, tail_fraction=n_tail / len(kept),
         significance=significance, passed=passed,
         n_tested=len(kept), n_excluded=n_excluded,
     )

@@ -25,6 +25,12 @@ class AnalyticQp:
         return self.hess_fn(x)
 
 
+def curve_arrays(curve):
+    """(points (S, n), values (S,)) of the samples on a characteristic."""
+    return (np.asarray([st.x for st in curve.states]),
+            np.asarray([st.v for st in curve.states]))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
@@ -38,6 +44,13 @@ def ou1d():
 @pytest.fixture
 def figure8():
     return make_benchmark("figure8")
+
+
+def figure8_hamiltonian(x):
+    """H = y^2/2 + x^4/12 - x^2/2 for states of shape (..., 2)."""
+    x = np.asarray(x, dtype=float)
+    u, v = x[..., 0], x[..., 1]
+    return v**2 / 2.0 + u**4 / 12.0 - u**2 / 2.0
 
 
 def figure8_quasipotential(mu=0.5):

@@ -15,18 +15,17 @@ import pytest
 from deepwkb import net
 from deepwkb.density import DensityHistogram, GridSpec
 from deepwkb.expand import CharState, min_action_scan, trace_curves
-from deepwkb.models import figure8_hamiltonian, make_benchmark
+from deepwkb.models import make_benchmark
 from deepwkb.net import MlpParams, MlpSpec
 from deepwkb.pipeline import (RunConfig, evaluate_wkb_grid, fp_residual_grid,
                               run_all, _load_trained_v)
-from deepwkb.regression import (NoiseLadder, PointData, regress_point,
-                                apply_far_field_threshold)
+from deepwkb.regression import PointData, regress_point, apply_far_field_threshold
 from deepwkb.simulate import SimConfig, sample_attractor, simulate_ensemble
 from deepwkb.train_v import QpTrainConfig, assemble_qp_sets, hj_residual, train_qp
 from deepwkb.train_z import TrainedZ, assemble_z_sets, train_z
 from deepwkb.validation import ks_test
 
-from conftest import figure8_quasipotential
+from conftest import curve_arrays, figure8_quasipotential
 from test_pipeline import ou_mini_config
 
 
@@ -73,7 +72,6 @@ def ou_histograms():
 
 def _regress_all_bins(grid, hists, min_count):
     eps = np.array([h.epsilon for h in hists])
-    ladder = NoiseLadder(tuple(eps))
     flat = np.arange(grid.n_cells)
     centers = grid.centers(flat)
     counts = np.stack([h.counts_at_flat(flat) for h in hists], axis=1).astype(float)
@@ -82,8 +80,7 @@ def _regress_all_bins(grid, hists, min_count):
     for i in range(grid.n_cells):
         data = PointData(eps=eps, u_hat=counts[i] / (grid.bin_volume * totals),
                          n0=counts[i], n=totals)
-        results.append(regress_point(data, ladder, (1, 0), min_count=min_count,
-                                     point=centers[i]))
+        results.append(regress_point(data, (1, 0), centers[i], min_count=min_count))
     apply_far_field_threshold(results)
     return results
 
@@ -169,42 +166,43 @@ def test_criterion_3_derivative_suite(rng):
         widths = (n, int(rng.integers(3, 9)), int(rng.integers(3, 7)), 1)
         spec = MlpSpec(widths=widths, l2_lambda=0.0)
         params = net.init_params(spec, seed=100 + k)
-        x = rng.uniform(-1.5, 1.5, size=n)
+        x = rng.uniform(-1.5, 1.5, size=n)[None, :]
         w = rng.normal(size=n)
+        one = np.ones(1)
 
-        g = net.grad_params(params, x, 1.0)
+        g = net.grad_params(params, x, one)
         fd = np.zeros(params.size)
         for i in range(params.size):
             hi = MlpParams(spec, params.flat.copy()); hi.flat[i] += step
             lo = MlpParams(spec, params.flat.copy()); lo.flat[i] -= step
-            fd[i] = (net.forward(hi, x) - net.forward(lo, x)) / (2 * step)
+            fd[i] = (net.forward(hi, x)[0] - net.forward(lo, x)[0]) / (2 * step)
         worst["grad_params"] = max(worst["grad_params"],
                                    np.max(np.abs(g - fd)) / max(np.max(np.abs(fd)), 1e-12))
 
-        gi = net.grad_input(params, x)
+        gi = net.grad_input(params, x)[0]
         fdi = np.zeros(n)
         for j in range(n):
             e = np.zeros(n); e[j] = step
-            fdi[j] = (net.forward(params, x + e) - net.forward(params, x - e)) / (2 * step)
+            fdi[j] = (net.forward(params, x + e)[0] - net.forward(params, x - e)[0]) / (2 * step)
         worst["grad_input"] = max(worst["grad_input"],
                                   np.max(np.abs(gi - fdi)) / max(np.max(np.abs(fdi)), 1e-12))
 
-        hess = net.hessian_input(params, x)
+        hess = net.hessian_input(params, x)[0]
         fdh = np.zeros((n, n))
         for j in range(n):
             e = np.zeros(n); e[j] = step
-            fdh[:, j] = (net.grad_input(params, x + e) - net.grad_input(params, x - e)) / (2 * step)
+            fdh[:, j] = (net.grad_input(params, x + e)[0] - net.grad_input(params, x - e)[0]) / (2 * step)
         scale = max(np.max(np.abs(fdh)), 1e-12)
         worst["hessian"] = max(worst["hessian"], np.max(np.abs(hess - fdh)) / scale)
         worst["hessian_dir"] = max(worst["hessian_dir"],
                                    np.max(np.abs(hess @ w - fdh @ w)) / max(np.max(np.abs(fdh @ w)), 1e-12))
 
-        dg = net.grad_params_of_directional_input_grad(params, x, w)
+        dg = net.grad_params_of_directional_input_grad(params, x, w[None, :], one)
         fdd = np.zeros(params.size)
         for i in range(params.size):
             hi = MlpParams(spec, params.flat.copy()); hi.flat[i] += step
             lo = MlpParams(spec, params.flat.copy()); lo.flat[i] -= step
-            fdd[i] = (w @ net.grad_input(hi, x) - w @ net.grad_input(lo, x)) / (2 * step)
+            fdd[i] = (w @ net.grad_input(hi, x)[0] - w @ net.grad_input(lo, x)[0]) / (2 * step)
         worst["dirgrad"] = max(worst["dirgrad"],
                                np.max(np.abs(dg - fdd)) / max(np.max(np.abs(fdd)), 1e-12))
     elapsed = time.time() - t0
@@ -240,8 +238,8 @@ def test_criterion_5_symplectic_characteristics():
     for h in (1e-4, 5e-5):
         for x0, curve in zip((0.1, 0.2, -0.15), trace_curves(ou, seeds, h, 0.4, domain, 20)):
             assert curve.reason == "reached_v_max"
-            xs = curve.points().ravel()
-            vs = curve.values()
+            xs, vs = curve_arrays(curve)
+            xs = xs.ravel()
             if h == 1e-4:
                 worst_v = max(worst_v, np.max(np.abs(vs - xs**2)))
             drifts[(x0, h)] = curve.max_energy_drift

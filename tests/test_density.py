@@ -139,17 +139,16 @@ def _two_level_histograms(rng):
 
 def test_select_collocation_composition(rng):
     g, hists = _two_level_histograms(rng)
-    colloc = select_collocation(None, g, hists, 40, traj_fraction=0.5, seed=9)
+    colloc = select_collocation(g, hists, 40, traj_fraction=0.5, seed=9)
     assert len(colloc) == 40
-    assert (colloc.origins == "trajectory").sum() == 20
-    assert (colloc.origins == "uniform").sum() == 20
     # points snapped to centers and unique
     centers = g.centers(g.flat_indices(colloc.points)[0])
     assert np.allclose(centers, colloc.points)
     assert len(np.unique(colloc.points.round(12))) == 40
-    # trajectory half concentrates where the top-noise data lives
-    traj = np.abs(colloc.points[colloc.origins == "trajectory", 0])
-    unif = np.abs(colloc.points[colloc.origins == "uniform", 0])
+    # trajectory half (the first round(40 * 0.5) rows) concentrates where
+    # the top-noise data lives
+    traj = np.abs(colloc.points[:20, 0])
+    unif = np.abs(colloc.points[20:, 0])
     assert traj.mean() < unif.mean()
     # per-eps counts attached for both levels
     assert set(colloc.counts) == {0.1, 0.4}
@@ -158,14 +157,17 @@ def test_select_collocation_composition(rng):
 
 def test_select_collocation_degenerate_fraction(rng):
     g, hists = _two_level_histograms(rng)
-    colloc = select_collocation(None, g, hists, 30, traj_fraction=0.0, seed=1)
-    assert (colloc.origins == "uniform").all()
+    colloc = select_collocation(g, hists, 30, traj_fraction=0.0, seed=1)
+    # every point is a uniform draw: the histogram counts do not matter
+    unrelated = select_collocation(g, [DensityHistogram(g, 0.4)], 30, traj_fraction=0.0, seed=1)
+    assert len(colloc) == 30
+    assert np.array_equal(colloc.points, unrelated.points)
 
 
 def test_select_collocation_errors(rng):
     g, hists = _two_level_histograms(rng)
     empty = DensityHistogram(g, 0.9)
     with pytest.raises(ValueError, match="occupied"):
-        select_collocation(None, g, hists[:1] + [empty], 10, traj_fraction=1.0, seed=0)
+        select_collocation(g, hists[:1] + [empty], 10, traj_fraction=1.0, seed=0)
     with pytest.raises(ValueError, match="occupied"):
-        select_collocation(None, g, hists, 2 * g.n_cells, traj_fraction=1.0, seed=0)
+        select_collocation(g, hists, 2 * g.n_cells, traj_fraction=1.0, seed=0)

@@ -6,7 +6,7 @@ from deepwkb.expand import (CharState, SolverFailure, char_step, discrete_action
                             seed_characteristics, trace_curves)
 from deepwkb.models import SdeSystem, make_benchmark
 
-from conftest import AnalyticQp, figure8_quasipotential
+from conftest import AnalyticQp, curve_arrays, figure8_quasipotential
 
 OU_DOMAIN = (np.array([-5.0]), np.array([5.0]))
 
@@ -53,8 +53,8 @@ def test_characteristic_on_manifold(ou1d):
     curve = trace_one(ou1d, init, 1e-4, 0.4, OU_DOMAIN, 20)
     assert curve.reason == "reached_v_max"
     assert len(curve.states) == 20
-    xs = curve.points().ravel()
-    vs = curve.values()
+    xs, vs = curve_arrays(curve)
+    xs = xs.ravel()
     assert np.all(np.diff(vs) > 0)  # v strictly increasing along the curve
     assert abs(xs[-1]) == pytest.approx(np.sqrt(0.4), abs=2e-3)
     assert np.max(np.abs(vs - xs**2)) < 2e-3
@@ -128,8 +128,7 @@ def test_figure8_curves_track_exact_quasipotential(figure8):
         # The energy guard may cut a curve short out in the stiff corner
         # region; whatever samples it recorded must track the exact V.
         assert curve.states, curve.reason
-        pts = curve.points()
-        vs = curve.values()
+        pts, vs = curve_arrays(curve)
         assert np.max(np.abs(vs - value(pts))) < 5e-3
 
 
@@ -183,8 +182,10 @@ def test_discrete_action_matches_riemann_form(ou1d, rng):
     vel = np.diff(nodes, axis=0) / dt
     manual = 0.0
     for i in range(20):
-        la = 0.5 * float((vel[i] - ou1d.drift(nodes[i])) @ a_inv @ (vel[i] - ou1d.drift(nodes[i])))
-        lb = 0.5 * float((vel[i] - ou1d.drift(nodes[i + 1])) @ a_inv @ (vel[i] - ou1d.drift(nodes[i + 1])))
+        fa = ou1d.drift(nodes[i:i + 1])[0]
+        fb = ou1d.drift(nodes[i + 1:i + 2])[0]
+        la = 0.5 * float((vel[i] - fa) @ a_inv @ (vel[i] - fa))
+        lb = 0.5 * float((vel[i] - fb) @ a_inv @ (vel[i] - fb))
         manual += 0.5 * dt * (la + lb)
     assert discrete_action(ou1d, nodes, dt, a_inv) == pytest.approx(manual, abs=1e-12)
 

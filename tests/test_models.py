@@ -33,17 +33,17 @@ def test_nonfinite_parameter_rejected():
 
 def test_rossler_drift_at_origin():
     sys_ = make_benchmark("rossler")
-    assert np.allclose(sys_.drift(np.zeros(3)), [0.0, 0.0, 0.2])
+    assert np.allclose(sys_.drift(np.zeros((1, 3))), [[0.0, 0.0, 0.2]])
 
 
 def test_ou1d_basics():
     sys_ = make_benchmark("ou1d")
-    assert sys_.drift_jacobian(np.array([3.0])) == pytest.approx(np.array([[-1.0]]))
-    x = np.array([0.5])
-    assert sys_.drift(x) == pytest.approx(np.array([-0.5]))
+    assert sys_.drift_jacobian(np.array([[3.0]])) == pytest.approx(np.array([[[-1.0]]]))
+    x = np.array([[0.5]])
+    assert sys_.drift(x) == pytest.approx(np.array([[-0.5]]))
     assert sys_.a == pytest.approx(np.array([[1.0]]))
-    assert sys_.drift_jacobian(x) == pytest.approx(np.array([[-1.0]]))
-    assert sys_.drift_divergence(x) == pytest.approx(-1.0)
+    assert sys_.drift_jacobian(x) == pytest.approx(np.array([[[-1.0]]]))
+    assert sys_.drift_divergence(x) == pytest.approx(np.array([-1.0]))
 
 
 def test_figure8_drift_decomposition(rng):
@@ -64,10 +64,10 @@ def test_coupled_vdp_block_jacobian():
     sys_ = make_benchmark("coupled_vdp")  # delta defaults to 0
     assert sys_.params["delta"] == 0.0
     vdp = make_benchmark("vdp")
-    x = np.array([0.7, -0.2, -1.1, 0.4])
-    jac = sys_.drift_jacobian(x)
-    assert np.allclose(jac[:2, :2], vdp.drift_jacobian(x[:2]))
-    assert np.allclose(jac[2:, 2:], vdp.drift_jacobian(x[2:]))
+    x = np.array([[0.7, -0.2, -1.1, 0.4]])
+    jac = sys_.drift_jacobian(x)[0]
+    assert np.allclose(jac[:2, :2], vdp.drift_jacobian(x[:, :2])[0])
+    assert np.allclose(jac[2:, 2:], vdp.drift_jacobian(x[:, 2:])[0])
     assert np.allclose(jac[:2, 2:], 0.0) and np.allclose(jac[2:, :2], 0.0)
 
 

@@ -10,7 +10,7 @@ def small_spec(n_in=2, lam=0.0):
 
 
 def reference_forward(spec, flat, x):
-    """Independent re-implementation of the forward pass."""
+    """Independent re-implementation of the forward pass at one point."""
     params = MlpParams(spec, flat)
     a = np.asarray(x, dtype=float)
     for l, (w, b) in enumerate(params.layers):
@@ -49,11 +49,11 @@ def test_init_signal_survives_depth():
 def test_forward_degenerate_cases(rng):
     spec = small_spec()
     zero = MlpParams(spec)
-    x = rng.normal(size=2)
-    assert net.forward(zero, x) == 0.0
+    x = rng.normal(size=2)[None, :]
+    assert net.forward(zero, x)[0] == 0.0
     bias_only = MlpParams(spec)
     bias_only.layers[-1][1][...] = 3.25
-    assert net.forward(bias_only, x) == 3.25
+    assert net.forward(bias_only, x)[0] == 3.25
     assert net.forward(bias_only, rng.normal(size=(5, 2))) == pytest.approx([3.25] * 5)
 
 
@@ -62,7 +62,8 @@ def test_forward_matches_reference(rng):
     p = net.init_params(spec, seed=1)
     for _ in range(5):
         x = rng.normal(size=2)
-        assert net.forward(p, x) == pytest.approx(reference_forward(spec, p.flat, x), abs=1e-15)
+        assert net.forward(p, x[None, :])[0] == pytest.approx(reference_forward(spec, p.flat, x),
+                                                              abs=1e-15)
 
 
 def _fd_params(fun, p, step=1e-5):
@@ -79,18 +80,18 @@ def _fd_params(fun, p, step=1e-5):
 def test_grad_params_finite_differences(rng):
     spec = small_spec()
     p = net.init_params(spec, seed=2)
-    x = rng.normal(size=2)
-    g = net.grad_params(p, x, 1.0, l2_lambda=0.0)
-    fd = _fd_params(lambda q: net.forward(q, x), p)
+    x = rng.normal(size=2)[None, :]
+    g = net.grad_params(p, x, np.ones(1), l2_lambda=0.0)
+    fd = _fd_params(lambda q: net.forward(q, x)[0], p)
     assert np.max(np.abs(g - fd) / np.maximum(np.abs(fd), 1e-8)) < 1e-6
 
 
 def test_grad_params_l2_term(rng):
     spec = small_spec(lam=0.01)
     p = net.init_params(spec, seed=3)
-    x = rng.normal(size=2)
-    assert np.array_equal(net.grad_params(p, x, 0.0, l2_lambda=0.0), np.zeros(p.size))
-    g = net.grad_params(p, x, 0.0)  # default lambda from the spec
+    x = rng.normal(size=2)[None, :]
+    assert np.array_equal(net.grad_params(p, x, np.zeros(1), l2_lambda=0.0), np.zeros(p.size))
+    g = net.grad_params(p, x, np.zeros(1))  # default lambda from the spec
     mask = p.weight_mask()
     assert np.allclose(g[mask], 0.01 * p.flat[mask])
     assert np.array_equal(g[~mask], np.zeros((~mask).sum()))
@@ -102,21 +103,21 @@ def test_grad_input_linear_network(rng):
     p = net.init_params(spec, seed=4)
     w = p.layers[0][0][0]
     for _ in range(3):
-        x = rng.normal(size=3)
-        assert np.allclose(net.grad_input(p, x), w, atol=1e-15)
+        x = rng.normal(size=3)[None, :]
+        assert np.allclose(net.grad_input(p, x)[0], w, atol=1e-15)
     assert np.allclose(net.hessian_input(p, x), 0.0)
 
 
 def test_grad_input_finite_differences(rng):
     spec = small_spec()
     p = net.init_params(spec, seed=5)
-    x = rng.normal(size=2)
-    g = net.grad_input(p, x)
+    x = rng.normal(size=2)[None, :]
+    g = net.grad_input(p, x)[0]
     step = 1e-5
     for j in range(2):
         e = np.zeros(2)
         e[j] = step
-        fd = (net.forward(p, x + e) - net.forward(p, x - e)) / (2 * step)
+        fd = (net.forward(p, x + e)[0] - net.forward(p, x - e)[0]) / (2 * step)
         assert abs(g[j] - fd) / max(abs(fd), 1e-8) < 1e-6
 
 
@@ -126,21 +127,21 @@ def test_grad_input_symmetry(rng):
     p = net.init_params(spec, seed=6)
     w0 = p.layers[0][0]
     w0[:, 1] = w0[:, 0]
-    g = net.grad_input(p, np.array([0.4, 0.4]))
+    g = net.grad_input(p, np.array([[0.4, 0.4]]))[0]
     assert g[0] == pytest.approx(g[1], abs=1e-14)
 
 
 def test_hessian_input_finite_differences(rng):
     spec = small_spec()
     p = net.init_params(spec, seed=7)
-    x = rng.normal(size=2)
-    h = net.hessian_input(p, x)
+    x = rng.normal(size=2)[None, :]
+    h = net.hessian_input(p, x)[0]
     assert np.array_equal(h, h.T)
     step = 1e-5
     for j in range(2):
         e = np.zeros(2)
         e[j] = step
-        fd = (net.grad_input(p, x + e) - net.grad_input(p, x - e)) / (2 * step)
+        fd = (net.grad_input(p, x + e)[0] - net.grad_input(p, x - e)[0]) / (2 * step)
         assert np.max(np.abs(h[:, j] - fd) / np.maximum(np.abs(fd), 1e-6)) < 1e-5
 
 
@@ -152,23 +153,24 @@ def test_hessian_local_quadratic_oracle():
     xs = x0 + np.linspace(-1e-3, 1e-3, 7)[:, None]
     vals = net.forward(p, xs)
     coef = np.polyfit(xs.ravel() - x0, vals, 2)
-    h = net.hessian_input(p, np.array([x0]))[0, 0]
+    h = net.hessian_input(p, np.array([[x0]]))[0, 0, 0]
     assert h == pytest.approx(2.0 * coef[0], rel=1e-4)
 
 
 def test_dirgrad_finite_differences_and_linearity(rng):
     spec = small_spec()
     p = net.init_params(spec, seed=9)
-    x = rng.normal(size=2)
-    w1 = rng.normal(size=2)
-    w2 = rng.normal(size=2)
-    g = net.grad_params_of_directional_input_grad(p, x, w1)
-    fd = _fd_params(lambda q: float(w1 @ net.grad_input(q, x)), p)
+    x = rng.normal(size=2)[None, :]
+    w1 = rng.normal(size=2)[None, :]
+    w2 = rng.normal(size=2)[None, :]
+    one = np.ones(1)
+    g = net.grad_params_of_directional_input_grad(p, x, w1, one)
+    fd = _fd_params(lambda q: float(w1[0] @ net.grad_input(q, x)[0]), p)
     assert np.max(np.abs(g - fd) / np.maximum(np.abs(fd), 1e-6)) < 1e-5
-    assert np.array_equal(net.grad_params_of_directional_input_grad(p, x, np.zeros(2)),
+    assert np.array_equal(net.grad_params_of_directional_input_grad(p, x, np.zeros((1, 2)), one),
                           np.zeros(p.size))
-    g12 = net.grad_params_of_directional_input_grad(p, x, w1 + w2)
-    g2 = net.grad_params_of_directional_input_grad(p, x, w2)
+    g12 = net.grad_params_of_directional_input_grad(p, x, w1 + w2, one)
+    g2 = net.grad_params_of_directional_input_grad(p, x, w2, one)
     assert np.max(np.abs(g12 - (g + g2))) < 1e-12
 
 

@@ -40,7 +40,7 @@ def ou_mini_config(**overrides):
 
 def test_config_round_trip():
     cfg = ou_mini_config()
-    assert RunConfig.parse(cfg.serialize()) == cfg
+    assert RunConfig.parse(cfg.serialize()).data == cfg.data
 
 
 def test_config_validation_errors():
@@ -89,6 +89,24 @@ def test_rerun_deletes_outputs_it_no_longer_writes(tmp_path):
 
 
 # -- analytic diagnostics ----------------------------------------------------
+
+
+def test_manifest_save_is_atomic(tmp_path, monkeypatch):
+    manifest = RunManifest(tmp_path)
+    manifest.data["results"]["alpha"] = 1.0
+    manifest.save()
+    before = (tmp_path / "manifest.json").read_bytes()
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("os.replace", fail)
+    manifest.data["results"]["alpha"] = 2.0
+    with pytest.raises(OSError):
+        manifest.save()
+    assert (tmp_path / "manifest.json").read_bytes() == before
+    assert RunManifest(tmp_path).data["results"]["alpha"] == 1.0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
 
 
 def ou_oracles():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from deepwkb.regression import (NoiseLadder, PointData, build_design_matrix,
+from deepwkb.pipeline import RunConfig
+from deepwkb.regression import (PointData, build_design_matrix,
                                 build_response, extrapolate_z0_attractor,
                                 regress_point, solve_rescaled_ls,
                                 apply_far_field_threshold)
@@ -22,19 +23,26 @@ def test_design_matrix_rows():
 
 
 def test_design_matrix_structure():
-    ladder = NoiseLadder(tuple(np.linspace(0.05, 0.5, 10)))
-    a = build_design_matrix(ladder)
+    a = build_design_matrix(np.linspace(0.05, 0.5, 10))
     assert np.array_equal(a[:, 1], np.ones(10))
     assert np.linalg.matrix_rank(a) == 3
 
 
 def test_ladder_invariants():
-    with pytest.raises(ValueError):
-        NoiseLadder((0.1, 0.2, 0.3))          # K <= 3
-    with pytest.raises(ValueError):
-        NoiseLadder((0.1, 0.2, 0.2, 0.3))     # not strictly increasing
-    with pytest.raises(ValueError):
-        NoiseLadder((-0.1, 0.2, 0.3, 0.4))
+    # The regression reads its noise ladder from the run configuration,
+    # which rejects ladders the K x 3 model cannot use.
+    def config(ladder):
+        return RunConfig({"benchmark": {"name": "ou1d", "params": {}},
+                          "ladder": ladder,
+                          "grid": {"lower": [-2.0], "upper": [2.0], "bins": [16]}})
+
+    assert config([0.1, 0.2, 0.3, 0.4])["ladder"] == [0.1, 0.2, 0.3, 0.4]
+    with pytest.raises(ValueError, match="ladder"):
+        config([0.1, 0.2, 0.3])          # K <= 3
+    with pytest.raises(ValueError, match="ladder"):
+        config([0.1, 0.2, 0.2, 0.3])     # not strictly increasing
+    with pytest.raises(ValueError, match="ladder"):
+        config([-0.1, 0.2, 0.3, 0.4])
 
 
 def test_response_weights():
@@ -133,7 +141,7 @@ def test_standard_errors_match_monte_carlo_spread(rng):
     se = set()
     for k in range(reps):
         data = PointData(eps=eps, u_hat=np.exp(base + z[k] / d), n0=n0, n=n)
-        r = regress_point(data, None, dims=(1, 1))
+        r = regress_point(data, (1, 1), np.zeros(1))
         est[k] = r.v_hat, r.log_z0_hat
         se.add((r.se_v, r.se_log_z0))
     assert len(se) == 1  # the errors depend on the design and counts only
@@ -146,7 +154,7 @@ def test_standard_errors_match_monte_carlo_spread(rng):
 def test_regress_point_exact_ou():
     eps = np.linspace(0.2, 0.6, 10) ** 2
     data = ou_point_data(1.0, eps)
-    r = regress_point(data, NoiseLadder(tuple(eps)), dims=(1, 0))
+    r = regress_point(data, (1, 0), np.ones(1))
     assert r.v_hat == pytest.approx(1.0, abs=1e-9)
     assert r.log_z0_hat == pytest.approx(-0.5 * np.log(np.pi), abs=1e-9)
     assert r.slope == pytest.approx(0.0, abs=1e-8)
@@ -160,9 +168,9 @@ def test_regress_point_excludes_thin_rows():
     eps = np.linspace(0.1, 0.5, 8)
     n0 = np.array([5, 5, 5, 5, 5, 100, 100, 100], dtype=float)
     data = PointData(eps=eps, u_hat=np.full(8, 0.5), n0=n0, n=np.full(8, 1e6))
-    assert regress_point(data, None, dims=(1, 0)) is None  # 3 usable rows
+    assert regress_point(data, (1, 0), np.zeros(1)) is None  # 3 usable rows
     n0[4] = 100
-    r = regress_point(data, None, dims=(1, 0))
+    r = regress_point(data, (1, 0), np.zeros(1))
     assert r is not None and r.used_rows == 4 and r.dof == 1
 
 
@@ -172,8 +180,8 @@ def test_scaling_equivariance():
     u = np.exp(rng.normal(size=8))
     base = PointData(eps=eps, u_hat=u, n0=np.full(8, 400.0), n=np.full(8, 1e8))
     scaled = PointData(eps=eps, u_hat=np.e * u, n0=np.full(8, 400.0), n=np.full(8, 1e8))
-    r0 = regress_point(base, None, dims=(2, 1))
-    r1 = regress_point(scaled, None, dims=(2, 1))
+    r0 = regress_point(base, (2, 1), np.zeros(2))
+    r1 = regress_point(scaled, (2, 1), np.zeros(2))
     assert r1.v_hat == pytest.approx(r0.v_hat, abs=1e-12)
     assert r1.slope == pytest.approx(r0.slope, abs=1e-12)
     assert r1.log_z0_hat - r0.log_z0_hat == pytest.approx(1.0, abs=1e-12)
@@ -187,7 +195,7 @@ def test_synthetic_recovery_noiseless(rng):
         log_u = -v / eps + logz + slope * eps - 0.5 * (dims[0] - dims[1]) * np.log(eps)
         data = PointData(eps=eps, u_hat=np.exp(log_u),
                          n0=rng.uniform(50, 500, size=12), n=np.full(12, 1e9))
-        r = regress_point(data, None, dims=dims)
+        r = regress_point(data, dims, np.zeros(dims[0]))
         assert abs(r.v_hat - v) < 1e-9
         assert abs(r.log_z0_hat - logz) < 1e-9
         assert abs(r.slope - slope) < 1e-9
@@ -195,7 +203,7 @@ def test_synthetic_recovery_noiseless(rng):
 
 def test_far_field_threshold_flags():
     eps = np.linspace(0.2, 0.6, 10) ** 2
-    results = [regress_point(ou_point_data(x, eps), None, dims=(1, 0))
+    results = [regress_point(ou_point_data(x, eps), (1, 0), np.array([x]))
                for x in np.linspace(0.0, 1.4, 40)]
     thr = apply_far_field_threshold(results, percentile=95.0)
     vals = np.array([r.v_hat for r in results])

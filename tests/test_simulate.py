@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from deepwkb.models import SdeSystem, make_benchmark, figure8_hamiltonian
+from deepwkb.models import SdeSystem, make_benchmark
 from deepwkb.simulate import SimConfig, integrate_ode, sample_attractor, simulate_ensemble
+
+from conftest import figure8_hamiltonian
 
 
 class Collector:
@@ -171,7 +173,7 @@ def test_vdp_limit_cycle_poincare_returns():
 
 def test_figure8_energy_decays():
     sys_ = make_benchmark("figure8")
-    traj = integrate_ode(sys_, np.array([1.0, 0.0]), 0.002, 100.0, record_every=50)
+    traj = integrate_ode(sys_, np.array([1.0, 0.0]), 0.002, 100.0)[::50]
     h = figure8_hamiltonian(traj)
     assert abs(h[-1]) < 1e-4
     # |H| decreasing on coarse scale after the initial transient
@@ -193,10 +195,10 @@ def test_integrate_ode_divergence_raises():
 
 
 def test_sample_attractor_ou_collapses_to_origin(ou1d):
-    sample = sample_attractor(ou1d, np.array([1.0]), burn_in=40.0,
+    points = sample_attractor(ou1d, np.array([1.0]), burn_in=40.0,
                               collect_time=10.0, count=50, dt=0.01)
-    assert sample.points.shape == (50, 1)
-    assert np.max(np.abs(sample.points)) < 1e-6
+    assert points.shape == (50, 1)
+    assert np.max(np.abs(points)) < 1e-6
 
 
 def _cycle_polyline(system, x0, dt=0.001, burn=150.0, span=10.0):
@@ -215,18 +217,18 @@ def _dist_to_polyline(points, poly):
 
 def test_sample_attractor_vdp_on_cycle():
     sys_ = make_benchmark("vdp")
-    sample = sample_attractor(sys_, np.array([2.0, 0.0]), burn_in=100.0,
+    points = sample_attractor(sys_, np.array([2.0, 0.0]), burn_in=100.0,
                               collect_time=60.0, count=300, dt=0.005, seed=1)
     cycle = _cycle_polyline(sys_, [2.0, 0.0])
-    assert np.max(_dist_to_polyline(sample.points, cycle)) < 1e-3
+    assert np.max(_dist_to_polyline(points, cycle)) < 1e-3
 
 
 def test_sample_attractor_coupled_vdp_product_structure():
     sys_ = make_benchmark("coupled_vdp")
-    sample = sample_attractor(sys_, np.array([2.0, 0.0, -0.5, 1.5]), burn_in=150.0,
+    points = sample_attractor(sys_, np.array([2.0, 0.0, -0.5, 1.5]), burn_in=150.0,
                               collect_time=60.0, count=200, dt=0.005, seed=2)
     cycle = _cycle_polyline(make_benchmark("vdp"), [2.0, 0.0])
-    for pair in (sample.points[:, :2], sample.points[:, 2:]):
+    for pair in (points[:, :2], points[:, 2:]):
         assert np.max(_dist_to_polyline(pair, cycle)) < 1e-3
 
 

@@ -14,7 +14,7 @@ from conftest import figure8_quasipotential
 def test_hj_residual_ou_exact(ou1d, rng):
     x = rng.uniform(-2, 2, size=(100, 1))
     assert np.max(np.abs(hj_residual(ou1d, 2.0 * x, x))) == 0.0
-    assert hj_residual(ou1d, np.zeros(1), np.array([0.7])) == 0.0
+    assert hj_residual(ou1d, np.zeros((1, 1)), np.array([[0.7]]))[0] == 0.0
 
 
 def test_hj_residual_figure8_exact(figure8, rng):

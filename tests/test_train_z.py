@@ -25,8 +25,8 @@ def test_transport_coefficients_exact_ou(ou1d, rng):
     b, c = transport_coefficients(ou1d, ou_oracle(), x)
     assert np.allclose(b, x, atol=1e-14)          # b = f + A grad V = -x + 2x
     assert np.max(np.abs(c)) < 1e-14              # c = -1 + 1 = 0
-    b1, c1 = transport_coefficients(ou1d, ou_oracle(), np.array([0.3]))
-    assert b1 == pytest.approx(np.array([0.3])) and c1 == pytest.approx(0.0)
+    b1, c1 = transport_coefficients(ou1d, ou_oracle(), np.array([[0.3]]))
+    assert b1[0] == pytest.approx(np.array([0.3])) and c1[0] == pytest.approx(0.0)
 
 
 def test_transport_coefficients_figure8_numeric_hessian(figure8, rng):

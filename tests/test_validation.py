@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaincinv
 
 from deepwkb.regression import RegressionResult
 from deepwkb.validation import chi2_cdf, chi2_quantile, ks_test, validate_wkb
@@ -110,7 +111,7 @@ def test_validate_wkb_accepts_true_model():
     rng = np.random.default_rng(23)
     rss = (rng.standard_normal((400, 7)) ** 2).sum(axis=1)
     results = [_result(r) for r in rss]
-    report = validate_wkb(results)
+    report = validate_wkb(results, dof=7)
     assert report.passed and report.dof == 7
     assert report.n_tested == 400
 
@@ -118,7 +119,7 @@ def test_validate_wkb_accepts_true_model():
 def test_validate_wkb_rejects_inflated_rss():
     rng = np.random.default_rng(29)
     rss = 3.0 * (rng.standard_normal((400, 7)) ** 2).sum(axis=1)
-    report = validate_wkb([_result(r) for r in rss])
+    report = validate_wkb([_result(r) for r in rss], dof=7)
     assert not report.passed
 
 
@@ -136,16 +137,39 @@ def test_validate_wkb_exclusion_bookkeeping():
 
 def test_validate_wkb_no_reliable_points():
     with pytest.raises(ValueError):
-        validate_wkb([_result(5.0, reliable=False)])
+        validate_wkb([_result(5.0, reliable=False)], dof=7)
 
 
 def test_report_text(tmp_path):
     rng = np.random.default_rng(37)
     rss = (rng.standard_normal((100, 7)) ** 2).sum(axis=1)
-    report = validate_wkb([_result(r) for r in rss])
+    report = validate_wkb([_result(r) for r in rss], dof=7)
     out = tmp_path / "report.txt"
     report.write(out)
     text = out.read_text()
     assert "wkb: holds" in text
     assert "dof: 7" in text
     assert "p_value:" in text
+
+
+def _stratified_chi2_with_tail(count, n_tail, dof=7):
+    """``count`` chi^2(dof) quantiles at (i + 1/2)/count, the largest
+    ``n_tail`` of them moved just beyond the 0.999 quantile."""
+    levels = (np.arange(count) + 0.5) / count
+    rss = 2.0 * gammaincinv(dof / 2.0, levels)
+    rss[count - n_tail:] = 1.01 * 2.0 * gammaincinv(dof / 2.0, 0.999)
+    return rss
+
+
+def test_tail_rule_allows_one_exceedance_among_few_points():
+    # A correct model puts one of 88 points beyond the 0.999 quantile
+    # with probability 1 - 0.999^88 = 8.4%; that alone must not fail it.
+    report = validate_wkb([_result(r) for r in _stratified_chi2_with_tail(88, 1)], dof=7)
+    assert report.tail_fraction == pytest.approx(1 / 88)
+    assert report.passed
+
+
+def test_tail_rule_rejects_many_exceedances():
+    report = validate_wkb([_result(r) for r in _stratified_chi2_with_tail(88, 5)], dof=7)
+    assert report.p_value >= report.significance  # the KS test alone would pass
+    assert not report.passed

@@ -126,7 +126,7 @@ class DensityHistogram:
             return
         hit = flat[inside]
         if self._dense is not None:
-            np.add.at(self._dense, hit, 1)
+            self._dense += np.bincount(hit, minlength=self.grid.n_cells)
         else:
             uniq, cnt = np.unique(hit, return_counts=True)
             store = self._sparse

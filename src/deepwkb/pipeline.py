@@ -263,25 +263,23 @@ def _stage_simulate(cfg: RunConfig, outdir: Path):
                                  dt=att["dt"], seed=_derive_seed(cfg["seed"], "attractor"))
     np.save(outdir / "attractor.npy", attractor)
 
+    ladder = cfg.data["ladder"]
+    hists = [DensityHistogram(grid, eps) for eps in ladder]
+    levels = [SimConfig(
+        epsilon=eps, dt=sim["dt"], total_time=sim["total_time"],
+        n_traj=sim["n_traj"], sample_interval=sim["sample_interval"],
+        seed=_derive_seed(cfg["seed"], "simulate", i),
+        domain=(grid.lower_arr, grid.upper_arr),
+        escape_policy=sim["escape_policy"],
+        x0=None if sim["x0"] is None else np.asarray(sim["x0"], dtype=float),
+        burn_in_fraction=sim["burn_in_fraction"],
+    ) for i, eps in enumerate(ladder)]
+    summary = simulate_ensemble(system, levels, [h.add_batch for h in hists])
     outputs = ["attractor.npy"]
-    info = {"per_eps": []}
-    for i, eps in enumerate(cfg.data["ladder"]):
-        hist = DensityHistogram(grid, eps)
-        sc = SimConfig(
-            epsilon=eps, dt=sim["dt"], total_time=sim["total_time"],
-            n_traj=sim["n_traj"], sample_interval=sim["sample_interval"],
-            seed=_derive_seed(cfg["seed"], "simulate", i),
-            domain=(grid.lower_arr, grid.upper_arr),
-            escape_policy=sim["escape_policy"],
-            x0=None if sim["x0"] is None else np.asarray(sim["x0"], dtype=float),
-            burn_in_fraction=sim["burn_in_fraction"],
-        )
-        summary = simulate_ensemble(system, sc, hist.add_batch)
+    for i, hist in enumerate(hists):
         hist.to_file(outdir / _hist_name(i))
         outputs.append(_hist_name(i))
-        info["per_eps"].append({"eps": eps, "samples": summary.samples_emitted,
-                                "escapes": summary.escapes,
-                                "aborted": summary.aborted_trajectories})
+    info = {"per_eps": [{"eps": eps, **counts} for eps, counts in zip(ladder, summary.per_level)]}
     return outputs, info
 
 

@@ -4,17 +4,22 @@ Trajectories advance with the explicit scheme
 
     x <- x + f(x) dt + sqrt(eps * dt) * sigma xi,   xi ~ N(0, I_m),
 
-run in a vectorized batch, and push retained states to a caller-supplied
-sink every ``sample_interval`` time units.  Each trajectory owns an
-independent counter-based RNG substream derived from (seed, index), so
-the per-trajectory sample streams are reproducible bit for bit and do
-not depend on chunking internals.
+and push retained states to a caller-supplied sink every
+``sample_interval`` time units.  One call advances a whole noise ladder:
+the K levels' trajectories form one (K * n_traj, n) state array that a
+single step loop moves, each row scaled by its own level's
+sqrt(eps * dt).  Each trajectory owns an independent counter-based RNG
+substream, the ``SeedSequence(seed).spawn(n_traj)`` children of its
+level's seed, so a level's noise, states and samples are bit for bit
+those of a call with that level alone.  Normals are drawn
+``_CHUNK_STEPS`` steps at a time into a step-major buffer of
+``_CHUNK_STEPS * K * n_traj * m`` float64 values (2 KiB per trajectory
+and noise dimension); the streams do not depend on the chunk size.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -26,7 +31,7 @@ __all__ = [
     "sample_attractor",
 ]
 
-_CHUNK_STEPS = 4096
+_CHUNK_STEPS = 256
 
 
 @dataclass
@@ -72,31 +77,59 @@ class SimConfig:
 
 @dataclass
 class SimSummary:
+    """Counts of one call, summed over its levels; ``per_level`` holds one
+    ``{"samples", "escapes", "aborted"}`` dict of ints per level, in order."""
+
     steps_taken: int
     samples_emitted: int
     escapes: int
     aborted_trajectories: int
+    per_level: list
 
 
 def _trajectory_generators(seed, n_traj):
-    # One Philox stream per trajectory, split from the run seed.
+    # One Philox stream per trajectory, split from the level's seed.
     root = np.random.SeedSequence(seed)
     return [np.random.Generator(np.random.Philox(s)) for s in root.spawn(n_traj)]
 
 
-def simulate_ensemble(system, cfg: SimConfig, sink: Callable[[np.ndarray], None]) -> SimSummary:
-    """Run the ensemble and stream retained states into ``sink``.
+def _ladder(cfgs, sinks, dim):
+    """The levels and their sinks as lists, and the domain box (lo, hi) the
+    levels share; they may differ only in epsilon and seed."""
+    if isinstance(cfgs, SimConfig):
+        cfgs = [cfgs]
+    if callable(sinks):
+        sinks = [sinks]
+    cfgs, sinks = list(cfgs), list(sinks)
+    if not cfgs or len(sinks) != len(cfgs):
+        raise ValueError(f"need one sink per level, got {len(sinks)} for {len(cfgs)}")
+    for cfg in cfgs:
+        lo, hi = cfg.validate(dim)
+        for f in fields(SimConfig):
+            if f.name not in ("epsilon", "seed") and not np.array_equal(
+                    getattr(cfg, f.name), getattr(cfgs[0], f.name)):
+                raise ValueError(f"levels may differ only in epsilon and seed, not {f.name}")
+    return cfgs, sinks, lo, hi
 
-    ``sink`` receives arrays of shape (k, n) holding one retained state per
-    live trajectory.  With escape_policy="restart_at_last_inside", a step
-    that exits the domain box is rolled back to the previous state and
-    counted; rolled-back states are re-sampled as usual, so no emitted
-    sample lies outside the box.  Trajectories hitting a non-finite state
-    are frozen and excluded from sampling.
+
+def simulate_ensemble(system, cfgs, sinks) -> SimSummary:
+    """Run one or several levels and stream retained states into their sinks.
+
+    ``cfgs`` is one SimConfig or a list of them, and ``sinks`` one callable
+    or a list with one per level.  Level i's sink receives arrays of shape
+    (k, n) holding one retained state per live trajectory of that level.
+    With escape_policy="restart_at_last_inside", a step that exits the
+    domain box is rolled back to the previous state and counted;
+    rolled-back states are re-sampled as usual, so no emitted sample lies
+    outside the box.  Trajectories hitting a non-finite state are frozen
+    and excluded from sampling.
     """
     n = system.dim_state
     m = system.dim_noise
-    lo, hi = cfg.validate(n)
+    cfgs, sinks, lo, hi = _ladder(cfgs, sinks, n)
+    cfg = cfgs[0]
+    n_levels, n_traj = len(cfgs), cfg.n_traj
+    rows = n_levels * n_traj
 
     n_steps = round(cfg.total_time / cfg.dt)
     sample_every = round(cfg.sample_interval / cfg.dt)
@@ -105,48 +138,56 @@ def simulate_ensemble(system, cfg: SimConfig, sink: Callable[[np.ndarray], None]
     x0 = np.asarray(cfg.x0, dtype=float) if cfg.x0 is not None else 0.5 * (lo + hi)
     if x0.shape != (n,):
         raise ValueError("x0 has wrong dimension")
-    x = np.tile(x0, (cfg.n_traj, 1))
-    alive = np.ones(cfg.n_traj, dtype=bool)
+    x = np.tile(x0, (rows, 1))
+    alive = np.ones(rows, dtype=bool)
+    steps_done = np.full(rows, n_steps)  # live steps per row; a row stops counting when it aborts
 
-    gens = _trajectory_generators(cfg.seed, cfg.n_traj)
-    sqrt_noise = np.sqrt(cfg.epsilon * cfg.dt)
+    gens = [g for c in cfgs for g in _trajectory_generators(c.seed, n_traj)]
+    sqrt_noise = np.repeat([np.sqrt(c.epsilon * c.dt) for c in cfgs], n_traj)[:, None]
     sigma_t = system.sigma_constant.T
     restart = cfg.escape_policy == "restart_at_last_inside"
+    levels = [slice(i * n_traj, (i + 1) * n_traj) for i in range(n_levels)]
 
-    escapes = 0
-    emitted = 0
-    steps_taken = 0
-    noise = np.empty((cfg.n_traj, _CHUNK_STEPS, m))
+    escapes = np.zeros(n_levels, dtype=np.int64)
+    emitted = np.zeros(n_levels, dtype=np.int64)
+    noise = np.empty((min(_CHUNK_STEPS, n_steps), rows, m))  # step-major: noise[k] is one step
 
     step = 0
     while step < n_steps:
         chunk = min(_CHUNK_STEPS, n_steps - step)
         for j, g in enumerate(gens):
-            noise[j, :chunk] = g.standard_normal((chunk, m))
+            noise[:chunk, j] = g.standard_normal((chunk, m))
         for k in range(chunk):
             step += 1
-            x_new = x + system.drift(x) * cfg.dt + sqrt_noise * (noise[:, k, :] @ sigma_t)
-            bad = ~np.all(np.isfinite(x_new), axis=1)
-            if bad.any():
+            # np.dot, not @: for m = 1, matmul's (rows, 1) @ (1, 1) costs several times more.
+            x_new = x + system.drift(x) * cfg.dt + sqrt_noise * np.dot(noise[k], sigma_t)
+            # Checked every step, not per chunk, so a non-finite row is frozen before a sample.
+            if not np.isfinite(x_new).all():
+                bad = ~np.all(np.isfinite(x_new), axis=1)
                 x_new[bad] = x[bad]
+                steps_done[bad & alive] = step - 1
                 alive &= ~bad
-            if restart:
+            if restart and ((x_new < lo).any() or (x_new > hi).any()):
                 out = np.any((x_new < lo) | (x_new > hi), axis=1) & alive
                 if out.any():
                     x_new[out] = x[out]
-                    escapes += int(out.sum())
+                    escapes += out.reshape(n_levels, n_traj).sum(axis=1)
             x = x_new
-            steps_taken += int(alive.sum())
-            if step > burn_in_steps and step % sample_every == 0 and alive.any():
-                batch = x[alive]
-                sink(batch)
-                emitted += batch.shape[0]
+            if step > burn_in_steps and step % sample_every == 0:
+                for i, (level, sink) in enumerate(zip(levels, sinks)):
+                    batch = x[level][alive[level]]
+                    if batch.shape[0]:
+                        sink(batch)
+                        emitted[i] += batch.shape[0]
 
+    aborted = (~alive).reshape(n_levels, n_traj).sum(axis=1)
     return SimSummary(
-        steps_taken=steps_taken,
-        samples_emitted=emitted,
-        escapes=escapes,
-        aborted_trajectories=int((~alive).sum()),
+        steps_taken=int(steps_done.sum()),
+        samples_emitted=int(emitted.sum()),
+        escapes=int(escapes.sum()),
+        aborted_trajectories=int(aborted.sum()),
+        per_level=[{"samples": int(s), "escapes": int(e), "aborted": int(a)}
+                   for s, e, a in zip(emitted, escapes, aborted)],
     )
 
 

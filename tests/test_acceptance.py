@@ -57,16 +57,14 @@ def ou_histograms():
     """10 noise levels, exactly 10^6 retained samples each (dT = 200 dt)."""
     system = make_benchmark("ou1d")
     grid = GridSpec((-2.0,), (2.0,), (OU_BINS,))
-    hists = []
     t0 = time.time()
-    for i, eps in enumerate(OU_LADDER):
-        hist = DensityHistogram(grid, eps)
-        cfg = SimConfig(epsilon=eps, dt=0.01, total_time=2020.0, n_traj=1000,
-                        sample_interval=2.0, seed=77001 + i,
-                        domain=(grid.lower_arr, grid.upper_arr))
-        simulate_ensemble(system, cfg, hist.add_batch)
-        assert hist.total == 1_000_000
-        hists.append(hist)
+    hists = [DensityHistogram(grid, eps) for eps in OU_LADDER]
+    cfgs = [SimConfig(epsilon=eps, dt=0.01, total_time=2020.0, n_traj=1000,
+                      sample_interval=2.0, seed=77001 + i,
+                      domain=(grid.lower_arr, grid.upper_arr))
+            for i, eps in enumerate(OU_LADDER)]
+    simulate_ensemble(system, cfgs, [h.add_batch for h in hists])
+    assert all(hist.total == 1_000_000 for hist in hists)
     return grid, hists, time.time() - t0
 
 
@@ -132,14 +130,12 @@ def test_criterion_2_chi2_validation(ou_histograms):
 
     # contrast run: dT = dt makes samples strongly correlated
     system = make_benchmark("ou1d")
-    hists_fast = []
-    for i, eps in enumerate(OU_LADDER):
-        hist = DensityHistogram(grid, eps)
-        cfg = SimConfig(epsilon=eps, dt=0.01, total_time=110.0, n_traj=100,
-                        sample_interval=0.01, seed=88001 + i,
-                        domain=(grid.lower_arr, grid.upper_arr))
-        simulate_ensemble(system, cfg, hist.add_batch)
-        hists_fast.append(hist)
+    hists_fast = [DensityHistogram(grid, eps) for eps in OU_LADDER]
+    cfgs = [SimConfig(epsilon=eps, dt=0.01, total_time=110.0, n_traj=100,
+                      sample_interval=0.01, seed=88001 + i,
+                      domain=(grid.lower_arr, grid.upper_arr))
+            for i, eps in enumerate(OU_LADDER)]
+    simulate_ensemble(system, cfgs, [h.add_batch for h in hists_fast])
     results_fast = _regress_all_bins(grid, hists_fast, OU_MIN_COUNT)
     full_fast = [r for r in results_fast if r is not None and r.reliable
                  and r.used_rows == len(OU_LADDER)]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from deepwkb import simulate
 from deepwkb.models import SdeSystem, make_benchmark
 from deepwkb.simulate import SimConfig, integrate_ode, sample_attractor, simulate_ensemble
 
@@ -145,6 +146,122 @@ def test_nonfinite_trajectory_aborts():
                     x0=np.array([2.0]), burn_in_fraction=0.0)
     summary = simulate_ensemble(bomb, cfg, Collector())
     assert summary.aborted_trajectories == 3
+    # x runs 2, 6, 114, 7e5, 2e17, 4e51, 3e154 and overflows on step 7;
+    # steps_taken counts the six steps each row lived.
+    assert summary.steps_taken == 3 * 6
+
+
+def run_ladder(system, cfgs):
+    sinks = [Collector() for _ in cfgs]
+    return simulate_ensemble(system, cfgs, sinks), sinks
+
+
+def assert_ladder_matches_single_levels(system, cfgs):
+    """A K-level call emits, per level, the batches (same order, same
+    bits) and the counts of K separate one-level calls."""
+    summary, sinks = run_ladder(system, cfgs)
+    steps = 0
+    for cfg, sink, counts in zip(cfgs, sinks, summary.per_level):
+        alone = Collector()
+        single = simulate_ensemble(system, cfg, alone)
+        assert len(sink.batches) == len(alone.batches)
+        for got, want in zip(sink.batches, alone.batches):
+            assert np.array_equal(got, want)
+        assert counts == single.per_level[0] == {
+            "samples": single.samples_emitted, "escapes": single.escapes,
+            "aborted": single.aborted_trajectories}
+        steps += single.steps_taken
+    assert summary.steps_taken == steps
+    assert summary.samples_emitted == sum(c["samples"] for c in summary.per_level)
+    assert summary.escapes == sum(c["escapes"] for c in summary.per_level)
+    assert summary.aborted_trajectories == sum(c["aborted"] for c in summary.per_level)
+    return summary, sinks
+
+
+def ou_restart_ladder():
+    return [ou_config(epsilon=eps, total_time=20.0, n_traj=5, seed=seed,
+                      domain=(np.array([-0.5]), np.array([0.5])),
+                      escape_policy="restart_at_last_inside")
+            for eps, seed in ((0.5, 3), (2.0, 5), (1.0, 4))]
+
+
+def test_ladder_matches_single_levels_ou_with_escapes(ou1d):
+    summary, _ = assert_ladder_matches_single_levels(ou1d, ou_restart_ladder())
+    escapes = [c["escapes"] for c in summary.per_level]
+    assert min(escapes) > 0 and len(set(escapes)) == 3
+
+
+def figure8_ladder():
+    return [SimConfig(epsilon=eps, dt=0.01, total_time=10.0, n_traj=4,
+                      sample_interval=0.1, seed=seed,
+                      domain=(np.array([-3.5, -2.5]), np.array([3.5, 2.5])),
+                      escape_policy="restart_at_last_inside", x0=np.array([0.0, 1.0]),
+                      burn_in_fraction=0.2)
+            for eps, seed in ((0.05, 21), (0.2, 22), (0.1, 23))]
+
+
+def test_ladder_matches_single_levels_figure8():
+    sys_ = make_benchmark("figure8")
+    assert sys_.dim_noise == 2
+    assert_ladder_matches_single_levels(sys_, figure8_ladder())
+
+
+@pytest.mark.parametrize("chunk", [1, 7, simulate._CHUNK_STEPS])
+@pytest.mark.parametrize("name, ladder", [("ou1d", ou_restart_ladder),
+                                          ("figure8", figure8_ladder)])
+def test_results_do_not_depend_on_chunk_size(monkeypatch, chunk, name, ladder):
+    # 2000 and 1000 steps: neither 7 nor the default divides them, so the
+    # last chunk is short.
+    sys_ = make_benchmark(name)
+    reference, ref_sinks = run_ladder(sys_, ladder())
+    monkeypatch.setattr(simulate, "_CHUNK_STEPS", chunk)
+    summary, sinks = run_ladder(sys_, ladder())
+    assert summary == reference
+    for got, want in zip(sinks, ref_sinks):
+        assert np.array_equal(got.stacked(), want.stacked())
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_aborts_stay_within_their_level():
+    # f = x^3 - x: a well at 0 with barriers at +-1, beyond which Euler
+    # steps blow up.  Only the loudest level crosses them.
+    def drift(x):
+        x = np.atleast_2d(x)
+        return x**3 - x
+
+    well = SdeSystem(dim_state=1, dim_noise=1, drift=drift,
+                     drift_jacobian=lambda x: 3 * np.atleast_2d(x)[:, :, None] ** 2 - 1,
+                     drift_divergence=lambda x: 3 * np.atleast_2d(x)[:, 0] ** 2 - 1,
+                     attractor_dim=0, sigma_constant=np.eye(1))
+    cfgs = [SimConfig(epsilon=eps, dt=0.1, total_time=50.0, n_traj=6,
+                      sample_interval=0.5, seed=seed,
+                      domain=(np.array([-1e9]), np.array([1e9])),
+                      x0=np.array([0.0]), burn_in_fraction=0.0)
+            for eps, seed in ((0.01, 1), (3.0, 2), (0.02, 3))]
+    summary, sinks = assert_ladder_matches_single_levels(well, cfgs)
+    assert all(np.isfinite(sink.stacked()).all() for sink in sinks)
+    aborted = [c["aborted"] for c in summary.per_level]
+    assert aborted[0] == aborted[2] == 0 and aborted[1] > 0
+    n_samples = 100 * 6
+    assert summary.per_level[0]["samples"] == summary.per_level[2]["samples"] == n_samples
+    assert summary.per_level[1]["samples"] < n_samples
+
+
+@pytest.mark.parametrize("field, value", [
+    ("dt", 0.02), ("n_traj", 5), ("x0", np.array([0.25])),
+    ("escape_policy", "restart_at_last_inside"), ("burn_in_fraction", 0.1),
+    ("total_time", 40.0), ("sample_interval", 0.2),
+    ("domain", (np.array([-5.0]), np.array([6.0]))),
+])
+def test_levels_may_differ_only_in_epsilon_and_seed(ou1d, field, value):
+    cfgs = [ou_config(), ou_config(epsilon=0.7, seed=100, **{field: value})]
+    with pytest.raises(ValueError, match=field):
+        simulate_ensemble(ou1d, cfgs, [Collector(), Collector()])
+
+
+def test_one_sink_per_level(ou1d):
+    with pytest.raises(ValueError, match="sink"):
+        simulate_ensemble(ou1d, [ou_config(), ou_config(seed=1)], [Collector()])
 
 
 def test_integrate_ode_fixed_point():

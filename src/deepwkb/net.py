@@ -127,11 +127,12 @@ class MlpParams:
         return mask
 
     def l2_gradient(self):
-        """lambda * weights, zero on biases."""
-        g = np.zeros(self.size)
-        m = self.weight_mask()
-        g[m] = self.spec.l2_lambda * self.flat[m]
-        return g
+        """lambda * weights, zero on biases, written layer by layer: masked
+        gathers would allocate three parameter-sized temporaries per step."""
+        g = MlpParams(self.spec)
+        for (gw, _), (w, _) in zip(g.layers, self.layers):
+            np.multiply(self.spec.l2_lambda, w, out=gw)
+        return g.flat
 
 
 SIGMOID_INIT_GAIN = 4.0
@@ -159,74 +160,64 @@ def init_params(spec: MlpSpec, seed) -> MlpParams:
 
 
 def _forward_trace(params, xb):
-    """Pre-activations and activations for every layer."""
+    """Activations of every layer: the input, the sigmoid outputs of the
+    hidden layers, then the linear output."""
     n_layers = params.spec.n_layers
-    a = xb
-    zs, acts = [], [xb]
+    acts = [xb]
     for l, (w, b) in enumerate(params.layers):
-        z = a @ w.T + b
-        zs.append(z)
-        a = z if l == n_layers - 1 else expit(z)
-        acts.append(a)
-    return zs, acts
+        z = acts[-1] @ w.T + b
+        acts.append(z if l == n_layers - 1 else expit(z))
+    return acts
 
 
 def forward(params: MlpParams, x):
     """Network outputs (B,) for a (B, n) batch."""
-    _, acts = _forward_trace(params, _as_batch(x, params.spec.dim_in))
-    return acts[-1][:, 0]
+    return _forward_trace(params, _as_batch(x, params.spec.dim_in))[-1][:, 0]
 
 
-def _sigma_prime(z):
-    s = expit(z)
+# The sigmoid derivatives, written in terms of the sigmoid value s = expit(z)
+# that the forward trace already holds.
+
+def _sigma_prime(s):
     return s * (1.0 - s)
 
 
-def _sigma_prime2(z):
-    s = expit(z)
+def _sigma_prime2(s):
     return s * (1.0 - s) * (1.0 - 2.0 * s)
 
 
-def grad_params(params: MlpParams, x, upstream, l2_lambda=None) -> np.ndarray:
-    """Flat gradient of  sum_b upstream_b * NN(x_b)  plus the L2 term.
+def grad_params(params: MlpParams, x, upstream) -> np.ndarray:
+    """Flat gradient of  sum_b upstream_b * NN(x_b)  over the parameters.
 
-    ``upstream`` holds one coefficient per batch row.  The L2 term is
-    lambda * weights (biases untouched); pass l2_lambda=0.0 to obtain the
-    bare data gradient.
+    ``upstream`` holds one coefficient per batch row.  No weight penalty
+    is added here: the losses add ``params.l2_gradient()`` once.
     """
     xb = _as_batch(x, params.spec.dim_in)
     ups = np.asarray(upstream, dtype=float)
     if ups.shape != (xb.shape[0],):
         raise ValueError("upstream has wrong shape")
-    lam = params.spec.l2_lambda if l2_lambda is None else l2_lambda
 
-    zs, acts = _forward_trace(params, xb)
-    n_layers = params.spec.n_layers
+    acts = _forward_trace(params, xb)
     grad = MlpParams(params.spec)
     delta = ups[:, None]  # d(sum ups*y)/d z_L
-    for l in range(n_layers - 1, -1, -1):
+    for l in range(params.spec.n_layers - 1, -1, -1):
         w, _ = params.layers[l]
         gw, gb = grad.layers[l]
         gw += delta.T @ acts[l]
         gb += delta.sum(axis=0)
         if l > 0:
-            delta = (delta @ w) * _sigma_prime(zs[l - 1])
-    out = grad.flat
-    if lam:
-        m = grad.weight_mask()
-        out[m] += lam * params.flat[m]
-    return out
+            delta = (delta @ w) * _sigma_prime(acts[l])
+    return grad.flat
 
 
 def grad_input(params: MlpParams, x):
     """Input gradients grad_x NN(x_b), shape (B, n)."""
     xb = _as_batch(x, params.spec.dim_in)
-    zs, _ = _forward_trace(params, xb)
-    n_layers = params.spec.n_layers
+    acts = _forward_trace(params, xb)
     delta = np.ones((xb.shape[0], 1))
-    for l in range(n_layers - 1, 0, -1):
+    for l in range(params.spec.n_layers - 1, 0, -1):
         w, _ = params.layers[l]
-        delta = (delta @ w) * _sigma_prime(zs[l - 1])
+        delta = (delta @ w) * _sigma_prime(acts[l])
     return delta @ params.layers[0][0]
 
 
@@ -242,7 +233,7 @@ def hessian_input(params: MlpParams, x):
     bsz = xb.shape[0]
     n_layers = params.spec.n_layers
 
-    zs, _ = _forward_trace(params, xb)
+    acts = _forward_trace(params, xb)
     # Forward tangents zdot[l][b, i, t] = d z_l,i / d x_t.
     zdots = []
     adot = np.broadcast_to(np.eye(n), (bsz, n, n))
@@ -250,7 +241,7 @@ def hessian_input(params: MlpParams, x):
         zdot = np.einsum("oi,bit->bot", w, adot, optimize=True)
         zdots.append(zdot)
         if l < n_layers - 1:
-            adot = _sigma_prime(zs[l])[:, :, None] * zdot
+            adot = _sigma_prime(acts[l + 1])[:, :, None] * zdot
 
     # Adjoint values and their tangents.
     delta = np.ones((bsz, 1))
@@ -259,8 +250,8 @@ def hessian_input(params: MlpParams, x):
         w, _ = params.layers[l]
         s = delta @ w
         s_dot = np.einsum("bot,oi->bit", delta_dot, w, optimize=True)
-        sp = _sigma_prime(zs[l - 1])
-        spp = _sigma_prime2(zs[l - 1])
+        sp = _sigma_prime(acts[l])
+        spp = _sigma_prime2(acts[l])
         delta = s * sp
         delta_dot = s_dot * sp[:, :, None] + (s * spp)[:, :, None] * zdots[l - 1]
     w1 = params.layers[0][0]
@@ -285,14 +276,14 @@ def grad_params_of_directional_input_grad(params: MlpParams, x, w_dir, coeff) ->
         raise ValueError("coeff must hold one value per batch row")
 
     n_layers = params.spec.n_layers
-    zs, acts = _forward_trace(params, xb)
+    acts = _forward_trace(params, xb)
     # Forward tangent pass in direction w: zdot_l, adot_l.
     zdots, adots = [], [wb]
     adot = wb
     for l, (wmat, _) in enumerate(params.layers):
         zdot = adot @ wmat.T
         zdots.append(zdot)
-        adot = zdot if l == n_layers - 1 else _sigma_prime(zs[l]) * zdot
+        adot = zdot if l == n_layers - 1 else _sigma_prime(acts[l + 1]) * zdot
         adots.append(adot)
 
     grad = MlpParams(params.spec)
@@ -305,8 +296,8 @@ def grad_params_of_directional_input_grad(params: MlpParams, x, w_dir, coeff) ->
             z_bar = a_bar
             r = q
         else:
-            sp = _sigma_prime(zs[l])
-            spp = _sigma_prime2(zs[l])
+            sp = _sigma_prime(acts[l + 1])
+            spp = _sigma_prime2(acts[l + 1])
             z_bar = sp * a_bar + spp * zdots[l] * q
             r = sp * q
         gw, gb = grad.layers[l]
@@ -347,12 +338,23 @@ def adam_step(state: AdamState, params: MlpParams, grads):
     if not np.all(np.isfinite(g)):
         state.rejected += 1
         return state, params
+    # In place, through three temporaries, in the operation order of
+    # lr * m_hat / (sqrt(v_hat) + floor): fresh parameter-sized arrays on
+    # every step cost page faults whose price varies from run to run.
     state.t += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
-    m_hat = state.m / (1.0 - state.beta1 ** state.t)
-    v_hat = state.v / (1.0 - state.beta2 ** state.t)
-    params.flat -= state.lr * m_hat / (np.sqrt(v_hat) + state.floor)
+    state.m *= state.beta1
+    state.m += (1.0 - state.beta1) * g
+    g2 = (1.0 - state.beta2) * g
+    g2 *= g
+    state.v *= state.beta2
+    state.v += g2
+    step = np.divide(state.m, 1.0 - state.beta1 ** state.t)
+    denom = np.divide(state.v, 1.0 - state.beta2 ** state.t, out=g2)
+    np.sqrt(denom, out=denom)
+    denom += state.floor
+    step *= state.lr
+    step /= denom
+    params.flat -= step
     return state, params
 
 

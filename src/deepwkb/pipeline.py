@@ -17,6 +17,7 @@ stays bitwise reproducible across identical runs.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import json
 import time
@@ -74,11 +75,12 @@ _STAGE_PARENT = {
     "fp-residual": "evaluate",
 }
 
-_TRAIN_DEFAULTS = {
-    "epochs": 200, "batch_size": 128, "lr1": 2e-4, "lr2": 5e-4, "lr3": 1e-4,
-    "fine_tune_epochs": 20, "fine_tune_factor": 0.1, "widths": None,
-    "l2_lambda": 1e-3,
-}
+# Both training sections start from QpTrainConfig's defaults.  The seed is
+# derived per stage; train-z has no far field, artificial value or residual cap.
+_TRAIN_V_DEFAULTS = {k: v for k, v in dataclasses.asdict(QpTrainConfig()).items()
+                     if k != "seed"}
+_TRAIN_Z_DEFAULTS = {k: v for k, v in _TRAIN_V_DEFAULTS.items()
+                     if k not in ("residual_count", "artificial_value", "far_field_density")}
 
 DEFAULT_CONFIG = {
     "version": CONFIG_VERSION,
@@ -94,11 +96,10 @@ DEFAULT_CONFIG = {
     "collocation": {"m_points": 1000, "traj_fraction": 0.5,
                     "min_count": 20, "far_field_percentile": 95.0},
     "validate": {"significance": 0.01},
-    "train_v": dict(_TRAIN_DEFAULTS, residual_count=None,
-                    artificial_value=None, far_field_density=1e-6),
+    "train_v": _TRAIN_V_DEFAULTS,
     "expand": {"level": 0.05, "count": 50, "step": 1e-4, "v_max": 0.4,
                "samples_per_curve": 20, "rel_band": 0.1, "refine_epochs": 50},
-    "train_z": dict(_TRAIN_DEFAULTS, y2_regression=3000, y2_transport=3000,
+    "train_z": dict(_TRAIN_Z_DEFAULTS, y2_regression=3000, y2_transport=3000,
                     y3=4000),
     "evaluate": {"eps": None},
 }
@@ -108,11 +109,16 @@ class DependencyError(RuntimeError):
     pass
 
 
-def _deep_merge(base, override):
+def _deep_merge(base, override, where=""):
+    """``override`` merged into a copy of ``base``.  A key ``base`` lacks is
+    an error, except under benchmark.params, which make_benchmark checks."""
     out = copy.deepcopy(base)
     for key, val in override.items():
-        if key in out and isinstance(out[key], dict) and isinstance(val, dict):
-            out[key] = _deep_merge(out[key], val)
+        name = where + key
+        if key not in out:
+            raise ValueError(f"unknown config key {name!r}")
+        if isinstance(out[key], dict) and isinstance(val, dict) and name != "benchmark.params":
+            out[key] = _deep_merge(out[key], val, name + ".")
         else:
             out[key] = copy.deepcopy(val)
     return out
@@ -154,36 +160,14 @@ class RunConfig:
         return GridSpec(tuple(g["lower"]), tuple(g["upper"]), tuple(g["bins"]))
 
     def train_cfg(self, section, seed) -> QpTrainConfig:
-        s = self.data[section]
-        cfg = QpTrainConfig(
-            epochs=s["epochs"], batch_size=s["batch_size"],
-            lr1=s["lr1"], lr2=s["lr2"], lr3=s["lr3"],
-            fine_tune_epochs=s["fine_tune_epochs"],
-            fine_tune_factor=s["fine_tune_factor"],
-            widths=None if s["widths"] is None else tuple(s["widths"]),
-            l2_lambda=s["l2_lambda"], seed=seed,
-        )
-        if section == "train_v":
-            cfg.residual_count = s["residual_count"]
-            cfg.artificial_value = s["artificial_value"]
-            cfg.far_field_density = s["far_field_density"]
-        return cfg
-
-    # -- (de)serialization -------------------------------------------------
-
-    def serialize(self) -> str:
-        return json.dumps(self.data, sort_keys=True, indent=2) + "\n"
-
-    @classmethod
-    def parse(cls, text) -> "RunConfig":
-        return cls(json.loads(text))
+        s = {k: v for k, v in self.data[section].items() if k in _TRAIN_V_DEFAULTS}
+        if s["widths"] is not None:
+            s["widths"] = tuple(s["widths"])
+        return QpTrainConfig(**s, seed=seed)
 
     @classmethod
     def load(cls, path) -> "RunConfig":
-        return cls.parse(Path(path).read_text())
-
-    def save(self, path):
-        Path(path).write_text(self.serialize())
+        return cls(json.loads(Path(path).read_text()))
 
     def stage_hash(self, stage) -> str:
         parent = _STAGE_PARENT[stage]

@@ -102,7 +102,8 @@ class InsufficientRowsError(ValueError):
 
 
 def solve_rescaled_ls(design, d_weights, response):
-    """Solve  min_beta ||D A beta - D u||^2  via QR; returns (beta, r, ||r||^2).
+    """Solve  min_beta ||D A beta - D u||^2  via QR; returns
+    (beta, r, ||r||^2, R) with R the triangular factor of D A.
 
     The residual is  r = D A beta - D u.  Duplicate noise levels make
     D A rank deficient and raise.
@@ -115,7 +116,7 @@ def solve_rescaled_ls(design, d_weights, response):
         raise np.linalg.LinAlgError("design matrix is rank deficient")
     beta = np.linalg.solve(rmat, q.T @ du)
     resid = da @ beta - du
-    return beta, resid, float(resid @ resid)
+    return beta, resid, float(resid @ resid), rmat
 
 
 def regress_point(data: PointData, dims, point,
@@ -132,10 +133,10 @@ def regress_point(data: PointData, dims, point,
     except InsufficientRowsError:
         return None
     design = build_design_matrix(data.eps[keep])
-    beta, _, rss = solve_rescaled_ls(design, dw, response)
-    beta_plain, _, rss_plain = solve_rescaled_ls(design, np.ones_like(dw), response)
+    beta, _, rss, rmat = solve_rescaled_ls(design, dw, response)
+    _, _, rss_plain, _ = solve_rescaled_ls(design, np.ones_like(dw), response)
     # covariance R^-1 R^-T of the rescaled fit: its diagonal is the row sums of R^-1 squared
-    rinv = np.linalg.inv(np.linalg.qr(dw[:, None] * design, mode="r"))
+    rinv = np.linalg.inv(rmat)
     se = np.sqrt(np.sum(rinv**2, axis=1))
     used = int(keep.sum())
     v_hat = float(beta[0])

@@ -9,11 +9,14 @@ the cheap fix):
 * X2, regression targets: L2 = mean[ (V - V_hat)^2 + max(0, -V) ]
 * X3, residual points:    L3 = mean[ (f . grad V + 1/2 grad V^T A grad V)^2 ]
 
-The hinge terms keep V nonnegative, X1 pins the zero level set and L3 is
-what stops the fit from drifting away from a genuine Hamilton-Jacobi
-solution.  Because that equation is scale invariant, the trained network
-represents alpha * V for some alpha near one; the scale is recovered
-afterwards by comparing network outputs with the regression targets.
+L1 and L2 are one hinged target fit (``fit_loss``, target 0 on X1) and
+L3 is the squared ``hj_residual``.  The hinges keep V nonnegative, X1
+pins the zero level set and L3 keeps the fit a Hamilton-Jacobi solution.
+
+The output is divided by alpha (``estimate_alpha``), which is no symmetry
+of the equation: if V solves it, alpha * V leaves the residual
+alpha (1 - alpha) f . grad V.  So alpha -> 0 trivially solves L1 + L3,
+and V / alpha with alpha != 1 solves no Hamilton-Jacobi equation.
 
 Every point set is a (B, n) batch, and the accessors of TrainedQp take
 and return batches: V as (B,), grad V as (B, n), its Hessian as
@@ -35,6 +38,7 @@ __all__ = [
     "TrainedQp",
     "TrainingDiverged",
     "hj_residual",
+    "fit_loss",
     "assemble_qp_sets",
     "qp_loss",
     "train_qp",
@@ -44,12 +48,12 @@ __all__ = [
 
 ALPHA_TARGET_FLOOR = 0.05
 ALPHA_MIN_POINTS = 10
+# Loss members (attractor fit, residual) that keep training after the main epochs.
+FINE_TUNE_MEMBERS = (0, 2)
 
 
 class TrainingDiverged(RuntimeError):
-    def __init__(self, message, params=None):
-        super().__init__(message)
-        self.params = params
+    """A loss became non-finite during training."""
 
 
 @dataclass
@@ -59,7 +63,7 @@ class QpTrainingSets:
     x2_targets: np.ndarray         # (M2,)
     x2_artificial: np.ndarray      # (M2,) bool
     x3: np.ndarray                 # (M3, n) residual points
-    x2_is_reference: np.ndarray | None = None  # regression-backed targets
+    x2_is_reference: np.ndarray | None = None  # regression-backed, never artificial
 
     def __post_init__(self):
         if self.x2_is_reference is None:
@@ -97,9 +101,15 @@ class QpTrainConfig:
             raise ValueError("learning rates must be positive")
 
 
+def new_params(cfg: QpTrainConfig, system) -> MlpParams:
+    """A freshly initialized network for ``cfg`` on ``system``'s state space."""
+    widths = cfg.widths or net.default_widths(system.dim_state)
+    return net.init_params(MlpSpec(widths=widths, l2_lambda=cfg.l2_lambda), seed=cfg.seed)
+
+
 @dataclass
 class TrainedQp:
-    """Quasi-potential network plus its scale correction alpha."""
+    """Quasi-potential network plus the output scale alpha it is divided by."""
 
     params: MlpParams
     alpha: float
@@ -116,13 +126,31 @@ class TrainedQp:
 
 
 def hj_residual(system, grad_v, x):
-    """Hamilton-Jacobi residual  f . g + 1/2 g^T A g  for g = grad V.
+    """Hamilton-Jacobi residual  f . g + 1/2 g^T A g  for g = grad V, and
+    the characteristic direction  f + A g  that its parameter gradient
+    runs along.
 
-    ``grad_v`` and ``x`` are (B, n) batches; returns (B,).
+    ``grad_v`` and ``x`` are (B, n) batches; returns ((B,), (B, n)).
     """
     g = np.asarray(grad_v, dtype=float)
-    return np.einsum("bi,bi->b", system.drift(x), g) + \
-        0.5 * np.einsum("bi,ij,bj->b", g, system.a, g)
+    f = system.drift(x)
+    ag = g @ system.a.T
+    return np.einsum("bi,bi->b", f, g) + 0.5 * np.einsum("bi,bi->b", g, ag), f + ag
+
+
+def fit_loss(params: MlpParams, x, targets):
+    """Hinged target fit  mean[ (NN - y)^2 + max(0, -NN) ]  on a (B, n)
+    batch and its flat parameter gradient, without the weight penalty.
+
+    ``targets`` is (B,) or a scalar.  The hinge subgradient at exactly
+    zero is taken as zero.
+    """
+    x = np.asarray(x)
+    v = net.forward(params, x)
+    diff = v - np.asarray(targets)
+    value = float(np.mean(diff**2 + np.maximum(0.0, -v)))
+    upstream = (2.0 * diff - (v < 0.0)) / v.shape[0]
+    return value, net.grad_params(params, x, upstream)
 
 
 def assemble_qp_sets(attractor_points, points, regressions, cfg: QpTrainConfig,
@@ -139,41 +167,23 @@ def assemble_qp_sets(attractor_points, points, regressions, cfg: QpTrainConfig,
     are dropped.
     """
     points = np.asarray(points)
-    reliable_pts, reliable_targets = [], []
-    far_pts = []
-    for i in range(len(points)):
-        r = regressions[i]
-        if r is not None and r.reliable:
-            reliable_pts.append(points[i])
-            reliable_targets.append(r.v_hat)
-        else:
-            if largest_eps_density is None or largest_eps_density[i] < cfg.far_field_density:
-                far_pts.append(points[i])
-    if not reliable_pts:
+    reliable = np.array([r is not None and r.reliable for r in regressions], dtype=bool)
+    if not reliable.any():
         raise ValueError("no reliable regression targets for X2")
-    reliable_pts = np.asarray(reliable_pts)
-    reliable_targets = np.asarray(reliable_targets)
+    reliable_pts = points[reliable]
+    reliable_targets = np.array([r.v_hat for r, ok in zip(regressions, reliable) if ok])
+    far = ~reliable
+    if largest_eps_density is not None:
+        far &= np.asarray(largest_eps_density) < cfg.far_field_density
 
     c_value = cfg.artificial_value
     if c_value is None:
         c_value = 1.5 * float(np.percentile(reliable_targets, 95.0))
-
-    x2 = [reliable_pts]
-    t2 = [reliable_targets]
-    art = [np.zeros(len(reliable_pts), dtype=bool)]
-    ref = [np.ones(len(reliable_pts), dtype=bool)]
-    if expanded is not None:
-        exp_pts, exp_v = (np.asarray(a) for a in expanded)
-        if len(exp_pts):
-            x2.append(exp_pts)
-            t2.append(exp_v)
-            art.append(np.zeros(len(exp_pts), dtype=bool))
-            ref.append(np.zeros(len(exp_pts), dtype=bool))
-    elif far_pts:
-        x2.append(np.asarray(far_pts))
-        t2.append(np.full(len(far_pts), c_value))
-        art.append(np.ones(len(far_pts), dtype=bool))
-        ref.append(np.zeros(len(far_pts), dtype=bool))
+    if expanded is None:
+        extra_pts, extra_v = points[far], np.full(int(far.sum()), c_value)
+    else:
+        extra_pts, extra_v = (np.asarray(a) for a in expanded)
+    is_extra = np.arange(len(reliable_pts) + len(extra_pts)) >= len(reliable_pts)
 
     x3 = points
     if cfg.residual_count is not None and cfg.residual_count < len(points):
@@ -183,11 +193,11 @@ def assemble_qp_sets(attractor_points, points, regressions, cfg: QpTrainConfig,
 
     sets = QpTrainingSets(
         x1=np.asarray(attractor_points),
-        x2=np.concatenate(x2, axis=0),
-        x2_targets=np.concatenate(t2),
-        x2_artificial=np.concatenate(art),
+        x2=np.concatenate([reliable_pts, extra_pts]),
+        x2_targets=np.concatenate([reliable_targets, extra_v]),
+        x2_artificial=is_extra & (expanded is None),
         x3=np.asarray(x3),
-        x2_is_reference=np.concatenate(ref),
+        x2_is_reference=~is_extra,
     )
     sets.validate()
     return sets
@@ -197,35 +207,22 @@ def qp_loss(kind, params: MlpParams, batch, system):
     """Loss value and flat parameter gradient for one batch.
 
     ``batch`` is a point array for L1/L3 and a (points, targets) pair for
-    L2.  The hinge subgradient at exactly zero is taken as zero.  Every
-    gradient carries the L2 weight penalty once.
+    L2.  Every gradient carries the L2 weight penalty once.
     """
     if kind == "L1":
+        value, grad = fit_loss(params, batch, 0.0)
+    elif kind == "L2":
+        value, grad = fit_loss(params, *batch)
+    elif kind == "L3":
         x = np.asarray(batch)
-        v = net.forward(params, x)
-        value = float(np.mean(v**2 + np.maximum(0.0, -v)))
-        upstream = (2.0 * v - (v < 0.0)) / v.shape[0]
-        return value, net.grad_params(params, x, upstream)
-    if kind == "L2":
-        x, targets = batch
-        x = np.asarray(x)
-        v = net.forward(params, x)
-        diff = v - np.asarray(targets)
-        value = float(np.mean(diff**2 + np.maximum(0.0, -v)))
-        upstream = (2.0 * diff - (v < 0.0)) / v.shape[0]
-        return value, net.grad_params(params, x, upstream)
-    if kind == "L3":
-        x = np.asarray(batch)
-        g = net.grad_input(params, x)
-        f = system.drift(x)
-        ag = g @ system.a.T
-        resid = np.einsum("bi,bi->b", f, g) + 0.5 * np.einsum("bi,bi->b", g, ag)
+        resid, direction = hj_residual(system, net.grad_input(params, x), x)
         value = float(np.mean(resid**2))
-        coeff = 2.0 * resid / x.shape[0]
-        grad = net.grad_params_of_directional_input_grad(params, x, f + ag, coeff)
-        grad += params.l2_gradient()
-        return value, grad
-    raise ValueError(f"unknown loss kind {kind!r}")
+        grad = net.grad_params_of_directional_input_grad(params, x, direction,
+                                                         2.0 * resid / x.shape[0])
+    else:
+        raise ValueError(f"unknown loss kind {kind!r}")
+    grad += params.l2_gradient()
+    return value, grad
 
 
 def _epoch_indices(rng, size, n_batches, batch_size):
@@ -236,15 +233,15 @@ def _epoch_indices(rng, size, n_batches, batch_size):
     return [stream[k * batch_size:(k + 1) * batch_size] for k in range(n_batches)]
 
 
-def alternating_adam(params, members, cfg, seed, fine_tune_members=(0, 2)):
+def alternating_adam(params, members, cfg, seed):
     """Run the alternating-Adam schedule over loss members.
 
     ``members`` is a list of (name, set_size, make_batch, loss_fn, lr).
     Per epoch the largest member defines the number of batch triples;
     smaller members recycle their shuffled stream.  After the main epochs
-    the fine-tune members continue alone at a reduced rate.  Returns the
-    per-epoch mean-loss log.  Raises TrainingDiverged on a non-finite
-    loss.
+    the FINE_TUNE_MEMBERS (the first and the third) continue alone at a
+    reduced rate.  Returns the per-epoch mean-loss log and the Adam
+    states.  Raises TrainingDiverged on a non-finite loss.
     """
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     states = [AdamState.fresh(params, lr) for (_, _, _, _, lr) in members]
@@ -260,8 +257,7 @@ def alternating_adam(params, members, cfg, seed, fine_tune_members=(0, 2)):
                 name, _, make_batch, loss_fn, _ = members[i]
                 value, grad = loss_fn(params, make_batch(idx_streams[i][k]))
                 if not np.isfinite(value):
-                    raise TrainingDiverged(f"{name} became non-finite at epoch {epoch}",
-                                           params=params)
+                    raise TrainingDiverged(f"{name} became non-finite at epoch {epoch}")
                 net.adam_step(states[i], params, grad)
                 sums[i] += value
         log.append((epoch,) + tuple(sums[i] / n_batches if i in active else np.nan
@@ -269,10 +265,10 @@ def alternating_adam(params, members, cfg, seed, fine_tune_members=(0, 2)):
 
     for epoch in range(cfg.epochs):
         sweep(epoch, tuple(range(len(members))))
-    for i in fine_tune_members:
+    for i in FINE_TUNE_MEMBERS:
         states[i].lr *= cfg.fine_tune_factor
     for epoch in range(cfg.epochs, cfg.epochs + cfg.fine_tune_epochs):
-        sweep(epoch, tuple(fine_tune_members))
+        sweep(epoch, FINE_TUNE_MEMBERS)
     return log, states
 
 
@@ -287,12 +283,7 @@ def train_qp(sets: QpTrainingSets, cfg: QpTrainConfig, system,
     """
     cfg.validate()
     sets.validate()
-    if initial is not None:
-        params = initial.copy()
-    else:
-        widths = cfg.widths or net.default_widths(system.dim_state)
-        spec = MlpSpec(widths=widths, l2_lambda=cfg.l2_lambda)
-        params = net.init_params(spec, seed=cfg.seed)
+    params = new_params(cfg, system) if initial is None else initial.copy()
 
     members = [
         ("L1", sets.x1.shape[0], lambda idx: sets.x1[idx],
@@ -302,22 +293,21 @@ def train_qp(sets: QpTrainingSets, cfg: QpTrainConfig, system,
         ("L3", sets.x3.shape[0], lambda idx: sets.x3[idx],
          lambda p, b: qp_loss("L3", p, b, system), cfg.lr3),
     ]
-    log, _ = alternating_adam(params, members, cfg, cfg.seed, fine_tune_members=(0, 2))
+    log, _ = alternating_adam(params, members, cfg, cfg.seed)
 
     # Scale against the regression references only: curve-derived targets
     # inherit the previous network's scale and would bias the ratio.
-    good = sets.x2_is_reference & ~sets.x2_artificial
-    alpha = estimate_alpha(params, sets.x2[good], sets.x2_targets[good])
+    ref = sets.x2_is_reference
+    alpha = estimate_alpha(params, sets.x2[ref], sets.x2_targets[ref])
     return TrainedQp(params=params, alpha=alpha, log=log)
 
 
 def estimate_alpha(params: MlpParams, points, targets) -> float:
-    """Scale factor between the trained network and the regression targets.
-
-    The Hamilton-Jacobi equation fixes V only up to a constant factor, so
-    the network realizes alpha * V.  The median of the pointwise ratios
-    over the targets above ALPHA_TARGET_FLOOR (at least ALPHA_MIN_POINTS
-    of them) is robust to stray outliers.
+    """Scale factor between the trained network and the regression targets:
+    a fit diagnostic, since the Hamilton-Jacobi equation is not scale
+    invariant (see the module docstring).  The median of the pointwise
+    ratios over the targets above ALPHA_TARGET_FLOOR (at least
+    ALPHA_MIN_POINTS of them) is robust to stray outliers.
     """
     targets = np.asarray(targets, dtype=float)
     mask = targets > ALPHA_TARGET_FLOOR

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import net
-from .net import MlpParams, MlpSpec
-from .train_v import QpTrainConfig, alternating_adam
+from .net import MlpParams
+from .train_v import QpTrainConfig, alternating_adam, fit_loss, new_params
 
 __all__ = [
     "ZTrainingSets",
@@ -130,19 +130,13 @@ def assemble_z_sets(attractor, regressions, curves, counts, seed) -> ZTrainingSe
 def z_loss(kind, params_z: MlpParams, batch, system, trained_v):
     """Loss value and flat gradient for the prefactor network.
 
-    L1 and L2 fit targets with the nonnegativity hinge; L3 is the squared
+    L1 and L2 are the hinged target fit of ``fit_loss``; L3 is the squared
     transport residual (b . grad Z + c Z)^2 with coefficients frozen at
     the trained V.  Each gradient carries the weight penalty once.
     """
     if kind in ("L1", "L2"):
-        x, targets = batch
-        x = np.asarray(x)
-        z = net.forward(params_z, x)
-        diff = z - np.asarray(targets)
-        value = float(np.mean(diff**2 + np.maximum(0.0, -z)))
-        upstream = (2.0 * diff - (z < 0.0)) / z.shape[0]
-        return value, net.grad_params(params_z, x, upstream)
-    if kind == "L3":
+        value, grad = fit_loss(params_z, *batch)
+    elif kind == "L3":
         x = np.asarray(batch)
         b, c = transport_coefficients(system, trained_v, x)
         z = net.forward(params_z, x)
@@ -151,10 +145,11 @@ def z_loss(kind, params_z: MlpParams, batch, system, trained_v):
         value = float(np.mean(resid**2))
         coeff = 2.0 * resid / x.shape[0]
         grad = net.grad_params_of_directional_input_grad(params_z, x, b, coeff)
-        grad += net.grad_params(params_z, x, coeff * c, l2_lambda=0.0)
-        grad += params_z.l2_gradient()
-        return value, grad
-    raise ValueError(f"unknown loss kind {kind!r}")
+        grad += net.grad_params(params_z, x, coeff * c)
+    else:
+        raise ValueError(f"unknown loss kind {kind!r}")
+    grad += params_z.l2_gradient()
+    return value, grad
 
 
 def train_z(sets: ZTrainingSets, cfg: QpTrainConfig, system, trained_v) -> TrainedZ:
@@ -162,10 +157,7 @@ def train_z(sets: ZTrainingSets, cfg: QpTrainConfig, system, trained_v) -> Train
     the attractor targets and the transport residual."""
     cfg.validate()
     sets.validate()
-    widths = cfg.widths or net.default_widths(system.dim_state)
-    spec = MlpSpec(widths=widths, l2_lambda=cfg.l2_lambda)
-    params = net.init_params(spec, seed=cfg.seed)
-
+    params = new_params(cfg, system)
     members = [
         ("L1z", sets.y1.shape[0], lambda idx: (sets.y1[idx], sets.y1_targets[idx]),
          lambda p, b: z_loss("L1", p, b, system, trained_v), cfg.lr1),
@@ -174,5 +166,5 @@ def train_z(sets: ZTrainingSets, cfg: QpTrainConfig, system, trained_v) -> Train
         ("L3z", sets.y3.shape[0], lambda idx: sets.y3[idx],
          lambda p, b: z_loss("L3", p, b, system, trained_v), cfg.lr3),
     ]
-    log, _ = alternating_adam(params, members, cfg, cfg.seed, fine_tune_members=(0, 2))
+    log, _ = alternating_adam(params, members, cfg, cfg.seed)
     return TrainedZ(params=params, log=log)

@@ -81,19 +81,20 @@ def test_grad_params_finite_differences(rng):
     spec = small_spec()
     p = net.init_params(spec, seed=2)
     x = rng.normal(size=2)[None, :]
-    g = net.grad_params(p, x, np.ones(1), l2_lambda=0.0)
+    g = net.grad_params(p, x, np.ones(1))
     fd = _fd_params(lambda q: net.forward(q, x)[0], p)
     assert np.max(np.abs(g - fd) / np.maximum(np.abs(fd), 1e-8)) < 1e-6
 
 
 def test_grad_params_l2_term(rng):
+    # grad_params is the bare data gradient; the penalty is l2_gradient alone.
     spec = small_spec(lam=0.01)
     p = net.init_params(spec, seed=3)
     x = rng.normal(size=2)[None, :]
-    assert np.array_equal(net.grad_params(p, x, np.zeros(1), l2_lambda=0.0), np.zeros(p.size))
-    g = net.grad_params(p, x, np.zeros(1))  # default lambda from the spec
+    assert np.array_equal(net.grad_params(p, x, np.zeros(1)), np.zeros(p.size))
+    g = p.l2_gradient()
     mask = p.weight_mask()
-    assert np.allclose(g[mask], 0.01 * p.flat[mask])
+    assert np.array_equal(g[mask], 0.01 * p.flat[mask])
     assert np.array_equal(g[~mask], np.zeros((~mask).sum()))
 
 

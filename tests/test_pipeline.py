@@ -9,6 +9,7 @@ from deepwkb.models import make_benchmark
 from deepwkb.pipeline import (STAGES, DependencyError, RunConfig, RunManifest,
                               evaluate_wkb_grid, fp_residual_grid, run_all,
                               run_stage)
+from deepwkb.train_v import QpTrainConfig
 
 
 def ou_mini_config(**overrides):
@@ -38,9 +39,33 @@ def ou_mini_config(**overrides):
     return RunConfig(merged)
 
 
-def test_config_round_trip():
+def test_config_round_trip(tmp_path):
     cfg = ou_mini_config()
-    assert RunConfig.parse(cfg.serialize()).data == cfg.data
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg.data))
+    assert RunConfig.load(path).data == cfg.data
+
+
+def test_config_rejects_unknown_keys():
+    with pytest.raises(ValueError, match="train_v.epoch"):
+        ou_mini_config(train_v={"epoch": 5})
+    with pytest.raises(ValueError, match="unknown config key 'seeds'"):
+        ou_mini_config(seeds=3)
+    with pytest.raises(ValueError, match="train_z.residual_count"):
+        ou_mini_config(train_z={"residual_count": 10})
+    # benchmark parameters are checked by the benchmark factory itself
+    cfg = ou_mini_config(benchmark={"name": "figure8", "params": {"mu": 0.5}},
+                         grid={"lower": [-3.0, -2.0], "upper": [3.0, 2.0], "bins": [8, 8]})
+    assert cfg["benchmark"]["params"] == {"mu": 0.5}
+    with pytest.raises(ValueError, match="no parameters"):
+        ou_mini_config(benchmark={"name": "ou1d", "params": {"mu": 0.5}})
+
+
+def test_train_sections_default_to_the_train_config():
+    cfg = RunConfig({"ladder": [0.1, 0.2, 0.3, 0.4], "grid": {"lower": [-1.0], "upper": [1.0],
+                                                               "bins": [8]}})
+    assert cfg.train_cfg("train_v", seed=5) == QpTrainConfig(seed=5)
+    assert cfg.train_cfg("train_z", seed=6) == QpTrainConfig(seed=6)
 
 
 def test_config_validation_errors():
@@ -226,7 +251,7 @@ def test_density_outputs_shape(mini_run):
 def test_cli_end_to_end(tmp_path):
     cfg = ou_mini_config()
     cfg_path = tmp_path / "run.json"
-    cfg.save(cfg_path)
+    cfg_path.write_text(json.dumps(cfg.data))
     code = cli_main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path)])
     assert code == 0
     assert (tmp_path / "manifest.json").exists()

@@ -74,7 +74,7 @@ def test_exact_linear_model_recovered():
     design = build_design_matrix(eps)
     response = -1.0 / eps  # V = 1, log Z0 = 0, slope = 0
     for d in [np.ones(6), np.linspace(1.0, 9.0, 6)]:
-        beta, resid, rss = solve_rescaled_ls(design, d, response)
+        beta, resid, rss, _ = solve_rescaled_ls(design, d, response)
         assert np.allclose(beta, [1.0, 0.0, 0.0], atol=1e-12)
         assert rss < 1e-24
 
@@ -93,7 +93,7 @@ def test_pythagoras(rng):
     design = build_design_matrix(eps)
     d = rng.uniform(1.0, 30.0, size=10)
     response = rng.normal(size=10)
-    beta, resid, rss = solve_rescaled_ls(design, d, response)
+    beta, resid, rss, _ = solve_rescaled_ls(design, d, response)
     du = d * response
     fitted = d[:, None] * design @ beta
     assert np.linalg.norm(du) ** 2 == pytest.approx(np.linalg.norm(fitted) ** 2 + rss, rel=1e-8)
@@ -119,7 +119,7 @@ def test_rescaled_rss_follows_chi2(rng):
     z = rng.standard_normal((reps, 10))
     rss = np.empty(reps)
     for k in range(reps):
-        _, _, rss[k] = solve_rescaled_ls(design, d, base + z[k] / d)
+        _, _, rss[k], _ = solve_rescaled_ls(design, d, base + z[k] / d)
     assert rss.mean() == pytest.approx(7.0, abs=0.1)
     assert rss.var(ddof=1) == pytest.approx(14.0, abs=0.5)
 

@@ -13,14 +13,16 @@ from conftest import figure8_quasipotential
 
 def test_hj_residual_ou_exact(ou1d, rng):
     x = rng.uniform(-2, 2, size=(100, 1))
-    assert np.max(np.abs(hj_residual(ou1d, 2.0 * x, x))) == 0.0
-    assert hj_residual(ou1d, np.zeros((1, 1)), np.array([[0.7]]))[0] == 0.0
+    resid, direction = hj_residual(ou1d, 2.0 * x, x)
+    assert np.max(np.abs(resid)) == 0.0
+    assert np.array_equal(direction, x)  # f + A grad V = -x + 2x
+    assert hj_residual(ou1d, np.zeros((1, 1)), np.array([[0.7]]))[0][0] == 0.0
 
 
 def test_hj_residual_figure8_exact(figure8, rng):
     _, grad, _ = figure8_quasipotential()
     x = rng.uniform(-2.5, 2.5, size=(100, 2))
-    assert np.max(np.abs(hj_residual(figure8, grad(x), x))) < 1e-12
+    assert np.max(np.abs(hj_residual(figure8, grad(x), x)[0])) < 1e-12
 
 
 def fit_net_to_parabola(seed=0, steps=4000, match_gradient=False):
@@ -129,6 +131,25 @@ def test_assemble_sets_composition(rng):
     assert sets.x3.shape[0] == 50
 
 
+def test_assemble_sets_match_per_point_rule(rng):
+    # X2 holds the reliable points in order, then the far points: those
+    # without a reliable fit whose top-level density is below the threshold.
+    pts = rng.uniform(-2, 2, size=(60, 1))
+    results = _make_results(pts, lambda p: p[0] ** 2, np.abs(pts[:, 0]) < 1.0)
+    for i in range(0, 60, 7):
+        results[i] = None
+    u_top = rng.uniform(0.0, 2e-6, size=60)
+    cfg = QpTrainConfig(artificial_value=4.0)
+    sets = assemble_qp_sets(np.zeros((3, 1)), pts, results, cfg, largest_eps_density=u_top)
+    rel = [i for i, r in enumerate(results) if r is not None and r.reliable]
+    far = [i for i in range(60) if i not in rel and u_top[i] < cfg.far_field_density]
+    assert 0 < len(far) < 60 - len(rel)
+    assert np.array_equal(sets.x2, pts[rel + far])
+    assert np.array_equal(sets.x2_targets, [results[i].v_hat for i in rel] + [4.0] * len(far))
+    assert np.array_equal(sets.x2_artificial, np.arange(len(rel) + len(far)) >= len(rel))
+    assert np.array_equal(sets.x2_is_reference, ~sets.x2_artificial)
+
+
 def test_assemble_keeps_small_negative_targets(rng):
     pts = np.array([[0.1], [0.2], [0.3]])
     results = _make_results(pts, lambda p: -0.003 if p[0] == 0.1 else p[0] ** 2,
@@ -170,7 +191,7 @@ def test_alternating_schedule_state_isolation(ou1d, rng):
 
     def loss(p, b):
         v = net.forward(p, b)
-        return float(np.mean(v**2)), net.grad_params(p, b, 2.0 * v / b.shape[0], l2_lambda=0.0)
+        return float(np.mean(v**2)), net.grad_params(p, b, 2.0 * v / b.shape[0])
 
     members = [(f"m{i}", sizes[i], lambda idx, i=i: data[i][idx], loss, 1e-3)
                for i in range(3)]
@@ -190,8 +211,7 @@ def test_alternating_adam_detects_divergence(rng):
 
     members = [("bad", 10, lambda idx: np.zeros((len(idx), 1)), bad_loss, 1e-3)]
     with pytest.raises(TrainingDiverged):
-        alternating_adam(params, members, QpTrainConfig(epochs=1, fine_tune_epochs=0),
-                         seed=0, fine_tune_members=(0,))
+        alternating_adam(params, members, QpTrainConfig(epochs=1, fine_tune_epochs=0), seed=0)
 
 
 def test_estimate_alpha_examples(rng):

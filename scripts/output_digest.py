@@ -1,0 +1,100 @@
+"""Print the sha256 of every deterministic output, one line per output.
+
+    python3 scripts/output_digest.py [--out DIR] > digest.txt
+
+Run it on two checkouts on the same machine and ``diff`` the two prints:
+a change that claims bitwise-identical outputs must print the same lines.
+Three groups of outputs are hashed:
+
+* every file of ``run_all`` on the OU mini config of
+  ``tests/test_pipeline.py`` (``timing.log`` holds wall times and is left
+  out);
+* every file of simulate -> regress on ``perfbench/workloads.figure8_config(1)``;
+* the trained V and Z parameters, ``alpha`` and both loss logs of the
+  ``paper-train`` workload on seeds 1-3.
+
+BLAS runs on one thread, as in the benchmark, since the last bits of a
+matrix product may depend on the thread count.  Run directories go under
+``--out`` (a temporary directory by default).  The whole print takes a few
+minutes on a 2-core machine.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "VECLIB_MAXIMUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import hashlib  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
+
+import numpy as np  # noqa: E402
+
+from deepwkb.pipeline import RunManifest, run_all, run_stage  # noqa: E402
+from test_pipeline import ou_mini_config  # noqa: E402
+from workloads import PaperTrain, figure8_config  # noqa: E402
+
+PAPER_TRAIN_SEEDS = (1, 2, 3)
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_dir_lines(label, outdir):
+    return [f"{label}/{f.name} {sha(f.read_bytes())}"
+            for f in sorted(Path(outdir).iterdir())
+            if f.is_file() and f.name != "timing.log"]
+
+
+def paper_train_lines(seed, workdir):
+    work = PaperTrain(seed, workdir)
+    for _, _, op in work.ops():
+        op()
+    tv, tz = work.trained_v, work.trained_z
+    parts = {
+        "v_params": tv.params.flat.tobytes(),
+        "alpha": np.float64(tv.alpha).tobytes(),
+        "v_log": np.asarray(tv.log, dtype=float).tobytes(),
+        "z_params": tz.params.flat.tobytes(),
+        "z_log": np.asarray(tz.log, dtype=float).tobytes(),
+    }
+    return [f"paper-train-{seed}/{name} {sha(data)}" for name, data in parts.items()]
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--out", type=Path, default=None,
+                    help="directory for the run directories (default: a temporary one)")
+    args = ap.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        base = args.out or Path(tmp)
+        base.mkdir(parents=True, exist_ok=True)
+
+        ou_dir = base / "ou_mini"
+        run_all(ou_mini_config(), ou_dir)
+        for line in run_dir_lines("ou_mini", ou_dir):
+            print(line, flush=True)
+
+        f8_dir = base / "figure8"
+        cfg, manifest = figure8_config(1), RunManifest(f8_dir)
+        for stage in ("simulate", "regress"):
+            run_stage(stage, cfg, manifest)
+        for line in run_dir_lines("figure8", f8_dir):
+            print(line, flush=True)
+
+        for seed in PAPER_TRAIN_SEEDS:
+            for line in paper_train_lines(seed, base / f"paper-train-{seed}"):
+                print(line, flush=True)
+
+
+if __name__ == "__main__":
+    main()

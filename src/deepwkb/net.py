@@ -13,10 +13,15 @@ operations needed by the training losses:
                          -- parameter gradient of w . grad_x NN(x),
                             i.e. reverse mode through the tangent pass,
 
-plus a bias-corrected Adam step.  Every kernel takes a batch of input
-points of shape (B, n), the only input shape accepted, and returns one
-value, gradient or Hessian per row.  Everything runs in float64: the
-second-order training signals are too fragile at single precision.
+plus a bias-corrected Adam step.  ``trace`` runs the forward pass on a
+batch of input points of shape (B, n), the only input shape accepted, and
+keeps every layer's activations.  The three backward kernels
+(grad_params, grad_input and the directional kernel) take that trace in
+place of the points, so a loss that calls several of them traces the
+network once; ``forward`` and ``hessian_input`` take the points and trace
+them themselves.  Every kernel returns one value, gradient or Hessian per
+row.  Everything runs in float64: the second-order training signals are
+too fragile at single precision.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ __all__ = [
     "AdamState",
     "default_widths",
     "init_params",
+    "trace",
     "forward",
     "grad_params",
     "grad_input",
@@ -117,15 +123,6 @@ class MlpParams:
     def copy(self):
         return MlpParams(self.spec, self.flat.copy())
 
-    def weight_mask(self):
-        """Boolean flat mask selecting weight (non-bias) entries."""
-        mask = np.zeros(self.size, dtype=bool)
-        layout, _ = self.spec.layout()
-        for l in range(self.spec.n_layers):
-            off, shape = layout[2 * l]
-            mask[off:off + shape[0] * shape[1]] = True
-        return mask
-
     def l2_gradient(self):
         """lambda * weights, zero on biases, written layer by layer: masked
         gathers would allocate three parameter-sized temporaries per step."""
@@ -159,11 +156,12 @@ def init_params(spec: MlpSpec, seed) -> MlpParams:
     return params
 
 
-def _forward_trace(params, xb):
-    """Activations of every layer: the input, the sigmoid outputs of the
-    hidden layers, then the linear output."""
+def trace(params: MlpParams, x):
+    """Forward trace of a (B, n) batch: the activations of every layer,
+    that is the input, the sigmoid outputs of the hidden layers, then the
+    (B, 1) linear output.  The backward kernels read it in place of x."""
     n_layers = params.spec.n_layers
-    acts = [xb]
+    acts = [_as_batch(x, params.spec.dim_in)]
     for l, (w, b) in enumerate(params.layers):
         z = acts[-1] @ w.T + b
         acts.append(z if l == n_layers - 1 else expit(z))
@@ -172,32 +170,25 @@ def _forward_trace(params, xb):
 
 def forward(params: MlpParams, x):
     """Network outputs (B,) for a (B, n) batch."""
-    return _forward_trace(params, _as_batch(x, params.spec.dim_in))[-1][:, 0]
+    return trace(params, x)[-1][:, 0]
 
-
-# The sigmoid derivatives, written in terms of the sigmoid value s = expit(z)
-# that the forward trace already holds.
 
 def _sigma_prime(s):
+    """Sigmoid slope from the sigmoid value s = expit(z) the trace holds."""
     return s * (1.0 - s)
 
 
-def _sigma_prime2(s):
-    return s * (1.0 - s) * (1.0 - 2.0 * s)
-
-
-def grad_params(params: MlpParams, x, upstream) -> np.ndarray:
-    """Flat gradient of  sum_b upstream_b * NN(x_b)  over the parameters.
+def grad_params(params: MlpParams, acts, upstream) -> np.ndarray:
+    """Flat gradient of  sum_b upstream_b * NN(x_b)  over the parameters,
+    from the trace ``acts`` of the batch.
 
     ``upstream`` holds one coefficient per batch row.  No weight penalty
     is added here: the losses add ``params.l2_gradient()`` once.
     """
-    xb = _as_batch(x, params.spec.dim_in)
     ups = np.asarray(upstream, dtype=float)
-    if ups.shape != (xb.shape[0],):
+    if ups.shape != (acts[0].shape[0],):
         raise ValueError("upstream has wrong shape")
 
-    acts = _forward_trace(params, xb)
     grad = MlpParams(params.spec)
     delta = ups[:, None]  # d(sum ups*y)/d z_L
     for l in range(params.spec.n_layers - 1, -1, -1):
@@ -210,11 +201,9 @@ def grad_params(params: MlpParams, x, upstream) -> np.ndarray:
     return grad.flat
 
 
-def grad_input(params: MlpParams, x):
-    """Input gradients grad_x NN(x_b), shape (B, n)."""
-    xb = _as_batch(x, params.spec.dim_in)
-    acts = _forward_trace(params, xb)
-    delta = np.ones((xb.shape[0], 1))
+def grad_input(params: MlpParams, acts):
+    """Input gradients grad_x NN(x_b), shape (B, n), from the trace ``acts``."""
+    delta = np.ones((acts[0].shape[0], 1))
     for l in range(params.spec.n_layers - 1, 0, -1):
         w, _ = params.layers[l]
         delta = (delta @ w) * _sigma_prime(acts[l])
@@ -228,12 +217,11 @@ def hessian_input(params: MlpParams, x):
     forward pass, then through the adjoint recursion.  The result is
     symmetrized to strip last-bit asymmetry.
     """
-    xb = _as_batch(x, params.spec.dim_in)
+    acts = trace(params, x)
     n = params.spec.dim_in
-    bsz = xb.shape[0]
+    bsz = acts[0].shape[0]
     n_layers = params.spec.n_layers
 
-    acts = _forward_trace(params, xb)
     # Forward tangents zdot[l][b, i, t] = d z_l,i / d x_t.
     zdots = []
     adot = np.broadcast_to(np.eye(n), (bsz, n, n))
@@ -251,7 +239,7 @@ def hessian_input(params: MlpParams, x):
         s = delta @ w
         s_dot = np.einsum("bot,oi->bit", delta_dot, w, optimize=True)
         sp = _sigma_prime(acts[l])
-        spp = _sigma_prime2(acts[l])
+        spp = sp * (1.0 - 2.0 * acts[l])
         delta = s * sp
         delta_dot = s_dot * sp[:, :, None] + (s * spp)[:, :, None] * zdots[l - 1]
     w1 = params.layers[0][0]
@@ -259,24 +247,23 @@ def hessian_input(params: MlpParams, x):
     return 0.5 * (h + np.swapaxes(h, 1, 2))
 
 
-def grad_params_of_directional_input_grad(params: MlpParams, x, w_dir, coeff) -> np.ndarray:
-    """Flat gradient w.r.t. parameters of  sum_b c_b * (w_b . grad_x NN(x_b)).
+def grad_params_of_directional_input_grad(params: MlpParams, acts, w_dir, coeff) -> np.ndarray:
+    """Flat gradient w.r.t. parameters of  sum_b c_b * (w_b . grad_x NN(x_b)),
+    from the trace ``acts`` of the batch.
 
     ``w_dir`` holds one direction per batch row, (B, n), and ``coeff`` one
     coefficient per row, (B,).  No L2 term is added here (the loss
     assemblies own the regularizer).
     """
-    xb = _as_batch(x, params.spec.dim_in)
     wb = np.asarray(w_dir, dtype=float)
-    if wb.shape != xb.shape:
+    if wb.shape != acts[0].shape:
         raise ValueError("direction batch must match input batch")
-    bsz = xb.shape[0]
+    bsz = wb.shape[0]
     c = np.asarray(coeff, dtype=float)
     if c.shape != (bsz,):
         raise ValueError("coeff must hold one value per batch row")
 
     n_layers = params.spec.n_layers
-    acts = _forward_trace(params, xb)
     # Forward tangent pass in direction w: zdot_l, adot_l.
     zdots, adots = [], [wb]
     adot = wb
@@ -297,7 +284,7 @@ def grad_params_of_directional_input_grad(params: MlpParams, x, w_dir, coeff) ->
             r = q
         else:
             sp = _sigma_prime(acts[l + 1])
-            spp = _sigma_prime2(acts[l + 1])
+            spp = sp * (1.0 - 2.0 * acts[l + 1])
             z_bar = sp * a_bar + spp * zdots[l] * q
             r = sp * q
         gw, gb = grad.layers[l]

@@ -119,7 +119,7 @@ class TrainedQp:
         return net.forward(self.params, x) / self.alpha
 
     def grad_v(self, x):
-        return net.grad_input(self.params, x) / self.alpha
+        return net.grad_input(self.params, net.trace(self.params, x)) / self.alpha
 
     def hess_v(self, x):
         return net.hessian_input(self.params, x) / self.alpha
@@ -143,14 +143,14 @@ def fit_loss(params: MlpParams, x, targets):
     batch and its flat parameter gradient, without the weight penalty.
 
     ``targets`` is (B,) or a scalar.  The hinge subgradient at exactly
-    zero is taken as zero.
+    zero is taken as zero.  The value and the gradient share one trace.
     """
-    x = np.asarray(x)
-    v = net.forward(params, x)
+    acts = net.trace(params, x)
+    v = acts[-1][:, 0]
     diff = v - np.asarray(targets)
     value = float(np.mean(diff**2 + np.maximum(0.0, -v)))
     upstream = (2.0 * diff - (v < 0.0)) / v.shape[0]
-    return value, net.grad_params(params, x, upstream)
+    return value, net.grad_params(params, acts, upstream)
 
 
 def assemble_qp_sets(attractor_points, points, regressions, cfg: QpTrainConfig,
@@ -207,17 +207,19 @@ def qp_loss(kind, params: MlpParams, batch, system):
     """Loss value and flat parameter gradient for one batch.
 
     ``batch`` is a point array for L1/L3 and a (points, targets) pair for
-    L2.  Every gradient carries the L2 weight penalty once.
+    L2.  Each kind traces the network once.  Every gradient carries the L2
+    weight penalty once.
     """
     if kind == "L1":
         value, grad = fit_loss(params, batch, 0.0)
     elif kind == "L2":
         value, grad = fit_loss(params, *batch)
     elif kind == "L3":
-        x = np.asarray(batch)
-        resid, direction = hj_residual(system, net.grad_input(params, x), x)
+        acts = net.trace(params, batch)
+        x = acts[0]
+        resid, direction = hj_residual(system, net.grad_input(params, acts), x)
         value = float(np.mean(resid**2))
-        grad = net.grad_params_of_directional_input_grad(params, x, direction,
+        grad = net.grad_params_of_directional_input_grad(params, acts, direction,
                                                          2.0 * resid / x.shape[0])
     else:
         raise ValueError(f"unknown loss kind {kind!r}")

@@ -8,9 +8,12 @@ Z0 satisfies the first-order transport equation
 
 where A = (a^ij) is the system's constant diffusion matrix.  The
 coefficients are evaluated with the trained, alpha-corrected
-quasi-potential.  Targets come from two sources: linear extrapolation of
-the rescaled densities to eps = 0 on the attractor (Y1), and the
-exponential of the regression intercept near the attractor together with
+quasi-potential, which stays frozen while Z0 trains: ``train_z``
+computes them once per Y3 point before the first epoch, in full batches
+of the training batch size, and the residual batches slice them.
+Targets come from two sources: linear extrapolation of the rescaled
+densities to eps = 0 on the attractor (Y1), and the exponential of the
+regression intercept near the attractor together with
 characteristic-transported values (Y2).  Y3 drives the transport
 residual.  Accuracy far from the attractor is deliberately not chased:
 exp(-V/eps) suppresses whatever error lives there.  Point sets are
@@ -132,38 +135,66 @@ def z_loss(kind, params_z: MlpParams, batch, system, trained_v):
 
     L1 and L2 are the hinged target fit of ``fit_loss``; L3 is the squared
     transport residual (b . grad Z + c Z)^2 with coefficients frozen at
-    the trained V.  Each gradient carries the weight penalty once.
+    the trained V.  The L3 batch is a (points, b, c) triple, or bare
+    points whose coefficients are then computed here.  Each kind traces
+    the network once, and each gradient carries the weight penalty once.
     """
     if kind in ("L1", "L2"):
         value, grad = fit_loss(params_z, *batch)
     elif kind == "L3":
-        x = np.asarray(batch)
-        b, c = transport_coefficients(system, trained_v, x)
-        z = net.forward(params_z, x)
-        gz = net.grad_input(params_z, x)
+        if isinstance(batch, tuple):
+            x, b, c = batch
+        else:
+            x = batch
+            b, c = transport_coefficients(system, trained_v, x)
+        acts = net.trace(params_z, x)
+        z = acts[-1][:, 0]
+        gz = net.grad_input(params_z, acts)
         resid = np.einsum("bi,bi->b", b, gz) + c * z
         value = float(np.mean(resid**2))
-        coeff = 2.0 * resid / x.shape[0]
-        grad = net.grad_params_of_directional_input_grad(params_z, x, b, coeff)
-        grad += net.grad_params(params_z, x, coeff * c)
+        coeff = 2.0 * resid / z.shape[0]
+        grad = net.grad_params_of_directional_input_grad(params_z, acts, b, coeff)
+        grad += net.grad_params(params_z, acts, coeff * c)
     else:
         raise ValueError(f"unknown loss kind {kind!r}")
     grad += params_z.l2_gradient()
     return value, grad
 
 
+def _frozen_coefficients(system, trained_v, points, batch_size):
+    """Transport coefficients (b, c) at every row of ``points``, computed in
+    chunks of exactly ``batch_size`` rows, the last chunk wrapping around
+    the set as the epoch streams do.
+
+    Every training batch has ``batch_size`` rows, and a row's last bits
+    depend on the row count of the matrix products it passes through, so
+    equal chunks give the coefficients a batch would compute itself.  The
+    chunks also bound the Hessian's per-layer tangent arrays.
+    """
+    m = points.shape[0]
+    b, c = np.empty((m, points.shape[1])), np.empty(m)
+    for start in range(0, m, batch_size):
+        rows = np.arange(start, start + batch_size) % m
+        chunk_b, chunk_c = transport_coefficients(system, trained_v, points[rows])
+        keep = min(batch_size, m - start)
+        b[start:start + keep], c[start:start + keep] = chunk_b[:keep], chunk_c[:keep]
+    return b, c
+
+
 def train_z(sets: ZTrainingSets, cfg: QpTrainConfig, system, trained_v) -> TrainedZ:
     """Same alternating schedule as the quasi-potential; fine-tuning keeps
-    the attractor targets and the transport residual."""
+    the attractor targets and the transport residual.  The transport
+    coefficients on Y3 are computed once, before the first epoch."""
     cfg.validate()
     sets.validate()
     params = new_params(cfg, system)
+    b3, c3 = _frozen_coefficients(system, trained_v, sets.y3, cfg.batch_size)
     members = [
         ("L1z", sets.y1.shape[0], lambda idx: (sets.y1[idx], sets.y1_targets[idx]),
          lambda p, b: z_loss("L1", p, b, system, trained_v), cfg.lr1),
         ("L2z", sets.y2.shape[0], lambda idx: (sets.y2[idx], sets.y2_targets[idx]),
          lambda p, b: z_loss("L2", p, b, system, trained_v), cfg.lr2),
-        ("L3z", sets.y3.shape[0], lambda idx: sets.y3[idx],
+        ("L3z", sets.y3.shape[0], lambda idx: (sets.y3[idx], b3[idx], c3[idx]),
          lambda p, b: z_loss("L3", p, b, system, trained_v), cfg.lr3),
     ]
     log, _ = alternating_adam(params, members, cfg, cfg.seed)

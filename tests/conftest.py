@@ -3,6 +3,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from deepwkb import net
 from deepwkb.models import make_benchmark
 
 
@@ -25,10 +26,35 @@ class AnalyticQp:
         return self.hess_fn(x)
 
 
+def grad_input_at(params, x):
+    """Input gradients of the network at a (B, n) batch, through one trace."""
+    return net.grad_input(params, net.trace(params, x))
+
+
+def weight_penalty(params):
+    """The L2 penalty 1/2 lambda |W|^2 over the weights, biases excluded,
+    whose gradient is ``params.l2_gradient()``."""
+    return 0.5 * params.spec.l2_lambda * sum(np.sum(w**2) for w, _ in params.layers)
+
+
 def curve_arrays(curve):
     """(points (S, n), values (S,)) of the samples on a characteristic."""
     return (np.asarray([st.x for st in curve.states]),
             np.asarray([st.v for st in curve.states]))
+
+
+@pytest.fixture
+def trace_calls(monkeypatch):
+    """The parameters of every ``net.trace`` call made during the test."""
+    calls = []
+    real = net.trace
+
+    def counting(params, x):
+        calls.append(params)
+        return real(params, x)
+
+    monkeypatch.setattr(net, "trace", counting)
+    return calls
 
 
 @pytest.fixture

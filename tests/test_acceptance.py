@@ -25,7 +25,7 @@ from deepwkb.train_v import QpTrainConfig, assemble_qp_sets, hj_residual, train_
 from deepwkb.train_z import TrainedZ, assemble_z_sets, train_z
 from deepwkb.validation import ks_test
 
-from conftest import curve_arrays, figure8_quasipotential
+from conftest import curve_arrays, figure8_quasipotential, grad_input_at
 from test_pipeline import ou_mini_config
 
 
@@ -166,7 +166,8 @@ def test_criterion_3_derivative_suite(rng):
         w = rng.normal(size=n)
         one = np.ones(1)
 
-        g = net.grad_params(params, x, one)
+        acts = net.trace(params, x)
+        g = net.grad_params(params, acts, one)
         fd = np.zeros(params.size)
         for i in range(params.size):
             hi = MlpParams(spec, params.flat.copy()); hi.flat[i] += step
@@ -175,7 +176,7 @@ def test_criterion_3_derivative_suite(rng):
         worst["grad_params"] = max(worst["grad_params"],
                                    np.max(np.abs(g - fd)) / max(np.max(np.abs(fd)), 1e-12))
 
-        gi = net.grad_input(params, x)[0]
+        gi = net.grad_input(params, acts)[0]
         fdi = np.zeros(n)
         for j in range(n):
             e = np.zeros(n); e[j] = step
@@ -187,18 +188,18 @@ def test_criterion_3_derivative_suite(rng):
         fdh = np.zeros((n, n))
         for j in range(n):
             e = np.zeros(n); e[j] = step
-            fdh[:, j] = (net.grad_input(params, x + e)[0] - net.grad_input(params, x - e)[0]) / (2 * step)
+            fdh[:, j] = (grad_input_at(params, x + e)[0] - grad_input_at(params, x - e)[0]) / (2 * step)
         scale = max(np.max(np.abs(fdh)), 1e-12)
         worst["hessian"] = max(worst["hessian"], np.max(np.abs(hess - fdh)) / scale)
         worst["hessian_dir"] = max(worst["hessian_dir"],
                                    np.max(np.abs(hess @ w - fdh @ w)) / max(np.max(np.abs(fdh @ w)), 1e-12))
 
-        dg = net.grad_params_of_directional_input_grad(params, x, w[None, :], one)
+        dg = net.grad_params_of_directional_input_grad(params, acts, w[None, :], one)
         fdd = np.zeros(params.size)
         for i in range(params.size):
             hi = MlpParams(spec, params.flat.copy()); hi.flat[i] += step
             lo = MlpParams(spec, params.flat.copy()); lo.flat[i] -= step
-            fdd[i] = (w @ net.grad_input(hi, x)[0] - w @ net.grad_input(lo, x)[0]) / (2 * step)
+            fdd[i] = (w @ grad_input_at(hi, x)[0] - w @ grad_input_at(lo, x)[0]) / (2 * step)
         worst["dirgrad"] = max(worst["dirgrad"],
                                np.max(np.abs(dg - fdd)) / max(np.max(np.abs(fdd)), 1e-12))
     elapsed = time.time() - t0

@@ -20,11 +20,14 @@ for _name in BENCHMARKS:
     CASES[f"{_name}.drift_divergence"] = (_n, _sys.drift_divergence, (1,))
 CASES.update({
     "net.forward": (2, lambda x: net.forward(PARAMS, x), (1,)),
-    "net.grad_params": (2, lambda x: net.grad_params(PARAMS, x, ONE), (PARAMS.size,)),
-    "net.grad_input": (2, lambda x: net.grad_input(PARAMS, x), (1, 2)),
+    "net.trace": (2, lambda x: net.trace(PARAMS, x)[-1], (1, 1)),
+    "net.grad_params": (2, lambda x: net.grad_params(PARAMS, net.trace(PARAMS, x), ONE),
+                        (PARAMS.size,)),
+    "net.grad_input": (2, lambda x: net.grad_input(PARAMS, net.trace(PARAMS, x)), (1, 2)),
     "net.hessian_input": (2, lambda x: net.hessian_input(PARAMS, x), (1, 2, 2)),
     "net.grad_params_of_directional_input_grad": (
-        2, lambda x: net.grad_params_of_directional_input_grad(PARAMS, x, np.ones((1, 2)), ONE),
+        2, lambda x: net.grad_params_of_directional_input_grad(PARAMS, net.trace(PARAMS, x),
+                                                       np.ones((1, 2)), ONE),
         (PARAMS.size,)),
 })
 

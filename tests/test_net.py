@@ -4,6 +4,8 @@ import pytest
 from deepwkb import net
 from deepwkb.net import AdamState, MlpParams, MlpSpec
 
+from conftest import grad_input_at
+
 
 def small_spec(n_in=2, lam=0.0):
     return MlpSpec(widths=(n_in, 7, 5, 1), l2_lambda=lam)
@@ -81,7 +83,7 @@ def test_grad_params_finite_differences(rng):
     spec = small_spec()
     p = net.init_params(spec, seed=2)
     x = rng.normal(size=2)[None, :]
-    g = net.grad_params(p, x, np.ones(1))
+    g = net.grad_params(p, net.trace(p, x), np.ones(1))
     fd = _fd_params(lambda q: net.forward(q, x)[0], p)
     assert np.max(np.abs(g - fd) / np.maximum(np.abs(fd), 1e-8)) < 1e-6
 
@@ -91,11 +93,11 @@ def test_grad_params_l2_term(rng):
     spec = small_spec(lam=0.01)
     p = net.init_params(spec, seed=3)
     x = rng.normal(size=2)[None, :]
-    assert np.array_equal(net.grad_params(p, x, np.zeros(1)), np.zeros(p.size))
-    g = p.l2_gradient()
-    mask = p.weight_mask()
-    assert np.array_equal(g[mask], 0.01 * p.flat[mask])
-    assert np.array_equal(g[~mask], np.zeros((~mask).sum()))
+    assert np.array_equal(net.grad_params(p, net.trace(p, x), np.zeros(1)), np.zeros(p.size))
+    g = MlpParams(spec, p.l2_gradient())
+    for (gw, gb), (w, _) in zip(g.layers, p.layers):
+        assert np.array_equal(gw, 0.01 * w)
+        assert np.array_equal(gb, np.zeros_like(gb))
 
 
 def test_grad_input_linear_network(rng):
@@ -105,7 +107,7 @@ def test_grad_input_linear_network(rng):
     w = p.layers[0][0][0]
     for _ in range(3):
         x = rng.normal(size=3)[None, :]
-        assert np.allclose(net.grad_input(p, x)[0], w, atol=1e-15)
+        assert np.allclose(grad_input_at(p, x)[0], w, atol=1e-15)
     assert np.allclose(net.hessian_input(p, x), 0.0)
 
 
@@ -113,7 +115,7 @@ def test_grad_input_finite_differences(rng):
     spec = small_spec()
     p = net.init_params(spec, seed=5)
     x = rng.normal(size=2)[None, :]
-    g = net.grad_input(p, x)[0]
+    g = grad_input_at(p, x)[0]
     step = 1e-5
     for j in range(2):
         e = np.zeros(2)
@@ -128,7 +130,7 @@ def test_grad_input_symmetry(rng):
     p = net.init_params(spec, seed=6)
     w0 = p.layers[0][0]
     w0[:, 1] = w0[:, 0]
-    g = net.grad_input(p, np.array([[0.4, 0.4]]))[0]
+    g = grad_input_at(p, np.array([[0.4, 0.4]]))[0]
     assert g[0] == pytest.approx(g[1], abs=1e-14)
 
 
@@ -142,7 +144,7 @@ def test_hessian_input_finite_differences(rng):
     for j in range(2):
         e = np.zeros(2)
         e[j] = step
-        fd = (net.grad_input(p, x + e)[0] - net.grad_input(p, x - e)[0]) / (2 * step)
+        fd = (grad_input_at(p, x + e)[0] - grad_input_at(p, x - e)[0]) / (2 * step)
         assert np.max(np.abs(h[:, j] - fd) / np.maximum(np.abs(fd), 1e-6)) < 1e-5
 
 
@@ -165,13 +167,14 @@ def test_dirgrad_finite_differences_and_linearity(rng):
     w1 = rng.normal(size=2)[None, :]
     w2 = rng.normal(size=2)[None, :]
     one = np.ones(1)
-    g = net.grad_params_of_directional_input_grad(p, x, w1, one)
-    fd = _fd_params(lambda q: float(w1[0] @ net.grad_input(q, x)[0]), p)
+    acts = net.trace(p, x)
+    g = net.grad_params_of_directional_input_grad(p, acts, w1, one)
+    fd = _fd_params(lambda q: float(w1[0] @ grad_input_at(q, x)[0]), p)
     assert np.max(np.abs(g - fd) / np.maximum(np.abs(fd), 1e-6)) < 1e-5
-    assert np.array_equal(net.grad_params_of_directional_input_grad(p, x, np.zeros((1, 2)), one),
+    assert np.array_equal(net.grad_params_of_directional_input_grad(p, acts, np.zeros((1, 2)), one),
                           np.zeros(p.size))
-    g12 = net.grad_params_of_directional_input_grad(p, x, w1 + w2, one)
-    g2 = net.grad_params_of_directional_input_grad(p, x, w2, one)
+    g12 = net.grad_params_of_directional_input_grad(p, acts, w1 + w2, one)
+    g2 = net.grad_params_of_directional_input_grad(p, acts, w2, one)
     assert np.max(np.abs(g12 - (g + g2))) < 1e-12
 
 

@@ -8,7 +8,7 @@ from deepwkb.train_v import (QpTrainConfig, QpTrainingSets, TrainingDiverged,
                              alternating_adam, assemble_qp_sets, estimate_alpha,
                              hj_residual, qp_loss, train_qp)
 
-from conftest import figure8_quasipotential
+from conftest import figure8_quasipotential, weight_penalty
 
 
 def test_hj_residual_ou_exact(ou1d, rng):
@@ -42,12 +42,13 @@ def fit_net_to_parabola(seed=0, steps=4000, match_gradient=False):
         if k == int(steps * 0.85):
             state.lr = 3e-5
         x = rng.uniform(-1.2, 1.2, size=(64, 1))
-        v = net.forward(params, x)
-        grad = net.grad_params(params, x, 2.0 * (v - x[:, 0] ** 2) / 64)
+        acts = net.trace(params, x)
+        v = acts[-1][:, 0]
+        grad = net.grad_params(params, acts, 2.0 * (v - x[:, 0] ** 2) / 64)
         if match_gradient:
-            g = net.grad_input(params, x)[:, 0]
+            g = net.grad_input(params, acts)[:, 0]
             grad += net.grad_params_of_directional_input_grad(
-                params, x, np.ones_like(x), 2.0 * (g - 2.0 * x[:, 0]) / 64)
+                params, acts, np.ones_like(x), 2.0 * (g - 2.0 * x[:, 0]) / 64)
         net.adam_step(state, params, grad)
     return params
 
@@ -78,14 +79,12 @@ def test_qp_loss_gradients_match_finite_differences(ou1d, rng):
     params = net.init_params(spec, seed=5)
     x = rng.uniform(-1, 1, size=(7, 1))
     targets = rng.uniform(0.0, 1.0, size=7)
-    mask = params.weight_mask()
-    lam = spec.l2_lambda
 
     def full(kind, batch):
         def objective(p):
             # differentiated objective = loss value + the L2 penalty term
             val, _ = qp_loss(kind, p, batch, ou1d)
-            return val + 0.5 * lam * np.sum(p.flat[mask] ** 2)
+            return val + weight_penalty(p)
         _, grad = qp_loss(kind, params, batch, ou1d)
         step = 1e-6
         fd = np.zeros(params.size)
@@ -101,6 +100,15 @@ def test_qp_loss_gradients_match_finite_differences(ou1d, rng):
     full("L1", x)
     full("L2", (x, targets))
     full("L3", x)
+
+
+def test_qp_loss_traces_the_network_once(ou1d, rng, trace_calls):
+    params = net.init_params(MlpSpec(widths=(1, 6, 4, 1)), seed=5)
+    x = rng.uniform(-1, 1, size=(7, 1))
+    for kind, batch in (("L1", x), ("L2", (x, rng.uniform(size=7))), ("L3", x)):
+        trace_calls.clear()
+        qp_loss(kind, params, batch, ou1d)
+        assert trace_calls == [params], kind
 
 
 def _make_results(points, v_fn, reliable_mask):
@@ -190,8 +198,9 @@ def test_alternating_schedule_state_isolation(ou1d, rng):
     data = [rng.uniform(-1, 1, size=(s, 1)) for s in sizes]
 
     def loss(p, b):
-        v = net.forward(p, b)
-        return float(np.mean(v**2)), net.grad_params(p, b, 2.0 * v / b.shape[0])
+        acts = net.trace(p, b)
+        v = acts[-1][:, 0]
+        return float(np.mean(v**2)), net.grad_params(p, acts, 2.0 * v / b.shape[0])
 
     members = [(f"m{i}", sizes[i], lambda idx, i=i: data[i][idx], loss, 1e-3)
                for i in range(3)]

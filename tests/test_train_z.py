@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from deepwkb import net
+from deepwkb import train_z as train_z_mod
 from deepwkb.models import SdeSystem, make_benchmark
 from deepwkb.net import MlpParams, MlpSpec
 from deepwkb.regression import RegressionResult
-from deepwkb.train_v import QpTrainConfig
+from deepwkb.train_v import QpTrainConfig, TrainedQp
 from deepwkb.train_z import (ZTrainingSets, assemble_z_sets, train_z,
                              transport_coefficients, z_loss)
 
-from conftest import AnalyticQp, figure8_quasipotential
+from conftest import AnalyticQp, figure8_quasipotential, weight_penalty
 
 
 def ou_oracle():
@@ -103,8 +104,6 @@ def test_z_loss_gradients_match_finite_differences(ou1d, rng):
     params = net.init_params(spec, seed=4)
     x = rng.uniform(-1, 1, size=(6, 1))
     targets = rng.uniform(0.2, 1.0, size=6)
-    mask = params.weight_mask()
-    lam = spec.l2_lambda
     oracle = ou_oracle()
 
     for kind, batch in [("L1", (x, targets)), ("L2", (x, targets)), ("L3", x)]:
@@ -118,11 +117,63 @@ def test_z_loss_gradients_match_finite_differences(ou1d, rng):
             lo.flat[i] -= step
             vh, _ = z_loss(kind, hi, batch, ou1d, oracle)
             vl, _ = z_loss(kind, lo, batch, ou1d, oracle)
-            vh += 0.5 * lam * np.sum(hi.flat[mask] ** 2)
-            vl += 0.5 * lam * np.sum(lo.flat[mask] ** 2)
+            vh += weight_penalty(hi)
+            vl += weight_penalty(lo)
             fd[i] = (vh - vl) / (2 * step)
         rel = np.max(np.abs(grad - fd)) / max(np.max(np.abs(fd)), 1e-10)
         assert rel < 1e-5, f"{kind}: rel err {rel}"
+
+
+def _v_and_z_nets(seed):
+    """A V network wrapped as TrainedQp and a Z network, on the 2-D OU system."""
+    spec = MlpSpec(widths=(2, 8, 8, 1), l2_lambda=1e-3)
+    return TrainedQp(params=net.init_params(spec, seed=seed), alpha=0.8), \
+        net.init_params(spec, seed=seed + 1)
+
+
+def test_z_loss_traces_the_network_once(rng, trace_calls):
+    ou2d = make_benchmark("ou2d")
+    trained_v, params = _v_and_z_nets(seed=3)
+    x = rng.uniform(-1, 1, size=(16, 2))
+    targets = np.full(16, np.pi**-0.5)
+    b, c = transport_coefficients(ou2d, trained_v, x)
+    for kind, batch in (("L1", (x, targets)), ("L2", (x, targets)), ("L3", (x, b, c)), ("L3", x)):
+        trace_calls.clear()
+        z_loss(kind, params, batch, ou2d, trained_v)
+        assert [p for p in trace_calls if p is params] == [params], kind
+    trace_calls.clear()
+    z_loss("L3", params, (x, b, c), ou2d, trained_v)
+    assert trace_calls == [params]  # frozen coefficients: V is not traced
+
+
+def test_z_loss_l3_frozen_coefficients_bitwise(rng):
+    ou2d = make_benchmark("ou2d")
+    trained_v, params = _v_and_z_nets(seed=7)
+    x = rng.uniform(-1, 1, size=(128, 2))
+    value, grad = z_loss("L3", params, x, ou2d, trained_v)
+    value_c, grad_c = z_loss("L3", params, (x, *transport_coefficients(ou2d, trained_v, x)),
+                             ou2d, trained_v)
+    assert value_c == value
+    assert np.array_equal(grad_c, grad)
+
+
+def test_train_z_computes_coefficients_once_in_full_batches(ou1d, rng, monkeypatch):
+    # |Y3| = 200 with batch 128: two calls of 128 rows, the second wrapping
+    # around Y3, however many epochs run.
+    rows = []
+    real = train_z_mod.transport_coefficients
+
+    def recording(system, trained, x):
+        rows.append(x.shape[0])
+        return real(system, trained, x)
+
+    monkeypatch.setattr(train_z_mod, "transport_coefficients", recording)
+    sets = ZTrainingSets(y1=np.zeros((10, 1)), y1_targets=np.full(10, np.pi**-0.5),
+                         y2=rng.uniform(-1, 1, size=(40, 1)), y2_targets=np.full(40, np.pi**-0.5),
+                         y3=rng.uniform(-1, 1, size=(200, 1)))
+    cfg = QpTrainConfig(epochs=3, fine_tune_epochs=2, batch_size=128, widths=(1, 4, 1), seed=2)
+    train_z(sets, cfg, ou1d, ou_oracle())
+    assert rows == [128] * int(np.ceil(200 / 128))
 
 
 def _regressions(rng, n=40):

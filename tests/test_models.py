@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -119,3 +121,61 @@ def test_figure8_zero_level_set_tangency():
     f = sys_.drift(pts)
     assert np.max(np.abs(np.einsum("bi,bi->b", f, grad_h))) < 1e-12
 
+
+def _figure8_exact(x, p):
+    mu = p["mu"]
+    u, v = x
+    h, hx = v * v / 2 + u**4 / 12 - u * u / 2, u**3 / 3 - u
+    h_abs, hx_abs = v * v / 2 + u**4 / 12 + u * u / 2, abs(u) ** 3 / 3 + abs(u)
+    return ([v - mu * h * hx, -hx - mu * h * v],
+            [abs(v) + abs(mu) * h_abs * hx_abs, hx_abs + abs(mu) * h_abs * abs(v)])
+
+
+def _vdp_block_exact(x, y, mu):
+    return ([mu * (x - x**3 / 3 - y), x / mu],
+            [abs(mu) * (abs(x) + abs(x) ** 3 / 3 + abs(y)), abs(x / mu)])
+
+
+def _vdp_exact(x, p):
+    return _vdp_block_exact(*x, p["mu"])
+
+
+def _coupled_vdp_exact(x, p):
+    mu, delta = p["mu"], p["delta"]
+    x1, y1, x2, y2 = x
+    (f0, f1), (s0, s1) = _vdp_block_exact(x1, y1, mu)
+    (f2, f3), (s2, s3) = _vdp_block_exact(x2, y2, mu)
+    coupling = abs(delta) * (abs(x1) + abs(x2))
+    return ([f0 + delta * (x1 - x2), f1, f2 + delta * (x2 - x1), f3],
+            [s0 + coupling, s1, s2 + coupling, s3])
+
+
+@pytest.mark.parametrize("name, params, exact", [
+    ("figure8", {"mu": 0.5}, _figure8_exact),
+    ("vdp", {"mu": 1.3}, _vdp_exact),
+    ("coupled_vdp", {"mu": 1.3, "delta": 0.2}, _coupled_vdp_exact),
+])
+def test_polynomial_drift_is_accurate_to_a_few_ulp(name, params, exact, rng):
+    # Each component is checked against its exact rational value, relative
+    # to S, the same expression with every term taken in absolute value.
+    sys_ = make_benchmark(name, **params)
+    lo, hi = (np.asarray(b, dtype=float) for b in BOXES[name])
+    pts = rng.uniform(lo, hi, size=(200, sys_.dim_state))
+    f = sys_.drift(pts)
+    exact_params = {k: Fraction(v) for k, v in sys_.params.items()}
+    for row, x in zip(f, pts):
+        f_exact, scale = exact([Fraction(c) for c in x], exact_params)
+        for got, want, s in zip(row, f_exact, scale):
+            assert abs(Fraction(got) - want) <= 4 * Fraction(1, 2**52) * s
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_state_evaluators_independent_of_batch_size(name, rng):
+    sys_ = make_benchmark(name)
+    lo, hi = (np.asarray(b, dtype=float) for b in BOXES[name])
+    pts = rng.uniform(lo, hi, size=(257, sys_.dim_state))
+    for evaluate in (sys_.drift, sys_.drift_jacobian, sys_.drift_divergence):
+        whole = evaluate(pts)
+        rows = np.concatenate([evaluate(pts[i:i + 1]) for i in range(len(pts))])
+        chunks = np.concatenate([evaluate(pts[i:i + 7]) for i in range(0, len(pts), 7)])
+        assert np.array_equal(rows, whole) and np.array_equal(chunks, whole)

@@ -5,21 +5,31 @@ Trajectories advance with the explicit scheme
     x <- x + f(x) dt + sqrt(eps * dt) * sigma xi,   xi ~ N(0, I_m),
 
 and push retained states to a caller-supplied sink every
-``sample_interval`` time units.  One call advances a whole noise ladder:
-the K levels' trajectories form one (K * n_traj, n) state array that a
-single step loop moves, each row scaled by its own level's
-sqrt(eps * dt).  Each trajectory owns an independent counter-based RNG
-substream, the ``SeedSequence(seed).spawn(n_traj)`` children of its
-level's seed, so a level's noise, states and samples are bit for bit
-those of a call with that level alone.  Normals are drawn
-``_CHUNK_STEPS`` steps at a time into a step-major buffer of
-``_CHUNK_STEPS * K * n_traj * m`` float64 values (2 KiB per trajectory
-and noise dimension); the streams do not depend on the chunk size.
+``sample_interval`` time units.  One call advances a whole noise ladder.
+Its K levels are split into one contiguous group per usable core (at
+most K groups), and each group runs in a forked worker process; with a
+single group the call runs in-process.  Within a group one step loop
+moves the levels' trajectories as one (levels * n_traj, n) state array,
+each row scaled by its own level's sqrt(eps * dt).  Each trajectory owns
+an independent counter-based RNG substream, the
+``SeedSequence(seed).spawn(n_traj)`` children of its level's seed, so a
+level's noise, states and samples are bit for bit those of a call with
+that level alone, whatever the grouping.  A worker sends its retained
+batches through a pipe, one message per chunk of steps, and the sinks
+are called in the calling process: each sink gets its level's batches in
+the order they were drawn, but the levels' calls may interleave in any
+order.  Each worker draws normals ``_CHUNK_STEPS`` steps at a time into
+a step-major buffer of ``_CHUNK_STEPS * levels * n_traj * m`` float64
+values for its own levels (2 KiB per trajectory and noise dimension);
+the streams do not depend on the chunk size.
 """
 
 from __future__ import annotations
 
+import os
+import traceback
 from dataclasses import dataclass, fields
+from multiprocessing import connection, get_context
 
 import numpy as np
 
@@ -68,6 +78,8 @@ class SimConfig:
         lo, hi = (np.asarray(v, dtype=float) for v in self.domain)
         if lo.shape != (dim,) or hi.shape != (dim,) or np.any(hi <= lo):
             raise ValueError("domain box is empty or has wrong dimension")
+        if self.x0 is not None and np.shape(self.x0) != (dim,):
+            raise ValueError("x0 has wrong dimension")
         if self.escape_policy not in ("none", "restart_at_last_inside"):
             raise ValueError(f"unknown escape policy {self.escape_policy!r}")
         if not 0.0 <= self.burn_in_fraction < 1.0:
@@ -123,10 +135,48 @@ def simulate_ensemble(system, cfgs, sinks) -> SimSummary:
     rolled-back states are re-sampled as usual, so no emitted sample lies
     outside the box.  Trajectories hitting a non-finite state are frozen
     and excluded from sampling.
+
+    The levels are split into one contiguous group per usable core, and
+    each group is advanced in a forked worker with a noise buffer of its
+    own (in this process when there is only one group).  Every sink is
+    called in the calling process.  Each sink receives its level's batches
+    in the order the level emitted them; calls to different levels' sinks
+    may interleave in any order.  An exception raised in a worker is
+    re-raised here with its type, and no worker outlives the call.
     """
-    n = system.dim_state
+    cfgs, sinks, lo, hi = _ladder(cfgs, sinks, system.dim_state)
+    groups = np.array_split(np.arange(len(cfgs)), min(len(cfgs), _usable_cores()))
+    if len(groups) == 1:
+        for message in _advance(system, cfgs, lo, hi):
+            counts = _deliver(message, sinks)
+    else:
+        counts = np.concatenate(_run_workers(system, cfgs, sinks, lo, hi, groups))
+    steps, emitted, escapes, aborted = counts.T
+    return SimSummary(
+        steps_taken=int(steps.sum()),
+        samples_emitted=int(emitted.sum()),
+        escapes=int(escapes.sum()),
+        aborted_trajectories=int(aborted.sum()),
+        per_level=[{"samples": int(s), "escapes": int(e), "aborted": int(a)}
+                   for s, e, a in zip(emitted, escapes, aborted)],
+    )
+
+
+def _usable_cores():
+    return len(os.sched_getaffinity(0))
+
+
+def _advance(system, cfgs, lo, hi):
+    """The step loop: advance the levels ``cfgs`` as one state array.
+
+    Yields one ("batches", [(level, batch), ...]) message per chunk of
+    steps, holding the chunk's retained batches in the order drawn (one
+    message per chunk, not per batch, since each message costs a worker's
+    parent a pipe read and an unpickle).  The last message is ("done",
+    counts), with counts a (levels, 4) int array of steps taken, samples
+    emitted, escapes and aborted trajectories per level.
+    """
     m = system.dim_noise
-    cfgs, sinks, lo, hi = _ladder(cfgs, sinks, n)
     cfg = cfgs[0]
     n_levels, n_traj = len(cfgs), cfg.n_traj
     rows = n_levels * n_traj
@@ -136,8 +186,6 @@ def simulate_ensemble(system, cfgs, sinks) -> SimSummary:
     burn_in_steps = int(np.ceil(cfg.burn_in_fraction * n_steps))
 
     x0 = np.asarray(cfg.x0, dtype=float) if cfg.x0 is not None else 0.5 * (lo + hi)
-    if x0.shape != (n,):
-        raise ValueError("x0 has wrong dimension")
     x = np.tile(x0, (rows, 1))
     alive = np.ones(rows, dtype=bool)
     steps_done = np.full(rows, n_steps)  # live steps per row; a row stops counting when it aborts
@@ -155,6 +203,7 @@ def simulate_ensemble(system, cfgs, sinks) -> SimSummary:
     step = 0
     while step < n_steps:
         chunk = min(_CHUNK_STEPS, n_steps - step)
+        batches = []
         for j, g in enumerate(gens):
             noise[:chunk, j] = g.standard_normal((chunk, m))
         for k in range(chunk):
@@ -174,21 +223,90 @@ def simulate_ensemble(system, cfgs, sinks) -> SimSummary:
                     escapes += out.reshape(n_levels, n_traj).sum(axis=1)
             x = x_new
             if step > burn_in_steps and step % sample_every == 0:
-                for i, (level, sink) in enumerate(zip(levels, sinks)):
+                for i, level in enumerate(levels):
                     batch = x[level][alive[level]]
                     if batch.shape[0]:
-                        sink(batch)
+                        batches.append((i, batch))
                         emitted[i] += batch.shape[0]
+        if batches:
+            yield "batches", batches
 
+    steps = steps_done.reshape(n_levels, n_traj).sum(axis=1)
     aborted = (~alive).reshape(n_levels, n_traj).sum(axis=1)
-    return SimSummary(
-        steps_taken=int(steps_done.sum()),
-        samples_emitted=int(emitted.sum()),
-        escapes=int(escapes.sum()),
-        aborted_trajectories=int(aborted.sum()),
-        per_level=[{"samples": int(s), "escapes": int(e), "aborted": int(a)}
-                   for s, e, a in zip(emitted, escapes, aborted)],
-    )
+    yield "done", np.stack([steps, emitted, escapes, aborted], axis=1)
+
+
+def _deliver(message, sinks):
+    """Act on one message of a group of levels, whose sinks are ``sinks``:
+    feed batches to the sinks, re-raise a worker's exception, or return
+    the counts that end the group's messages (None before them)."""
+    tag, payload = message
+    if tag == "batches":
+        for level, batch in payload:
+            sinks[level](batch)
+        return None
+    if tag == "failed":
+        exc, tb = payload
+        raise exc from _WorkerTraceback(tb)
+    return payload
+
+
+def _worker(conn, system, cfgs, lo, hi):
+    """Body of a forked worker: advance one group of levels and send its
+    messages, or a ("failed", (exception, traceback text)) message."""
+    try:
+        for message in _advance(system, cfgs, lo, hi):
+            conn.send(message)
+    except Exception as exc:
+        conn.send(("failed", (exc, traceback.format_exc())))
+    finally:
+        conn.close()
+
+
+class _WorkerTraceback(Exception):
+    """The traceback of an exception raised in a worker, as its cause."""
+
+    def __str__(self):
+        return self.args[0]
+
+
+def _run_workers(system, cfgs, sinks, lo, hi, groups):
+    """Advance each group of levels in a forked worker (fork, because a
+    system's drift closures cannot be pickled) and call the sinks here as
+    the messages arrive.  Returns the groups' counts, in group order."""
+    ctx = get_context("fork")
+    workers, ok = [], False
+    try:
+        for group in groups:
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_worker, daemon=True,
+                               args=(send, system, [cfgs[i] for i in group], lo, hi))
+            proc.start()
+            send.close()
+            workers.append((proc, recv))
+        counts = [None] * len(groups)
+        pending = {recv: g for g, (_, recv) in enumerate(workers)}
+        while pending:
+            for recv in connection.wait(list(pending)):
+                g = pending[recv]
+                try:
+                    message = recv.recv()
+                except EOFError:
+                    proc = workers[g][0]
+                    proc.join()
+                    raise RuntimeError(f"simulation worker for levels {groups[g].tolist()} "
+                                       f"exited with code {proc.exitcode}") from None
+                counts[g] = _deliver(message, [sinks[i] for i in groups[g]])
+                if counts[g] is not None:
+                    del pending[recv]
+        ok = True
+    finally:
+        for proc, recv in workers:
+            if not ok:
+                proc.terminate()
+            proc.join()
+            recv.close()
+    return counts
 
 
 def integrate_ode(system, x0, dt, total_time):

@@ -1,3 +1,7 @@
+import multiprocessing
+import os
+import signal
+
 import numpy as np
 import pytest
 
@@ -221,30 +225,132 @@ def test_results_do_not_depend_on_chunk_size(monkeypatch, chunk, name, ladder):
         assert np.array_equal(got.stacked(), want.stacked())
 
 
-@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
-def test_aborts_stay_within_their_level():
+def well_system():
     # f = x^3 - x: a well at 0 with barriers at +-1, beyond which Euler
-    # steps blow up.  Only the loudest level crosses them.
+    # steps blow up.
     def drift(x):
         x = np.atleast_2d(x)
         return x**3 - x
 
-    well = SdeSystem(dim_state=1, dim_noise=1, drift=drift,
+    return SdeSystem(dim_state=1, dim_noise=1, drift=drift,
                      drift_jacobian=lambda x: 3 * np.atleast_2d(x)[:, :, None] ** 2 - 1,
                      drift_divergence=lambda x: 3 * np.atleast_2d(x)[:, 0] ** 2 - 1,
                      attractor_dim=0, sigma_constant=np.eye(1))
-    cfgs = [SimConfig(epsilon=eps, dt=0.1, total_time=50.0, n_traj=6,
+
+
+def abort_ladder():
+    # Only the loudest level, the middle one, crosses the barriers.
+    return [SimConfig(epsilon=eps, dt=0.1, total_time=50.0, n_traj=6,
                       sample_interval=0.5, seed=seed,
                       domain=(np.array([-1e9]), np.array([1e9])),
                       x0=np.array([0.0]), burn_in_fraction=0.0)
             for eps, seed in ((0.01, 1), (3.0, 2), (0.02, 3))]
-    summary, sinks = assert_ladder_matches_single_levels(well, cfgs)
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_aborts_stay_within_their_level():
+    summary, sinks = assert_ladder_matches_single_levels(well_system(), abort_ladder())
     assert all(np.isfinite(sink.stacked()).all() for sink in sinks)
     aborted = [c["aborted"] for c in summary.per_level]
     assert aborted[0] == aborted[2] == 0 and aborted[1] > 0
     n_samples = 100 * 6
     assert summary.per_level[0]["samples"] == summary.per_level[2]["samples"] == n_samples
     assert summary.per_level[1]["samples"] < n_samples
+
+
+def decay_system(drift):
+    # A 1-d system with the given drift, which acts as -x where it does not fail.
+    return SdeSystem(dim_state=1, dim_noise=1, drift=drift,
+                     drift_jacobian=lambda x: -np.ones((x.shape[0], 1, 1)),
+                     drift_divergence=lambda x: -np.ones(x.shape[0]),
+                     attractor_dim=0, sigma_constant=np.eye(1))
+
+
+def use_cores(monkeypatch, cores):
+    monkeypatch.setattr(simulate, "_usable_cores", lambda: cores)
+
+
+@pytest.mark.parametrize("system, ladder", [
+    (lambda: make_benchmark("ou1d"), ou_restart_ladder),
+    (lambda: make_benchmark("figure8"), figure8_ladder),
+    pytest.param(well_system, abort_ladder, marks=pytest.mark.filterwarnings(
+        "ignore:overflow", "ignore:invalid value")),
+], ids=["ou1d", "figure8", "aborts"])
+def test_results_do_not_depend_on_group_count(monkeypatch, system, ladder):
+    # 1 core runs in-process; 2 and 3 split the three levels 2 + 1 and 1 + 1 + 1.
+    runs = []
+    for cores in (1, 2, 3):
+        use_cores(monkeypatch, cores)
+        runs.append(run_ladder(system(), ladder()))
+        assert multiprocessing.active_children() == []
+    (reference, ref_sinks), *others = runs
+    for summary, sinks in others:
+        assert summary == reference
+        for got, want in zip(sinks, ref_sinks):
+            assert len(got.batches) == len(want.batches)
+            assert all(np.array_equal(a, b) for a, b in zip(got.batches, want.batches))
+
+
+def test_worker_exception_keeps_its_type(monkeypatch):
+    # Only the last level moves, so only the last of two groups raises.
+    def drift(x):
+        if np.abs(x).max() > 50.0:
+            raise ValueError("left the test region")
+        return -x
+
+    system = decay_system(drift)
+    cfgs = [ou_config(epsilon=eps, seed=i, total_time=500.0)
+            for i, eps in enumerate((0.0, 0.0, 1e4))]
+    use_cores(monkeypatch, 2)
+    with pytest.raises(ValueError, match="left the test region") as info:
+        run_ladder(system, cfgs)
+    assert "in drift" in str(info.value.__cause__)  # the worker's traceback
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_worker_overflow_is_an_error(monkeypatch, cores):
+    # The repository's error::RuntimeWarning filter holds in the workers too.
+    use_cores(monkeypatch, cores)
+    with pytest.raises(RuntimeWarning, match="overflow"):
+        run_ladder(well_system(), abort_ladder())
+    assert multiprocessing.active_children() == []
+
+
+def test_dead_worker_is_reported(monkeypatch):
+    parent = os.getpid()
+
+    def drift(x):
+        if os.getpid() != parent:
+            os._exit(3)
+        return -x
+
+    system = decay_system(drift)
+    use_cores(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match="exited with code 3"):
+        run_ladder(system, [ou_config(), ou_config(seed=1)])
+    assert multiprocessing.active_children() == []
+
+
+def test_sink_failure_stops_the_workers(monkeypatch):
+    class Refused(Exception):
+        pass
+
+    workers = []
+
+    def refuse(batch):
+        workers.extend(multiprocessing.active_children())
+        raise Refused
+
+    # The workers are far from done (500,000 steps each) when the first batch arrives.
+    cfgs = [ou_config(epsilon=eps, seed=i, total_time=5000.0)
+            for i, eps in enumerate((0.5, 1.0))]
+    use_cores(monkeypatch, 2)
+    with pytest.raises(Refused):
+        simulate_ensemble(make_benchmark("ou1d"), cfgs, [Collector(), refuse])
+    assert len(workers) == 2
+    assert all(w.exitcode == -signal.SIGTERM for w in workers)
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("field, value", [

@@ -10,6 +10,9 @@ Three groups of outputs are hashed:
   ``tests/test_pipeline.py`` (``timing.log`` holds wall times and is left
   out);
 * every file of simulate -> regress on ``perfbench/workloads.figure8_config(1)``;
+* every file of simulate on a shrunken copy of that config whose box cuts
+  through the attractor, so that every level escapes and the rollback
+  path runs, and the digest of its per-level escape counts;
 * the trained V and Z parameters, ``alpha`` and both loss logs of the
   ``paper-train`` workload on seeds 1-3.
 
@@ -29,6 +32,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 import argparse  # noqa: E402
 import hashlib  # noqa: E402
+import json  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -38,7 +42,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 
 import numpy as np  # noqa: E402
 
-from deepwkb.pipeline import RunManifest, run_all, run_stage  # noqa: E402
+from deepwkb.pipeline import RunConfig, RunManifest, run_all, run_stage  # noqa: E402
 from test_pipeline import ou_mini_config  # noqa: E402
 from workloads import PaperTrain, figure8_config  # noqa: E402
 
@@ -53,6 +57,21 @@ def run_dir_lines(label, outdir):
     return [f"{label}/{f.name} {sha(f.read_bytes())}"
             for f in sorted(Path(outdir).iterdir())
             if f.is_file() and f.name != "timing.log"]
+
+
+def escaping_lines(outdir):
+    """Simulate the figure-eight in a box narrower than its attractor
+    (|x| <= 2 against the figure-eight's |x| <= 6 ** 0.5), 50 trajectories
+    for 20 time units per level."""
+    data = figure8_config(1).data
+    cfg = RunConfig(dict(data, grid=dict(data["grid"], lower=[-2.0, -2.5], upper=[2.0, 2.5]),
+                         sim=dict(data["sim"], total_time=20.0, n_traj=50)))
+    manifest = run_stage("simulate", cfg, RunManifest(outdir))
+    escapes = [level["escapes"] for level in manifest.data["stages"]["simulate"]["info"]["per_eps"]]
+    if min(escapes) == 0:
+        raise SystemExit(f"the escaping run did not escape on every level: {escapes}")
+    return run_dir_lines("figure8-escaping", outdir) + [
+        f"figure8-escaping/escapes {sha(json.dumps(escapes).encode())}"]
 
 
 def paper_train_lines(seed, workdir):
@@ -89,6 +108,9 @@ def main(argv=None):
         for stage in ("simulate", "regress"):
             run_stage(stage, cfg, manifest)
         for line in run_dir_lines("figure8", f8_dir):
+            print(line, flush=True)
+
+        for line in escaping_lines(base / "figure8-escaping"):
             print(line, flush=True)
 
         for seed in PAPER_TRAIN_SEEDS:

@@ -32,7 +32,7 @@ from .density import DensityHistogram, GridSpec, select_collocation
 from .models import make_benchmark
 from .regression import (RegressionResult, export_csv,
                          extrapolate_z0_attractor, regress_collocation, PointData)
-from .simulate import SimConfig, sample_attractor, simulate_ensemble
+from .simulate import SimConfig, call_in_child, sample_attractor, simulate_ensemble
 from .train_v import QpTrainConfig, TrainedQp, assemble_qp_sets, train_qp
 from .train_z import TrainedZ, assemble_z_sets, train_z, transport_coefficients
 from .validation import export_rss_csv, validate_wkb
@@ -236,17 +236,18 @@ def _hist_name(i):
 
 
 def _stage_simulate(cfg: RunConfig, outdir: Path):
+    """Sample the attractor and simulate the noise ladder into histograms.
+
+    The attractor's zero-noise RK4 run does not depend on the ensemble,
+    so it is integrated in a forked child beside the level workers.
+    Nothing is written unless both succeed.
+    """
     system = cfg.system()
     grid = cfg.grid()
     sim = cfg.data["sim"]
     att = cfg.data["attractor"]
 
     x0 = att["x0"] if att["x0"] is not None else 0.5 * (grid.lower_arr + grid.upper_arr)
-    attractor = sample_attractor(system, np.asarray(x0, dtype=float),
-                                 att["burn_in"], att["collect_time"], att["count"],
-                                 dt=att["dt"], seed=_derive_seed(cfg["seed"], "attractor"))
-    np.save(outdir / "attractor.npy", attractor)
-
     ladder = cfg.data["ladder"]
     hists = [DensityHistogram(grid, eps) for eps in ladder]
     levels = [SimConfig(
@@ -258,7 +259,12 @@ def _stage_simulate(cfg: RunConfig, outdir: Path):
         x0=None if sim["x0"] is None else np.asarray(sim["x0"], dtype=float),
         burn_in_fraction=sim["burn_in_fraction"],
     ) for i, eps in enumerate(ladder)]
-    summary = simulate_ensemble(system, levels, [h.add_batch for h in hists])
+    with call_in_child(sample_attractor, system, np.asarray(x0, dtype=float),
+                       att["burn_in"], att["collect_time"], att["count"], dt=att["dt"],
+                       seed=_derive_seed(cfg["seed"], "attractor")) as attractor:
+        summary = simulate_ensemble(system, levels, [h.add_batch for h in hists])
+        points = attractor()
+    np.save(outdir / "attractor.npy", points)
     outputs = ["attractor.npy"]
     for i, hist in enumerate(hists):
         hist.to_file(outdir / _hist_name(i))

@@ -22,12 +22,17 @@ order.  Each worker draws normals ``_CHUNK_STEPS`` steps at a time into
 a step-major buffer of ``_CHUNK_STEPS * levels * n_traj * m`` float64
 values for its own levels (2 KiB per trajectory and noise dimension);
 the streams do not depend on the chunk size.
+
+The zero-noise flow that ``sample_attractor`` integrates does not depend
+on the ensemble, so the simulate stage runs it through
+``call_in_child`` in a forked child of its own beside the level workers.
 """
 
 from __future__ import annotations
 
 import os
 import traceback
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from multiprocessing import connection, get_context
 
@@ -39,6 +44,7 @@ __all__ = [
     "simulate_ensemble",
     "integrate_ode",
     "sample_attractor",
+    "call_in_child",
 ]
 
 _CHUNK_STEPS = 256
@@ -176,7 +182,7 @@ def _advance(system, cfgs, lo, hi):
     counts), with counts a (levels, 4) int array of steps taken, samples
     emitted, escapes and aborted trajectories per level.
     """
-    m = system.dim_noise
+    n, m = system.dim_state, system.dim_noise
     cfg = cfgs[0]
     n_levels, n_traj = len(cfgs), cfg.n_traj
     rows = n_levels * n_traj
@@ -191,7 +197,11 @@ def _advance(system, cfgs, lo, hi):
     steps_done = np.full(rows, n_steps)  # live steps per row; a row stops counting when it aborts
 
     gens = [g for c in cfgs for g in _trajectory_generators(c.seed, n_traj)]
-    sqrt_noise = np.repeat([np.sqrt(c.epsilon * c.dt) for c in cfgs], n_traj)[:, None]
+    # The per-row noise scale and box bounds as full (rows, n) arrays: numpy
+    # runs an operand broadcast against (rows, n) with an inner loop of
+    # length n, several times slower per step than equal shapes.
+    sqrt_noise = np.repeat([np.sqrt(c.epsilon * c.dt) for c in cfgs], n_traj * n).reshape(rows, n)
+    lo_rows, hi_rows = np.tile(lo, (rows, 1)), np.tile(hi, (rows, 1))
     sigma_t = system.sigma_constant.T
     restart = cfg.escape_policy == "restart_at_last_inside"
     levels = [slice(i * n_traj, (i + 1) * n_traj) for i in range(n_levels)]
@@ -216,8 +226,8 @@ def _advance(system, cfgs, lo, hi):
                 x_new[bad] = x[bad]
                 steps_done[bad & alive] = step - 1
                 alive &= ~bad
-            if restart and ((x_new < lo).any() or (x_new > hi).any()):
-                out = np.any((x_new < lo) | (x_new > hi), axis=1) & alive
+            if restart and ((x_new < lo_rows).any() or (x_new > hi_rows).any()):
+                out = np.any((x_new < lo_rows) | (x_new > hi_rows), axis=1) & alive
                 if out.any():
                     x_new[out] = x[out]
                     escapes += out.reshape(n_levels, n_traj).sum(axis=1)
@@ -237,9 +247,9 @@ def _advance(system, cfgs, lo, hi):
 
 
 def _deliver(message, sinks):
-    """Act on one message of a group of levels, whose sinks are ``sinks``:
-    feed batches to the sinks, re-raise a worker's exception, or return
-    the counts that end the group's messages (None before them)."""
+    """Act on one message of a child, whose sinks are ``sinks``: feed
+    batches to the sinks, re-raise the child's exception, or return the
+    payload that ends its messages (None before it)."""
     tag, payload = message
     if tag == "batches":
         for level, batch in payload:
@@ -251,11 +261,11 @@ def _deliver(message, sinks):
     return payload
 
 
-def _worker(conn, system, cfgs, lo, hi):
-    """Body of a forked worker: advance one group of levels and send its
-    messages, or a ("failed", (exception, traceback text)) message."""
+def _worker(conn, messages):
+    """Body of a forked child: send each message the generator ``messages``
+    yields, or a ("failed", (exception, traceback text)) message."""
     try:
-        for message in _advance(system, cfgs, lo, hi):
+        for message in messages:
             conn.send(message)
     except Exception as exc:
         conn.send(("failed", (exc, traceback.format_exc())))
@@ -264,49 +274,91 @@ def _worker(conn, system, cfgs, lo, hi):
 
 
 class _WorkerTraceback(Exception):
-    """The traceback of an exception raised in a worker, as its cause."""
+    """The traceback of an exception raised in a forked child, as its cause."""
 
     def __str__(self):
         return self.args[0]
 
 
-def _run_workers(system, cfgs, sinks, lo, hi, groups):
-    """Advance each group of levels in a forked worker (fork, because a
-    system's drift closures cannot be pickled) and call the sinks here as
-    the messages arrive.  Returns the groups' counts, in group order."""
+def _fork(messages):
+    """Start a forked child that sends ``messages`` (fork, because a
+    system's drift closures cannot be pickled); returns the process and
+    the receiving end of its pipe."""
     ctx = get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    proc = ctx.Process(target=_worker, args=(send, messages), daemon=True)
+    proc.start()
+    send.close()
+    return proc, recv
+
+
+def _receive(proc, recv, what):
+    """The next message of a child, or RuntimeError if it died first."""
+    try:
+        return recv.recv()
+    except EOFError:
+        proc.join()
+        raise RuntimeError(f"{what} exited with code {proc.exitcode}") from None
+
+
+def _reap(children, finished):
+    """Join the children, terminating them first unless they finished."""
+    for proc, recv in children:
+        if not finished:
+            proc.terminate()
+        proc.join()
+        recv.close()
+
+
+def _run_workers(system, cfgs, sinks, lo, hi, groups):
+    """Advance each group of levels in a forked worker and call the sinks
+    here as the messages arrive.  Returns the groups' counts, in group
+    order."""
     workers, ok = [], False
     try:
         for group in groups:
-            recv, send = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_worker, daemon=True,
-                               args=(send, system, [cfgs[i] for i in group], lo, hi))
-            proc.start()
-            send.close()
-            workers.append((proc, recv))
+            workers.append(_fork(_advance(system, [cfgs[i] for i in group], lo, hi)))
         counts = [None] * len(groups)
         pending = {recv: g for g, (_, recv) in enumerate(workers)}
         while pending:
             for recv in connection.wait(list(pending)):
                 g = pending[recv]
-                try:
-                    message = recv.recv()
-                except EOFError:
-                    proc = workers[g][0]
-                    proc.join()
-                    raise RuntimeError(f"simulation worker for levels {groups[g].tolist()} "
-                                       f"exited with code {proc.exitcode}") from None
+                message = _receive(workers[g][0], recv,
+                                   f"simulation worker for levels {groups[g].tolist()}")
                 counts[g] = _deliver(message, [sinks[i] for i in groups[g]])
                 if counts[g] is not None:
                     del pending[recv]
         ok = True
     finally:
-        for proc, recv in workers:
-            if not ok:
-                proc.terminate()
-            proc.join()
-            recv.close()
+        _reap(workers, ok)
     return counts
+
+
+def _returned(fn, args, kwargs):
+    """The one message of a child that calls fn: its result."""
+    yield "done", fn(*args, **kwargs)
+
+
+@contextmanager
+def call_in_child(fn, *args, **kwargs):
+    """Run ``fn(*args, **kwargs)`` in a forked child while the ``with``
+    block runs here.  The block gets a function that waits for fn's result
+    and returns it, re-raising fn's exception with its type.  A child
+    whose result the block did not take is terminated when the block
+    exits, and no child outlives the block."""
+    child = _fork(_returned(fn, args, kwargs))
+    taken = False
+
+    def result():
+        nonlocal taken
+        value = _deliver(_receive(*child, "child process"), ())
+        taken = True
+        return value
+
+    try:
+        yield result
+    finally:
+        _reap([child], taken)
 
 
 def integrate_ode(system, x0, dt, total_time):

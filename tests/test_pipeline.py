@@ -1,14 +1,19 @@
 import json
+import multiprocessing
+import signal
+import time
 
 import numpy as np
 import pytest
 
+from deepwkb import pipeline, simulate
 from deepwkb.cli import main as cli_main
-from deepwkb.density import GridSpec
+from deepwkb.density import DensityHistogram, GridSpec
 from deepwkb.models import make_benchmark
 from deepwkb.pipeline import (STAGES, DependencyError, RunConfig, RunManifest,
                               evaluate_wkb_grid, fp_residual_grid, run_all,
                               run_stage)
+from deepwkb.simulate import sample_attractor
 from deepwkb.train_v import QpTrainConfig
 
 
@@ -96,11 +101,14 @@ def test_dependency_order_enforced(tmp_path):
         run_stage("paint", cfg, manifest)
 
 
+TINY_SIM = {"dt": 0.04, "total_time": 4.0, "n_traj": 4, "sample_interval": 0.4,
+            "escape_policy": "none", "burn_in_fraction": 0.01, "x0": None}
+
+
 def test_rerun_deletes_outputs_it_no_longer_writes(tmp_path):
     # Rerunning simulate with one noise level fewer must not leave the old
     # level's histogram behind for the next stages to read.
-    tiny = {"sim": {"dt": 0.04, "total_time": 4.0, "n_traj": 4, "sample_interval": 0.4,
-                    "escape_policy": "none", "burn_in_fraction": 0.01, "x0": None},
+    tiny = {"sim": TINY_SIM,
             "attractor": {"x0": [0.5], "burn_in": 1.0, "collect_time": 1.0,
                           "count": 10, "dt": 0.01}}
     ladder = [0.09, 0.16, 0.25, 0.36, 0.49]
@@ -111,6 +119,90 @@ def test_rerun_deletes_outputs_it_no_longer_writes(tmp_path):
     assert not (tmp_path / "hist_04.dwkbhist").exists()
     assert (tmp_path / "hist_03.dwkbhist").exists()
     assert "hist_04.dwkbhist" not in RunManifest(tmp_path).data["stages"]["simulate"]["outputs"]
+
+
+def figure8_mini_config():
+    return ou_mini_config(
+        benchmark={"name": "figure8", "params": {"mu": 0.5}},
+        grid={"lower": [-3.5, -2.5], "upper": [3.5, 2.5], "bins": [32, 32]},
+        sim=dict(TINY_SIM, escape_policy="restart_at_last_inside", x0=[0.0, 1.0]),
+        attractor={"x0": [0.0, 1.0], "burn_in": 5.0, "collect_time": 5.0,
+                   "count": 50, "dt": 0.01})
+
+
+def use_cores(monkeypatch, cores):
+    monkeypatch.setattr(simulate, "_usable_cores", lambda: cores)
+
+
+def assert_nothing_written(outdir):
+    assert not (outdir / "attractor.npy").exists() and not list(outdir.glob("hist_*"))
+    assert "simulate" not in RunManifest(outdir).data["stages"]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+@pytest.mark.parametrize("make_cfg", [lambda: ou_mini_config(sim=TINY_SIM), figure8_mini_config],
+                         ids=["ou1d", "figure8"])
+def test_stage_attractor_is_the_in_process_one(tmp_path, monkeypatch, make_cfg, cores):
+    # The stage integrates the attractor in a forked child; its points must
+    # be those of a direct call with the stage's derived seed.
+    cfg = make_cfg()
+    use_cores(monkeypatch, cores)
+    manifest = run_stage("simulate", cfg, RunManifest(tmp_path))
+    att = cfg["attractor"]
+    want = sample_attractor(cfg.system(), np.asarray(att["x0"], dtype=float),
+                            att["burn_in"], att["collect_time"], att["count"], dt=att["dt"],
+                            seed=pipeline._derive_seed(cfg["seed"], "attractor"))
+    got = np.load(tmp_path / "attractor.npy")
+    assert got.tobytes() == want.tobytes() and got.shape == want.shape
+    assert list(manifest.data["stages"]["simulate"]["outputs"]) == (
+        ["attractor.npy"] + [f"hist_{i:02d}.dwkbhist" for i in range(len(cfg["ladder"]))])
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_attractor_failure_keeps_its_type_and_writes_nothing(tmp_path, monkeypatch, cores):
+    # 100 points are available after the burn-in; the count guard refuses 1000.
+    cfg = ou_mini_config(sim=TINY_SIM, attractor={"x0": [0.5], "burn_in": 1.0, "collect_time": 1.0,
+                                                 "count": 1000, "dt": 0.01})
+    use_cores(monkeypatch, cores)
+    with pytest.raises(ValueError, match="available") as info:
+        run_stage("simulate", cfg, RunManifest(tmp_path))
+    assert "in sample_attractor" in str(info.value.__cause__)  # the child's traceback
+    assert_nothing_written(tmp_path)
+
+
+class Refused(Exception):
+    pass
+
+
+def refuse(*args, **kwargs):
+    raise Refused
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+@pytest.mark.parametrize("failure", ["worker", "sink"])
+def test_ensemble_failure_ends_the_attractor_child(tmp_path, monkeypatch, failure, cores):
+    children = []
+
+    def slow_attractor(*args, **kwargs):
+        time.sleep(60)
+
+    def ensemble(*args):
+        children.extend(multiprocessing.active_children())  # the attractor child alone
+        return simulate.simulate_ensemble(*args)
+
+    monkeypatch.setattr(pipeline, "sample_attractor", slow_attractor)
+    monkeypatch.setattr(pipeline, "simulate_ensemble", ensemble)
+    if failure == "worker":
+        monkeypatch.setattr(simulate, "_trajectory_generators", refuse)
+    else:
+        monkeypatch.setattr(DensityHistogram, "add_batch", refuse)
+    use_cores(monkeypatch, cores)
+    with pytest.raises(Refused):
+        run_stage("simulate", ou_mini_config(sim=TINY_SIM), RunManifest(tmp_path))
+    assert len(children) == 1 and children[0].exitcode == -signal.SIGTERM
+    assert_nothing_written(tmp_path)
 
 
 # -- analytic diagnostics ----------------------------------------------------

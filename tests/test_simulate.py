@@ -210,9 +210,34 @@ def test_ladder_matches_single_levels_figure8():
     assert_ladder_matches_single_levels(sys_, figure8_ladder())
 
 
+ONE_FACE_BOX = (np.array([-6.0, -6.0]), np.array([0.3, 6.0]))
+
+
+def one_face_ladder():
+    # 2-d OU from the origin with standard deviations 0.35-0.71 per
+    # coordinate: trajectories leave the box through its x = 0.3 face only.
+    return [SimConfig(epsilon=eps, dt=0.01, total_time=20.0, n_traj=5,
+                      sample_interval=0.1, seed=seed, domain=ONE_FACE_BOX,
+                      escape_policy="restart_at_last_inside", x0=np.zeros(2))
+            for eps, seed in ((0.25, 31), (1.0, 32), (0.5, 33))]
+
+
+def test_ladder_matches_single_levels_one_face():
+    # Rolled back per row against each coordinate's own bounds.
+    summary, sinks = assert_ladder_matches_single_levels(make_benchmark("ou2d"),
+                                                         one_face_ladder())
+    assert min(c["escapes"] for c in summary.per_level) > 0
+    lo, hi = ONE_FACE_BOX
+    for sink in sinks:
+        samples = sink.stacked()
+        assert ((samples >= lo) & (samples <= hi)).all()
+        assert samples[:, 0].max() > 0.25 and samples[:, 1].max() > 0.3
+
+
 @pytest.mark.parametrize("chunk", [1, 7, simulate._CHUNK_STEPS])
 @pytest.mark.parametrize("name, ladder", [("ou1d", ou_restart_ladder),
-                                          ("figure8", figure8_ladder)])
+                                          ("figure8", figure8_ladder),
+                                          ("ou2d", one_face_ladder)])
 def test_results_do_not_depend_on_chunk_size(monkeypatch, chunk, name, ladder):
     # 2000 and 1000 steps: neither 7 nor the default divides them, so the
     # last chunk is short.
@@ -273,9 +298,10 @@ def use_cores(monkeypatch, cores):
 @pytest.mark.parametrize("system, ladder", [
     (lambda: make_benchmark("ou1d"), ou_restart_ladder),
     (lambda: make_benchmark("figure8"), figure8_ladder),
+    (lambda: make_benchmark("ou2d"), one_face_ladder),
     pytest.param(well_system, abort_ladder, marks=pytest.mark.filterwarnings(
         "ignore:overflow", "ignore:invalid value")),
-], ids=["ou1d", "figure8", "aborts"])
+], ids=["ou1d", "figure8", "one-face", "aborts"])
 def test_results_do_not_depend_on_group_count(monkeypatch, system, ladder):
     # 1 core runs in-process; 2 and 3 split the three levels 2 + 1 and 1 + 1 + 1.
     runs = []

@@ -16,6 +16,14 @@ Three groups of outputs are hashed:
 * the trained V and Z parameters, ``alpha`` and both loss logs of the
   ``paper-train`` workload on seeds 1-3.
 
+It also prints the trained networks' errors in full precision, so that a
+change that moves outputs can report its accuracy from the same print:
+``train_v.v_err`` and ``train_z.z_err`` of each ``paper-train`` seed (the
+RMS errors against ``|x|^2`` and ``1/pi`` on the 41 x 41 grid of the
+workload's check), and the OU mini run's trained V against ``x^2`` at the
+cell centres with ``|x| <= 0.5`` (as the ``ou1d-pipeline`` workload
+scores it).  Equal outputs print equal errors.
+
 BLAS runs on one thread, as in the benchmark, since the last bits of a
 matrix product may depend on the thread count.  Run directories go under
 ``--out`` (a temporary directory by default).  The whole print takes a few
@@ -42,6 +50,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 
 import numpy as np  # noqa: E402
 
+from deepwkb import net  # noqa: E402
 from deepwkb.pipeline import RunConfig, RunManifest, run_all, run_stage  # noqa: E402
 from test_pipeline import ou_mini_config  # noqa: E402
 from workloads import PaperTrain, figure8_config  # noqa: E402
@@ -57,6 +66,17 @@ def run_dir_lines(label, outdir):
     return [f"{label}/{f.name} {sha(f.read_bytes())}"
             for f in sorted(Path(outdir).iterdir())
             if f.is_file() and f.name != "timing.log"]
+
+
+def ou_v_err_line(cfg, outdir):
+    """RMS of train-v's V against the exact x^2 at the grid's cell centres
+    with |x| <= 0.5."""
+    grid = cfg.grid()
+    centers = grid.centers(np.arange(grid.n_cells))[:, 0]
+    xs = centers[np.abs(centers) <= 0.5][:, None]
+    params, _, extra = net.load_checkpoint(Path(outdir) / "checkpoint_v.dwkbnet")
+    v = net.forward(params, xs) / json.loads(extra.decode())["alpha"]
+    return f"ou_mini/train_v.v_err {float(np.sqrt(np.mean((v - xs[:, 0] ** 2) ** 2)))!r}"
 
 
 def escaping_lines(outdir):
@@ -86,7 +106,14 @@ def paper_train_lines(seed, workdir):
         "z_params": tz.params.flat.tobytes(),
         "z_log": np.asarray(tz.log, dtype=float).tobytes(),
     }
-    return [f"paper-train-{seed}/{name} {sha(data)}" for name, data in parts.items()]
+    axis = np.linspace(-1.0, 1.0, 41)
+    grid = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
+    errors = {
+        "train_v.v_err": np.sqrt(np.mean((tv.v(grid) - np.sum(grid**2, axis=1)) ** 2)),
+        "train_z.z_err": np.sqrt(np.mean((tz.z(grid) - 1.0 / np.pi) ** 2)),
+    }
+    return ([f"paper-train-{seed}/{name} {sha(data)}" for name, data in parts.items()]
+            + [f"paper-train-{seed}/{name} {float(err)!r}" for name, err in errors.items()])
 
 
 def main(argv=None):
@@ -98,9 +125,9 @@ def main(argv=None):
         base = args.out or Path(tmp)
         base.mkdir(parents=True, exist_ok=True)
 
-        ou_dir = base / "ou_mini"
-        run_all(ou_mini_config(), ou_dir)
-        for line in run_dir_lines("ou_mini", ou_dir):
+        ou_dir, ou_cfg = base / "ou_mini", ou_mini_config()
+        run_all(ou_cfg, ou_dir)
+        for line in run_dir_lines("ou_mini", ou_dir) + [ou_v_err_line(ou_cfg, ou_dir)]:
             print(line, flush=True)
 
         f8_dir = base / "figure8"

@@ -12,16 +12,27 @@ operations needed by the training losses:
 * grad_params_of_directional_input_grad
                          -- parameter gradient of w . grad_x NN(x),
                             i.e. reverse mode through the tangent pass,
+                            optionally plus that of the output itself,
 
 plus a bias-corrected Adam step.  ``trace`` runs the forward pass on a
 batch of input points of shape (B, n), the only input shape accepted, and
-keeps every layer's activations.  The three backward kernels
-(grad_params, grad_input and the directional kernel) take that trace in
-place of the points, so a loss that calls several of them traces the
-network once; ``forward`` and ``hessian_input`` take the points and trace
-them themselves.  Every kernel returns one value, gradient or Hessian per
-row.  Everything runs in float64: the second-order training signals are
-too fragile at single precision.
+keeps every layer's activations and, beside each hidden one, its slope
+s (1 - s), computed once.  The three backward kernels (grad_params,
+grad_input and the directional kernel) take that trace in place of the
+points, so a loss that calls several of them traces the network once;
+``forward`` and ``hessian_input`` take the points and trace them
+themselves.  The parameter-gradient kernels write each layer's gradient
+straight into one flat vector.  Every kernel returns one value, gradient
+or Hessian per row.  Everything runs in float64: the second-order
+training signals are too fragile at single precision.
+
+The sigmoid is 1 / (1 + exp(-z)) in numpy ufuncs, in place, within 4 ulp
+of scipy's ``expit``.  At paper width ``expit`` costs about 12 ns per
+element, nearly as much as the 256 x 256 matrix product that feeds it,
+and the ufunc sigmoid on numpy's vectorised ``exp`` about a quarter of
+that.  numpy picks its ``exp`` kernel (as BLAS its matrix kernels) by
+the CPU's SIMD extensions at run time, so outputs are deterministic on
+one machine but their last bits may differ between CPUs.
 """
 
 from __future__ import annotations
@@ -30,10 +41,10 @@ import os
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
 from .models import _as_batch
 
@@ -83,8 +94,10 @@ class MlpSpec:
     def n_layers(self):
         return len(self.widths) - 1
 
+    @cached_property
     def layout(self):
-        """(offset, shape) pairs for the flat view: per layer W then b."""
+        """(offset, shape) pairs for the flat view, per layer W then b, and
+        the total size; computed once per spec."""
         out = []
         off = 0
         for l in range(self.n_layers):
@@ -93,7 +106,7 @@ class MlpSpec:
             off += n_out * n_in
             out.append((off, (n_out,)))
             off += n_out
-        return out, off
+        return tuple(out), off
 
 
 class MlpParams:
@@ -101,7 +114,7 @@ class MlpParams:
 
     def __init__(self, spec: MlpSpec, flat=None):
         self.spec = spec
-        layout, size = spec.layout()
+        layout, size = spec.layout
         if flat is None:
             flat = np.zeros(size)
         flat = np.ascontiguousarray(flat, dtype=float)
@@ -123,13 +136,14 @@ class MlpParams:
     def copy(self):
         return MlpParams(self.spec, self.flat.copy())
 
-    def l2_gradient(self):
-        """lambda * weights, zero on biases, written layer by layer: masked
-        gathers would allocate three parameter-sized temporaries per step."""
-        g = MlpParams(self.spec)
-        for (gw, _), (w, _) in zip(g.layers, self.layers):
-            np.multiply(self.spec.l2_lambda, w, out=gw)
-        return g.flat
+
+def _add_weight_penalty(params: MlpParams, grad):
+    """Add the penalty's gradient lambda * W to the flat gradient ``grad`` in
+    place, layer by layer; biases are not penalised.  Returns ``grad``."""
+    lam = params.spec.l2_lambda
+    for (gw, _), (w, _) in zip(MlpParams(params.spec, grad).layers, params.layers):
+        gw += lam * w
+    return grad
 
 
 SIGMOID_INIT_GAIN = 4.0
@@ -156,15 +170,37 @@ def init_params(spec: MlpSpec, seed) -> MlpParams:
     return params
 
 
-def trace(params: MlpParams, x):
-    """Forward trace of a (B, n) batch: the activations of every layer,
-    that is the input, the sigmoid outputs of the hidden layers, then the
-    (B, 1) linear output.  The backward kernels read it in place of x."""
-    n_layers = params.spec.n_layers
-    acts = [_as_batch(x, params.spec.dim_in)]
+class _Trace(list):
+    """The activations of every layer, as a list: the input, the sigmoid
+    outputs of the hidden layers, then the (B, 1) linear output.
+    ``slopes[l]`` is the sigmoid slope s (1 - s) beside hidden activation
+    ``self[l]``, and None beside the input and the output."""
+
+    __slots__ = ("slopes",)
+
+
+def trace(params: MlpParams, x) -> _Trace:
+    """Forward trace of a (B, n) batch: every layer's activations and the
+    hidden layers' slopes.  The backward kernels read it in place of x."""
+    last = params.spec.n_layers - 1
+    acts = _Trace([_as_batch(x, params.spec.dim_in)])
+    acts.slopes = [None]
     for l, (w, b) in enumerate(params.layers):
-        z = acts[-1] @ w.T + b
-        acts.append(z if l == n_layers - 1 else expit(z))
+        s = acts[-1] @ w.T
+        s += b
+        sp = None
+        if l < last:
+            # 1 / (1 + exp(-z)) in place; exp overflows to inf, so a very
+            # negative z saturates to exactly 0.
+            np.negative(s, out=s)
+            with np.errstate(over="ignore"):
+                np.exp(s, out=s)
+            s += 1.0
+            np.reciprocal(s, out=s)
+            sp = np.subtract(1.0, s)
+            sp *= s
+        acts.append(s)
+        acts.slopes.append(sp)
     return acts
 
 
@@ -173,31 +209,26 @@ def forward(params: MlpParams, x):
     return trace(params, x)[-1][:, 0]
 
 
-def _sigma_prime(s):
-    """Sigmoid slope from the sigmoid value s = expit(z) the trace holds."""
-    return s * (1.0 - s)
-
-
 def grad_params(params: MlpParams, acts, upstream) -> np.ndarray:
     """Flat gradient of  sum_b upstream_b * NN(x_b)  over the parameters,
     from the trace ``acts`` of the batch.
 
     ``upstream`` holds one coefficient per batch row.  No weight penalty
-    is added here: the losses add ``params.l2_gradient()`` once.
+    is added here: the losses add it once.
     """
     ups = np.asarray(upstream, dtype=float)
     if ups.shape != (acts[0].shape[0],):
         raise ValueError("upstream has wrong shape")
 
-    grad = MlpParams(params.spec)
+    grad = MlpParams(params.spec, np.empty(params.size))
     delta = ups[:, None]  # d(sum ups*y)/d z_L
     for l in range(params.spec.n_layers - 1, -1, -1):
-        w, _ = params.layers[l]
         gw, gb = grad.layers[l]
-        gw += delta.T @ acts[l]
-        gb += delta.sum(axis=0)
+        np.matmul(delta.T, acts[l], out=gw)
+        delta.sum(axis=0, out=gb)
         if l > 0:
-            delta = (delta @ w) * _sigma_prime(acts[l])
+            delta = delta @ params.layers[l][0]
+            delta *= acts.slopes[l]
     return grad.flat
 
 
@@ -205,8 +236,8 @@ def grad_input(params: MlpParams, acts):
     """Input gradients grad_x NN(x_b), shape (B, n), from the trace ``acts``."""
     delta = np.ones((acts[0].shape[0], 1))
     for l in range(params.spec.n_layers - 1, 0, -1):
-        w, _ = params.layers[l]
-        delta = (delta @ w) * _sigma_prime(acts[l])
+        delta = delta @ params.layers[l][0]
+        delta *= acts.slopes[l]
     return delta @ params.layers[0][0]
 
 
@@ -229,7 +260,7 @@ def hessian_input(params: MlpParams, x):
         zdot = np.einsum("oi,bit->bot", w, adot, optimize=True)
         zdots.append(zdot)
         if l < n_layers - 1:
-            adot = _sigma_prime(acts[l + 1])[:, :, None] * zdot
+            adot = acts.slopes[l + 1][:, :, None] * zdot
 
     # Adjoint values and their tangents.
     delta = np.ones((bsz, 1))
@@ -238,7 +269,7 @@ def hessian_input(params: MlpParams, x):
         w, _ = params.layers[l]
         s = delta @ w
         s_dot = np.einsum("bot,oi->bit", delta_dot, w, optimize=True)
-        sp = _sigma_prime(acts[l])
+        sp = acts.slopes[l]
         spp = sp * (1.0 - 2.0 * acts[l])
         delta = s * sp
         delta_dot = s_dot * sp[:, :, None] + (s * spp)[:, :, None] * zdots[l - 1]
@@ -247,13 +278,17 @@ def hessian_input(params: MlpParams, x):
     return 0.5 * (h + np.swapaxes(h, 1, 2))
 
 
-def grad_params_of_directional_input_grad(params: MlpParams, acts, w_dir, coeff) -> np.ndarray:
-    """Flat gradient w.r.t. parameters of  sum_b c_b * (w_b . grad_x NN(x_b)),
+def grad_params_of_directional_input_grad(params: MlpParams, acts, w_dir, coeff,
+                                          upstream=None) -> np.ndarray:
+    """Flat gradient w.r.t. parameters of
+    sum_b c_b * (w_b . grad_x NN(x_b)) + sum_b upstream_b * NN(x_b),
     from the trace ``acts`` of the batch.
 
-    ``w_dir`` holds one direction per batch row, (B, n), and ``coeff`` one
-    coefficient per row, (B,).  No L2 term is added here (the loss
-    assemblies own the regularizer).
+    ``w_dir`` holds one direction per batch row, (B, n), and ``coeff`` and
+    ``upstream`` one coefficient per row, (B,).  ``upstream`` seeds the
+    output's primal adjoint, so the second sum costs no sweep of its own
+    (it is the gradient ``grad_params`` computes); None means zero.  No
+    L2 term is added here (the loss assemblies own the regularizer).
     """
     wb = np.asarray(w_dir, dtype=float)
     if wb.shape != acts[0].shape:
@@ -262,6 +297,9 @@ def grad_params_of_directional_input_grad(params: MlpParams, acts, w_dir, coeff)
     c = np.asarray(coeff, dtype=float)
     if c.shape != (bsz,):
         raise ValueError("coeff must hold one value per batch row")
+    ups = np.zeros(bsz) if upstream is None else np.asarray(upstream, dtype=float)
+    if ups.shape != (bsz,):
+        raise ValueError("upstream must hold one value per batch row")
 
     n_layers = params.spec.n_layers
     # Forward tangent pass in direction w: zdot_l, adot_l.
@@ -270,28 +308,30 @@ def grad_params_of_directional_input_grad(params: MlpParams, acts, w_dir, coeff)
     for l, (wmat, _) in enumerate(params.layers):
         zdot = adot @ wmat.T
         zdots.append(zdot)
-        adot = zdot if l == n_layers - 1 else _sigma_prime(acts[l + 1]) * zdot
+        adot = zdot if l == n_layers - 1 else acts.slopes[l + 1] * zdot
         adots.append(adot)
 
-    grad = MlpParams(params.spec)
-    # Adjoints of the augmented graph; objective is sum_b c_b * zdot_L.
-    a_bar = np.zeros((bsz, 1))
-    q = c[:, None]
+    grad = MlpParams(params.spec, np.empty(params.size))
+    # Adjoints of the augmented graph; objective is sum_b c_b * zdot_L
+    # plus sum_b upstream_b * z_L.
+    a_bar, q = ups[:, None], c[:, None]
     for l in range(n_layers - 1, -1, -1):
         wmat, _ = params.layers[l]
         if l == n_layers - 1:  # linear output: act' = 1, act'' = 0
             z_bar = a_bar
             r = q
         else:
-            sp = _sigma_prime(acts[l + 1])
+            sp = acts.slopes[l + 1]
             spp = sp * (1.0 - 2.0 * acts[l + 1])
             z_bar = sp * a_bar + spp * zdots[l] * q
             r = sp * q
         gw, gb = grad.layers[l]
-        gw += z_bar.T @ acts[l] + r.T @ adots[l]
-        gb += z_bar.sum(axis=0)
-        a_bar = z_bar @ wmat
-        q = r @ wmat
+        np.matmul(z_bar.T, acts[l], out=gw)
+        gw += r.T @ adots[l]
+        z_bar.sum(axis=0, out=gb)
+        if l > 0:
+            a_bar = z_bar @ wmat
+            q = r @ wmat
     return grad.flat
 
 

@@ -146,6 +146,13 @@ class RunConfig:
         if len(ladder) <= 3 or any(e <= 0 for e in ladder) or \
                 any(b >= a for b, a in zip(ladder, ladder[1:])):
             raise ValueError("ladder must be > 3 strictly increasing positive levels")
+        att = self.data["attractor"]
+        # the states sample_attractor draws from
+        pool = (round((att["burn_in"] + att["collect_time"]) / att["dt"])
+                - round(att["burn_in"] / att["dt"]))
+        if att["count"] > pool:
+            raise ValueError(f"attractor count {att['count']} exceeds the {pool} available "
+                             "after the burn-in")
         if self.data["evaluate"]["eps"] is None:
             self.data["evaluate"]["eps"] = ladder[0]
 

@@ -223,8 +223,7 @@ def qp_loss(kind, params: MlpParams, batch, system):
                                                          2.0 * resid / x.shape[0])
     else:
         raise ValueError(f"unknown loss kind {kind!r}")
-    grad += params.l2_gradient()
-    return value, grad
+    return value, net._add_weight_penalty(params, grad)
 
 
 def _epoch_indices(rng, size, n_batches, batch_size):

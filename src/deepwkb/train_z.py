@@ -135,9 +135,11 @@ def z_loss(kind, params_z: MlpParams, batch, system, trained_v):
 
     L1 and L2 are the hinged target fit of ``fit_loss``; L3 is the squared
     transport residual (b . grad Z + c Z)^2 with coefficients frozen at
-    the trained V.  The L3 batch is a (points, b, c) triple, or bare
-    points whose coefficients are then computed here.  Each kind traces
-    the network once, and each gradient carries the weight penalty once.
+    the trained V, whose gradient is one sweep of the directional kernel
+    with the c Z term as its output seed.  The L3 batch is a (points, b,
+    c) triple, or bare points whose coefficients are then computed here.
+    Each kind traces the network once, and each gradient carries the
+    weight penalty once.
     """
     if kind in ("L1", "L2"):
         value, grad = fit_loss(params_z, *batch)
@@ -153,12 +155,11 @@ def z_loss(kind, params_z: MlpParams, batch, system, trained_v):
         resid = np.einsum("bi,bi->b", b, gz) + c * z
         value = float(np.mean(resid**2))
         coeff = 2.0 * resid / z.shape[0]
-        grad = net.grad_params_of_directional_input_grad(params_z, acts, b, coeff)
-        grad += net.grad_params(params_z, acts, coeff * c)
+        grad = net.grad_params_of_directional_input_grad(params_z, acts, b, coeff,
+                                                         upstream=coeff * c)
     else:
         raise ValueError(f"unknown loss kind {kind!r}")
-    grad += params_z.l2_gradient()
-    return value, grad
+    return value, net._add_weight_penalty(params_z, grad)
 
 
 def _frozen_coefficients(system, trained_v, points, batch_size):

@@ -33,7 +33,7 @@ def grad_input_at(params, x):
 
 def weight_penalty(params):
     """The L2 penalty 1/2 lambda |W|^2 over the weights, biases excluded,
-    whose gradient is ``params.l2_gradient()``."""
+    whose gradient ``net._add_weight_penalty`` adds."""
     return 0.5 * params.spec.l2_lambda * sum(np.sum(w**2) for w, _ in params.layers)
 
 

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from deepwkb import net
 from deepwkb.net import AdamState, MlpParams, MlpSpec
@@ -68,6 +71,22 @@ def test_forward_matches_reference(rng):
                                                               abs=1e-15)
 
 
+def test_trace_sigmoid_and_slopes():
+    # A unit first layer hands z straight to the sigmoid.
+    p = MlpParams(MlpSpec(widths=(1, 1, 1)))
+    p.layers[0][0][...] = 1.0
+    z = np.linspace(-800.0, 800.0, 1_000_001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # exp(800) overflows, silently
+        tr = net.trace(p, z[:, None])
+    s = tr[1][:, 0]
+    ulps = np.abs(s.view(np.int64) - expit(z).view(np.int64))  # both >= 0
+    assert ulps.max() <= 4
+    assert s[0] == 0.0 and s[-1] == 1.0
+    assert np.array_equal(tr.slopes[1], tr[1] * (1.0 - tr[1]))
+    assert tr.slopes[0] is None and tr.slopes[-1] is None
+
+
 def _fd_params(fun, p, step=1e-5):
     out = np.zeros(p.size)
     for i in range(p.size):
@@ -89,12 +108,15 @@ def test_grad_params_finite_differences(rng):
 
 
 def test_grad_params_l2_term(rng):
-    # grad_params is the bare data gradient; the penalty is l2_gradient alone.
+    # grad_params is the bare data gradient; the losses add the penalty to
+    # it in place.
     spec = small_spec(lam=0.01)
     p = net.init_params(spec, seed=3)
     x = rng.normal(size=2)[None, :]
-    assert np.array_equal(net.grad_params(p, net.trace(p, x), np.zeros(1)), np.zeros(p.size))
-    g = MlpParams(spec, p.l2_gradient())
+    grad = net.grad_params(p, net.trace(p, x), np.zeros(1))
+    assert np.array_equal(grad, np.zeros(p.size))
+    assert net._add_weight_penalty(p, grad) is grad
+    g = MlpParams(spec, grad)
     for (gw, gb), (w, _) in zip(g.layers, p.layers):
         assert np.array_equal(gw, 0.01 * w)
         assert np.array_equal(gb, np.zeros_like(gb))
@@ -176,6 +198,53 @@ def test_dirgrad_finite_differences_and_linearity(rng):
     g12 = net.grad_params_of_directional_input_grad(p, acts, w1 + w2, one)
     g2 = net.grad_params_of_directional_input_grad(p, acts, w2, one)
     assert np.max(np.abs(g12 - (g + g2))) < 1e-12
+    # An absent output seed is a zero one.
+    assert np.array_equal(net.grad_params_of_directional_input_grad(p, acts, w1, one, np.zeros(1)),
+                          g)
+
+
+def reference_dirgrad(params, acts, w_dir, coeff):
+    """The unseeded directional kernel with its slopes recomputed from the
+    activations and its gradient summed into zeros, in the kernel's order
+    of operations."""
+    last = params.spec.n_layers - 1
+    slope = [None] + [s * (1.0 - s) for s in acts[1:-1]]
+    zdots, adots = [], [w_dir]
+    for l, (w, _) in enumerate(params.layers):
+        zdots.append(adots[-1] @ w.T)
+        adots.append(zdots[-1] if l == last else slope[l + 1] * zdots[-1])
+    grad = MlpParams(params.spec)
+    a_bar, q = np.zeros((w_dir.shape[0], 1)), coeff[:, None]
+    for l in range(last, -1, -1):
+        w, _ = params.layers[l]
+        if l == last:
+            z_bar, r = a_bar, q
+        else:
+            sp = slope[l + 1]
+            z_bar = sp * a_bar + sp * (1.0 - 2.0 * acts[l + 1]) * zdots[l] * q
+            r = sp * q
+        gw, gb = grad.layers[l]
+        gw += z_bar.T @ acts[l] + r.T @ adots[l]
+        gb += z_bar.sum(axis=0)
+        a_bar, q = z_bar @ w, r @ w
+    return grad.flat
+
+
+def test_dirgrad_output_seed_adds_grad_params(rng):
+    # Seeding the output adjoint with u gives the directional gradient plus
+    # grad_params(u) in one sweep, at paper width and batch.
+    p = net.init_params(MlpSpec(widths=net.default_widths(2)), seed=15)
+    x = rng.uniform(-1.0, 1.0, size=(128, 2))
+    b = rng.normal(size=(128, 2))
+    coeff, c = rng.normal(size=128), rng.normal(size=128)
+    acts = net.trace(p, x)
+    unseeded = net.grad_params_of_directional_input_grad(p, acts, b, coeff)
+    assert np.array_equal(unseeded, reference_dirgrad(p, acts, b, coeff))
+    fused = net.grad_params_of_directional_input_grad(p, acts, b, coeff, coeff * c)
+    apart = unseeded + net.grad_params(p, acts, coeff * c)
+    assert np.max(np.abs(fused - apart)) <= 1e-12 * np.max(np.abs(apart))
+    with pytest.raises(ValueError, match="upstream"):
+        net.grad_params_of_directional_input_grad(p, acts, b, coeff, c[:5])
 
 
 def test_adam_first_step_closed_form():

@@ -160,13 +160,31 @@ def test_stage_attractor_is_the_in_process_one(tmp_path, monkeypatch, make_cfg, 
     assert multiprocessing.active_children() == []
 
 
+def test_attractor_count_beyond_its_pool_fails_at_construction():
+    # 100 points are available after the burn-in; the config refuses 101.
+    attractor = {"x0": [0.5], "burn_in": 1.0, "collect_time": 1.0, "count": 100, "dt": 0.01}
+    ou_mini_config(sim=TINY_SIM, attractor=attractor)
+    with pytest.raises(ValueError, match="100 available"):
+        ou_mini_config(sim=TINY_SIM, attractor=dict(attractor, count=101))
+
+
+def diverging_benchmark(name, **params):
+    """The benchmark with an infinite drift beyond |x| = 3, which no
+    trajectory of TINY_SIM reaches but an attractor run started there meets
+    at its first step."""
+    system = make_benchmark(name, **params)
+    drift = system.drift
+    system.drift = lambda x: np.where(np.abs(x) > 3.0, np.inf, drift(x))
+    return system
+
+
 @pytest.mark.parametrize("cores", [1, 2])
 def test_attractor_failure_keeps_its_type_and_writes_nothing(tmp_path, monkeypatch, cores):
-    # 100 points are available after the burn-in; the count guard refuses 1000.
-    cfg = ou_mini_config(sim=TINY_SIM, attractor={"x0": [0.5], "burn_in": 1.0, "collect_time": 1.0,
-                                                 "count": 1000, "dt": 0.01})
+    cfg = ou_mini_config(sim=TINY_SIM, attractor={"x0": [4.0], "burn_in": 1.0, "collect_time": 1.0,
+                                                 "count": 10, "dt": 0.01})
+    monkeypatch.setattr(pipeline, "make_benchmark", diverging_benchmark)
     use_cores(monkeypatch, cores)
-    with pytest.raises(ValueError, match="available") as info:
+    with pytest.raises(FloatingPointError, match="diverged") as info:
         run_stage("simulate", cfg, RunManifest(tmp_path))
     assert "in sample_attractor" in str(info.value.__cause__)  # the child's traceback
     assert_nothing_written(tmp_path)

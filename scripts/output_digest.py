@@ -4,7 +4,7 @@
 
 Run it on two checkouts on the same machine and ``diff`` the two prints:
 a change that claims bitwise-identical outputs must print the same lines.
-Three groups of outputs are hashed:
+These outputs are hashed:
 
 * every file of ``run_all`` on the OU mini config of
   ``tests/test_pipeline.py`` (``timing.log`` holds wall times and is left
@@ -14,7 +14,11 @@ Three groups of outputs are hashed:
   through the attractor, so that every level escapes and the rollback
   path runs, and the digest of its per-level escape counts;
 * the trained V and Z parameters, ``alpha`` and both loss logs of the
-  ``paper-train`` workload on seeds 1-3.
+  ``paper-train`` workload on seeds 1-3;
+* figure-eight characteristics seeded and traced on the exact
+  ``V = mu H^2`` with its transport coefficient, once in a box that holds
+  them and once in a box that cuts them: the seeds, the sample states,
+  the termination reasons, the seed energies and the largest drifts.
 
 It also prints the trained networks' errors in full precision, so that a
 change that moves outputs can report its accuracy from the same print:
@@ -50,8 +54,11 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 
 import numpy as np  # noqa: E402
 
-from deepwkb import net  # noqa: E402
+from deepwkb import expand, net  # noqa: E402
+from deepwkb.models import make_benchmark  # noqa: E402
 from deepwkb.pipeline import RunConfig, RunManifest, run_all, run_stage  # noqa: E402
+from deepwkb.train_z import transport_coefficients  # noqa: E402
+from conftest import AnalyticQp, figure8_quasipotential  # noqa: E402
 from test_pipeline import ou_mini_config  # noqa: E402
 from workloads import PaperTrain, figure8_config  # noqa: E402
 
@@ -92,6 +99,36 @@ def escaping_lines(outdir):
         raise SystemExit(f"the escaping run did not escape on every level: {escapes}")
     return run_dir_lines("figure8-escaping", outdir) + [
         f"figure8-escaping/escapes {sha(json.dumps(escapes).encode())}"]
+
+
+def figure8_curve_lines():
+    """Trace 16 characteristics of the figure-eight from the level
+    V = 0.06 of the exact V = mu H^2 (mu = 0.5) towards V = 0.3 at
+    h = 1e-3, with 10 samples per curve and the exact transport
+    coefficient refreshed every 10 steps, as the expand stage does.  In
+    the box [-3, 3]^2 the curves reach V = 0.3 or stall; the box
+    [-2, 2] x [-1, 1] cuts most of them."""
+    system = make_benchmark("figure8")
+    oracle = AnalyticQp(*figure8_quasipotential(mu=0.5))
+    box = (np.array([-3.0, -3.0]), np.array([3.0, 3.0]))
+    seeds = expand.seed_characteristics(system, oracle, 0.06, 16, seed=9, domain=box,
+                                        rel_band=0.02)
+    lines = [f"figure8-curves/seeds "
+             f"{sha(b''.join(np.float64([*s.x, *s.p, s.v]).tobytes() for s in seeds))}"]
+    for label, domain in (("box", box), ("cut", (np.array([-2.0, -1.0]), np.array([2.0, 1.0])))):
+        curves = expand.trace_curves(
+            system, seeds, 1e-3, 0.3, domain, 10,
+            transport=lambda x: transport_coefficients(system, oracle, x)[1],
+            transport_every=10)
+        parts = {
+            "states": b"".join(np.float64([*st.x, *st.p, st.v, st.log_z, st.s]).tobytes()
+                               for c in curves for st in c.states),
+            "reasons": ",".join(c.reason for c in curves).encode(),
+            "h0": np.float64([c.h0 for c in curves]).tobytes(),
+            "max_energy_drift": np.float64([c.max_energy_drift for c in curves]).tobytes(),
+        }
+        lines += [f"figure8-curves/{label}/{name} {sha(data)}" for name, data in parts.items()]
+    return lines
 
 
 def paper_train_lines(seed, workdir):
@@ -138,6 +175,9 @@ def main(argv=None):
             print(line, flush=True)
 
         for line in escaping_lines(base / "figure8-escaping"):
+            print(line, flush=True)
+
+        for line in figure8_curve_lines():
             print(line, flush=True)
 
         for seed in PAPER_TRAIN_SEEDS:

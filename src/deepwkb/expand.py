@@ -10,7 +10,9 @@ step (implicit in x, explicit in p) keeps the energy H bounded over long
 arcs, which an explicit scheme would not.  The diffusion A is the
 system's constant matrix (sigma is constant and required), so the force
 term grad_x(1/2 p^T A(x) p) of a state-dependent A does not arise.  All
-curves of a batch advance together through one batched step kernel.
+curves of a batch advance together through one batched step kernel, and
+their bookkeeping (termination, level crossings, samples) is done with
+masks over the live rows.
 
 A simplified fixed-horizon minimum-action search estimates V at a single
 target point: starting from points on a level set {V = C}, the discrete
@@ -37,7 +39,6 @@ __all__ = [
     "trace_curves",
     "min_action_estimate",
     "min_action_scan",
-    "export_expanded_csv",
 ]
 
 FIXED_POINT_TOL = 1e-12
@@ -151,9 +152,13 @@ def trace_curves(system, seeds, h, v_max, domain, samples_per_curve,
     v_max, it leaves the domain box, or MAX_CURVE_STEPS steps pass.
 
     All live curves advance together through ``char_step``, which is what
-    makes hundreds of 10^4-step curves cheap.  Samples are recorded
-    uniformly in v (not in s) so level bands are covered evenly; short
-    curves simply return fewer samples.  Two guards cut a curve whose
+    makes hundreds of 10^4-step curves cheap; the checks after each step
+    are masks over the live rows, and the samples go into preallocated
+    (curves, samples_per_curve, .) arrays, from which the CharStates are
+    built once at the end.  Samples are recorded uniformly in v (not in
+    s) so level bands are covered evenly: a step that crosses one or more
+    of a curve's samples_per_curve levels records its end state once.
+    Short curves simply return fewer samples.  Two guards cut a curve whose
     discrete state stops being a trustworthy characteristic: an energy
     drift beyond ENERGY_TOL (the costate growth outran the step size),
     and a costate collapse (p^T A p falling to a tiny fraction of its seed
@@ -187,7 +192,11 @@ def trace_curves(system, seeds, h, v_max, domain, samples_per_curve,
     reasons = np.array(["step_limit"] * c, dtype=object)
     alive = v < v_max
     reasons[~alive] = "reached_v_max"
-    samples = [[] for _ in range(c)]
+    # Sample k of curve j is row [j, k] of (x, p) and of (v, log_z, s).
+    n_samples = np.zeros(c, dtype=int)
+    sample_x = np.empty((c, samples_per_curve, x.shape[1]))
+    sample_p = np.empty_like(sample_x)
+    sample_vzs = np.empty((c, samples_per_curve, 3))
 
     c_cache = np.zeros(c)
     for step_no in range(MAX_CURVE_STEPS):
@@ -207,31 +216,34 @@ def trace_curves(system, seeds, h, v_max, domain, samples_per_curve,
         energy_drift = np.abs(hamiltonian(system, xi, p_next) - h0[idx])
         stalled = _quad(p_next, system.a) < rate_floor[idx]
         bad = ~converged | (energy_drift > ENERGY_TOL) | stalled
-        drift_max[idx[~bad]] = np.maximum(drift_max[idx[~bad]], energy_drift[~bad])
-        for pos, j in enumerate(idx[bad]):
-            reasons[j] = "stalled" if stalled[bad][pos] else "solver_failure"
-            alive[j] = False
+        ok = idx[~bad]
+        drift_max[ok] = np.maximum(drift_max[ok], energy_drift[~bad])
+        reasons[idx[bad]] = np.where(stalled[bad], "stalled", "solver_failure")
+        alive[idx[bad]] = False
 
-        for pos, j in enumerate(idx):
-            if bad[pos]:
-                continue
-            crossed = False
-            while next_level[j] < samples_per_curve and v[j] >= levels[j, next_level[j]] - 1e-15:
-                next_level[j] += 1
-                crossed = True
-            if crossed:
-                samples[j].append(CharState(x=x[j].copy(), p=p[j].copy(), v=float(v[j]),
-                                            log_z=float(logz[j]), s=float(s_par[j])))
-            if next_level[j] >= samples_per_curve or v[j] >= v_max:
-                reasons[j] = "reached_v_max"
-                alive[j] = False
-            elif np.any(x[j] < lo) or np.any(x[j] > hi):
-                reasons[j] = "left_domain"
-                alive[j] = False
+        # Each row's levels rise and v never falls, so the levels reached
+        # so far are a prefix; a step crossing several records one sample.
+        reached = np.sum(v[ok, None] >= levels[ok] - 1e-15, axis=1)
+        crossed = ok[reached > next_level[ok]]
+        next_level[ok] = np.maximum(next_level[ok], reached)
+        k = n_samples[crossed]
+        sample_x[crossed, k] = x[crossed]
+        sample_p[crossed, k] = p[crossed]
+        sample_vzs[crossed, k] = np.stack([v[crossed], logz[crossed], s_par[crossed]], axis=1)
+        n_samples[crossed] += 1
 
-    return [CharacteristicCurve(states=samples[j], reason=str(reasons[j]),
-                                h0=float(h0[j]), max_energy_drift=float(drift_max[j]))
-            for j in range(c)]
+        done = (next_level[ok] >= samples_per_curve) | (v[ok] >= v_max)
+        left = ~done & (np.any(x[ok] < lo, axis=1) | np.any(x[ok] > hi, axis=1))
+        reasons[ok[done]] = "reached_v_max"
+        reasons[ok[left]] = "left_domain"
+        alive[ok[done | left]] = False
+
+    return [CharacteristicCurve(
+        states=[CharState(x=sample_x[j, k], p=sample_p[j, k], v=float(sample_vzs[j, k, 0]),
+                          log_z=float(sample_vzs[j, k, 1]), s=float(sample_vzs[j, k, 2]))
+                for k in range(n_samples[j])],
+        reason=str(reasons[j]), h0=float(h0[j]), max_energy_drift=float(drift_max[j]))
+        for j in range(c)]
 
 
 # ---------------------------------------------------------------------------
@@ -331,15 +343,3 @@ def min_action_scan(system, x_target, surface_points, n_nodes, iters, lr_per_dt,
             best, best_path = est, path
     return best, best_path
 
-
-def export_expanded_csv(curves, path):
-    """(coords..., v, origin=characteristic) rows."""
-    rows = [(st.x, st.v) for curve in curves for st in curve.states]
-    if not rows:
-        raise ValueError("no curve samples to export")
-    dim = rows[0][0].shape[0]
-    with open(path, "w") as fh:
-        fh.write(",".join([f"x{i}" for i in range(dim)] + ["v", "origin"]) + "\n")
-        for x, v in rows:
-            coords = ",".join(f"{c:.17g}" for c in x)
-            fh.write(f"{coords},{v:.17g},characteristic\n")

@@ -12,6 +12,12 @@ completed stage with an unchanged config is a no-op unless forced.  A
 stage that does run first deletes the outputs of its previous run.
 Wall-clock times go to a separate ``timing.log``; the manifest itself
 stays bitwise reproducible across identical runs.
+
+One table, ``_STAGE_TABLE``, names each stage's parent, the config
+sections it reads and its implementation.  Every stage saves its arrays
+as ``.npy`` and writes its CSV views of them through one writer,
+``_write_csv``, at full float64 precision (``%.17g``, which reads back
+exactly); the training loss logs use ``%.10g``.
 """
 
 from __future__ import annotations
@@ -30,12 +36,12 @@ from . import expand as expand_mod
 from . import net
 from .density import DensityHistogram, GridSpec, select_collocation
 from .models import make_benchmark
-from .regression import (RegressionResult, export_csv,
-                         extrapolate_z0_attractor, regress_collocation, PointData)
+from .regression import (RegressionResult, extrapolate_z0_attractor, regress_collocation,
+                         PointData)
 from .simulate import SimConfig, call_in_child, sample_attractor, simulate_ensemble
 from .train_v import QpTrainConfig, TrainedQp, assemble_qp_sets, train_qp
 from .train_z import TrainedZ, assemble_z_sets, train_z, transport_coefficients
-from .validation import export_rss_csv, validate_wkb
+from .validation import validate_wkb
 
 __all__ = [
     "STAGES",
@@ -49,31 +55,6 @@ __all__ = [
 ]
 
 CONFIG_VERSION = 1
-
-STAGES = ["simulate", "regress", "validate", "train-v", "expand",
-          "train-z", "evaluate", "fp-residual"]
-
-# Config sections each stage reads; upstream hashes are chained on top.
-_STAGE_KEYS = {
-    "simulate": ("seed", "benchmark", "ladder", "grid", "sim", "attractor"),
-    "regress": ("collocation",),
-    "validate": ("validate",),
-    "train-v": ("train_v",),
-    "expand": ("expand",),
-    "train-z": ("train_z",),
-    "evaluate": ("evaluate",),
-    "fp-residual": (),
-}
-_STAGE_PARENT = {
-    "simulate": None,
-    "regress": "simulate",
-    "validate": "regress",
-    "train-v": "regress",
-    "expand": "train-v",
-    "train-z": "expand",
-    "evaluate": "train-z",
-    "fp-residual": "evaluate",
-}
 
 # Both training sections start from QpTrainConfig's defaults.  The seed is
 # derived per stage; train-z has no far field, artificial value or residual cap.
@@ -177,8 +158,8 @@ class RunConfig:
         return cls(json.loads(Path(path).read_text()))
 
     def stage_hash(self, stage) -> str:
-        parent = _STAGE_PARENT[stage]
-        payload = {key: self.data[key] for key in _STAGE_KEYS[stage]}
+        parent, keys, _ = _STAGE_TABLE[stage]
+        payload = {key: self.data[key] for key in keys}
         blob = json.dumps(payload, sort_keys=True)
         if parent is not None:
             blob += self.stage_hash(parent)
@@ -236,6 +217,18 @@ def _derive_seed(base, label, index=0):
 # ---------------------------------------------------------------------------
 # Stage implementations.  Each returns (output file names, info dict).
 # ---------------------------------------------------------------------------
+
+
+def _write_csv(path, names, columns, fmt="%.17g"):
+    """One header row of ``names``, then one comma-separated row per index
+    of ``columns`` (1-D arrays or 2-D blocks, side by side).  ``%.17g``
+    round-trips float64 and prints integral values without a decimal point."""
+    np.savetxt(path, np.column_stack(columns), fmt=fmt, delimiter=",",
+               header=",".join(names), comments="")
+
+
+def _coord_names(dim):
+    return [f"x{i}" for i in range(dim)]
 
 
 def _hist_name(i):
@@ -318,16 +311,22 @@ def _stage_regress(cfg: RunConfig, outdir: Path):
         arr["used_rows"][i] = r.used_rows
         arr["reliable"][i] = int(r.reliable)
     np.save(outdir / "regression.npy", arr)
-    export_csv(results, outdir / "regression.csv")
-    n_ok = sum(r is not None for r in results)
+    kept = arr[arr["used_rows"] > 0]
+    if not kept.size:
+        raise ValueError("no regression results to export")
+    fields = ["v_hat", "log_z0_hat", "slope", "rss_rescaled", "dof", "reliable", "se_v",
+              "se_log_z0"]
+    _write_csv(outdir / "regression.csv", _coord_names(system.dim_state) + fields,
+               [kept["point"]] + [kept[name] for name in fields])
     return ["regression.npy", "regression.csv"], {
-        "points": len(colloc), "regressed": n_ok,
-        "excluded": len(colloc) - n_ok, "far_field_threshold": threshold,
+        "points": len(colloc), "regressed": kept.size,
+        "excluded": len(colloc) - kept.size, "far_field_threshold": threshold,
     }
 
 
 def _load_regressions(outdir):
-    """(results, collocation points, top-level densities) from regression.npy."""
+    """(results, the regression.npy array) from regression.npy; a result is
+    None where no row was used."""
     arr = np.load(outdir / "regression.npy")
     results = []
     for row in arr:
@@ -342,15 +341,19 @@ def _load_regressions(outdir):
             used_rows=int(row["used_rows"]), reliable=bool(row["reliable"]),
             se_v=float(row["se_v"]), se_log_z0=float(row["se_log_z0"]),
         ))
-    return results, np.asarray(arr["point"]), np.asarray(arr["u_top"])
+    return results, arr
 
 
 def _stage_validate(cfg: RunConfig, outdir: Path):
-    results, _, _ = _load_regressions(outdir)
+    results, reg = _load_regressions(outdir)
     report = validate_wkb(results, significance=cfg.data["validate"]["significance"],
                           dof=len(cfg.data["ladder"]) - 3)
     report.write(outdir / "validation.txt")
-    export_rss_csv(results, outdir / "rss.csv")
+    reliable = reg[reg["reliable"] == 1]
+    if not reliable.size:
+        raise ValueError("no reliable points to export")
+    _write_csv(outdir / "rss.csv", _coord_names(reg["point"].shape[1]) + ["rss"],
+               [reliable["point"], reliable["rss_rescaled"]])
     verdict = "holds" if report.passed else "does not hold"
     return ["validation.txt", "rss.csv"], {
         "wkb": verdict, "p_value": report.p_value,
@@ -361,10 +364,10 @@ def _stage_validate(cfg: RunConfig, outdir: Path):
 
 def _stage_train_v(cfg: RunConfig, outdir: Path):
     system = cfg.system()
-    results, points, u_top = _load_regressions(outdir)
+    results, reg = _load_regressions(outdir)
     tcfg = cfg.train_cfg("train_v", _derive_seed(cfg["seed"], "train_v"))
-    sets = assemble_qp_sets(np.load(outdir / "attractor.npy"), points, results, tcfg,
-                            largest_eps_density=u_top)
+    sets = assemble_qp_sets(np.load(outdir / "attractor.npy"), reg["point"], results, tcfg,
+                            largest_eps_density=reg["u_top"])
     trained = train_qp(sets, tcfg, system)
     net.save_checkpoint(outdir / "checkpoint_v.dwkbnet", trained.params,
                         extra=json.dumps({"alpha": trained.alpha}).encode())
@@ -373,15 +376,15 @@ def _stage_train_v(cfg: RunConfig, outdir: Path):
 
 
 def _write_train_log(path, log):
-    with open(path, "w") as fh:
-        fh.write("epoch,L1,L2,L3\n")
-        for row in log:
-            fh.write(",".join(f"{v:.10g}" for v in row) + "\n")
+    _write_csv(path, ["epoch", "L1", "L2", "L3"], [np.reshape(log, (-1, 4))], fmt="%.10g")
 
 
 def _load_trained_v(outdir, refined=True) -> TrainedQp:
+    """Train-v's network, or the one expand refined when ``refined`` and
+    the manifest records it among expand's outputs."""
+    expand = RunManifest(outdir).data["stages"].get("expand", {"outputs": {}})
     name = "checkpoint_v_refined.dwkbnet"
-    if not refined or not (outdir / name).exists():
+    if not refined or name not in expand["outputs"]:
         name = "checkpoint_v.dwkbnet"
     params, _, extra = net.load_checkpoint(outdir / name)
     alpha = json.loads(extra.decode())["alpha"]
@@ -410,32 +413,32 @@ def _stage_expand(cfg: RunConfig, outdir: Path):
                                      transport_every=every)
 
     n = system.dim_state
-    rows = [(ci, st.x, st.v, st.log_z)
-            for ci, curve in enumerate(curves) for st in curve.states]
-    arr = np.zeros(len(rows), dtype=[("curve", "i8"), ("point", "f8", (n,)),
-                                     ("v", "f8"), ("log_z", "f8")])
-    for k, (ci, x, v, lz) in enumerate(rows):
-        arr[k] = (ci, x, v, lz)
+    arr = np.array([(ci, st.x, st.v, st.log_z)
+                    for ci, curve in enumerate(curves) for st in curve.states],
+                   dtype=[("curve", "i8"), ("point", "f8", (n,)), ("v", "f8"), ("log_z", "f8")])
     np.save(outdir / "curves.npy", arr)
     np.save(outdir / "curve_seeds.npy", np.asarray([s.x for s in seeds]))
-    expand_mod.export_expanded_csv(curves, outdir / "expanded.csv")
+    if not arr.size:
+        raise ValueError("no curve samples to export")
+    _write_csv(outdir / "expanded.csv", _coord_names(n) + ["v", "origin"],
+               [arr["point"], arr["v"]], fmt=",".join(["%.17g"] * (n + 1)) + ",characteristic")
     reasons = sorted(set(c.reason for c in curves))
     outputs = ["curves.npy", "curve_seeds.npy", "expanded.csv"]
     info = {
-        "curves": len(curves), "samples": len(rows),
+        "curves": len(curves), "samples": arr.size,
         "max_energy_drift": max((c.max_energy_drift for c in curves), default=0.0),
         "termination_reasons": reasons,
     }
 
     # Continue training V on the expanded set (curriculum: start from the
     # learned parameters, artificial targets drop out in favor of curves).
-    if e["refine_epochs"] > 0 and len(rows):
-        results, points, u_top = _load_regressions(outdir)
+    if e["refine_epochs"] > 0:
+        results, reg = _load_regressions(outdir)
         tcfg = cfg.train_cfg("train_v", _derive_seed(cfg["seed"], "refine_v"))
         tcfg.epochs = e["refine_epochs"]
         tcfg.fine_tune_epochs = max(1, e["refine_epochs"] // 5)
-        sets = assemble_qp_sets(np.load(outdir / "attractor.npy"), points, results, tcfg,
-                                largest_eps_density=u_top,
+        sets = assemble_qp_sets(np.load(outdir / "attractor.npy"), reg["point"], results, tcfg,
+                                largest_eps_density=reg["u_top"],
                                 expanded=(arr["point"], arr["v"]))
         refined = train_qp(sets, tcfg, system, initial=trained.params)
         net.save_checkpoint(outdir / "checkpoint_v_refined.dwkbnet", refined.params,
@@ -452,7 +455,7 @@ def _stage_train_z(cfg: RunConfig, outdir: Path):
     dims = (system.dim_state, system.attractor_dim)
     hists = _load_hists(cfg, outdir)
     eps = np.asarray(cfg.data["ladder"])
-    results, _, _ = _load_regressions(outdir)
+    results, reg = _load_regressions(outdir)
     trained_v = _load_trained_v(outdir)
 
     # Attractor targets by extrapolation to eps = 0.
@@ -478,22 +481,12 @@ def _stage_train_z(cfg: RunConfig, outdir: Path):
     # from the nearest reliable regression point.
     curves = np.load(outdir / "curves.npy")
     seeds = np.load(outdir / "curve_seeds.npy")
-    rel = [r for r in results if r is not None and r.reliable]
-    rel_pts = np.asarray([r.point for r in rel])
-    rel_z0 = np.exp(np.asarray([r.log_z0_hat for r in rel]))
-    cur_pts, cur_z0 = [], []
-    if curves.shape[0] and rel_pts.shape[0]:
-        for ci in range(seeds.shape[0]):
-            mask = curves["curve"] == ci
-            if not mask.any():
-                continue
-            nearest = int(np.argmin(np.linalg.norm(rel_pts - seeds[ci], axis=1)))
-            z_init = rel_z0[nearest]
-            cur_pts.append(curves["point"][mask])
-            cur_z0.append(z_init * np.exp(curves["log_z"][mask]))
+    rel = reg[reg["reliable"] == 1]
     transported = None
-    if cur_pts:
-        transported = (np.concatenate(cur_pts), np.concatenate(cur_z0))
+    if curves.size and rel.size:
+        dist = np.linalg.norm(rel["point"][None, :, :] - seeds[:, None, :], axis=2)
+        z_init = np.exp(rel["log_z0_hat"])[np.argmin(dist, axis=1)]
+        transported = (curves["point"], z_init[curves["curve"]] * np.exp(curves["log_z"]))
 
     z = cfg.data["train_z"]
     zcfg = cfg.train_cfg("train_z", _derive_seed(cfg["seed"], "train_z"))
@@ -601,13 +594,8 @@ def fp_residual_grid(system, values, grid: GridSpec, eps):
 
 def _write_grid_csv(path, grid: GridSpec, values):
     # Column order: coordinates ascending-major (C order), then value.
-    flat = np.arange(grid.n_cells)
-    centers = grid.centers(flat)
-    vals = np.asarray(values).reshape(-1)
-    with open(path, "w") as fh:
-        fh.write(",".join([f"x{i}" for i in range(grid.dim)] + ["value"]) + "\n")
-        for row, v in zip(centers, vals):
-            fh.write(",".join(f"{c:.17g}" for c in row) + f",{v:.17g}\n")
+    _write_csv(path, _coord_names(grid.dim) + ["value"],
+               [grid.centers(np.arange(grid.n_cells)), np.ravel(values)])
 
 
 def _stage_evaluate(cfg: RunConfig, outdir: Path):
@@ -635,16 +623,20 @@ def _stage_fp_residual(cfg: RunConfig, outdir: Path):
     return ["fp_residual.npy", "fp_residual.csv"], {"relative_residual": rel}
 
 
-_STAGE_FUNCS = {
-    "simulate": _stage_simulate,
-    "regress": _stage_regress,
-    "validate": _stage_validate,
-    "train-v": _stage_train_v,
-    "expand": _stage_expand,
-    "train-z": _stage_train_z,
-    "evaluate": _stage_evaluate,
-    "fp-residual": _stage_fp_residual,
+# Stage -> (parent stage, config sections it reads, implementation), in
+# run order.  A stage's hash covers its sections, chained through its parent's.
+_STAGE_TABLE = {
+    "simulate": (None, ("seed", "benchmark", "ladder", "grid", "sim", "attractor"),
+                 _stage_simulate),
+    "regress": ("simulate", ("collocation",), _stage_regress),
+    "validate": ("regress", ("validate",), _stage_validate),
+    "train-v": ("regress", ("train_v",), _stage_train_v),
+    "expand": ("train-v", ("expand",), _stage_expand),
+    "train-z": ("expand", ("train_z",), _stage_train_z),
+    "evaluate": ("train-z", ("evaluate",), _stage_evaluate),
+    "fp-residual": ("evaluate", (), _stage_fp_residual),
 }
+STAGES = list(_STAGE_TABLE)
 
 
 def run_stage(stage, cfg: RunConfig, manifest: RunManifest, force=False) -> RunManifest:
@@ -654,9 +646,9 @@ def run_stage(stage, cfg: RunConfig, manifest: RunManifest, force=False) -> RunM
     refuses hash mismatches (stale upstream) unless forced.  The files
     the manifest recorded for the stage's previous run are deleted first.
     """
-    if stage not in _STAGE_FUNCS:
+    if stage not in _STAGE_TABLE:
         raise ValueError(f"unknown stage {stage!r}; stages: {STAGES}")
-    parent = _STAGE_PARENT[stage]
+    parent, _, stage_func = _STAGE_TABLE[stage]
     if parent is not None:
         if not manifest.stage_complete(parent):
             raise DependencyError(f"stage {stage!r} requires {parent!r} to be complete")
@@ -676,7 +668,7 @@ def run_stage(stage, cfg: RunConfig, manifest: RunManifest, force=False) -> RunM
         manifest.save()
     manifest.outdir.mkdir(parents=True, exist_ok=True)
     t0 = time.monotonic()
-    outputs, info = _STAGE_FUNCS[stage](cfg, manifest.outdir)
+    outputs, info = stage_func(cfg, manifest.outdir)
     elapsed = time.monotonic() - t0
     manifest.record_stage(stage, cfg_hash, outputs, info)
     for key in ("alpha", "mass", "wkb", "relative_residual"):

@@ -39,7 +39,6 @@ __all__ = [
     "regress_collocation",
     "apply_far_field_threshold",
     "extrapolate_z0_attractor",
-    "export_csv",
 ]
 
 
@@ -205,19 +204,3 @@ def extrapolate_z0_attractor(data: PointData, dims, min_count=DEFAULT_MIN_COUNT)
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     return float(coef[0])
 
-
-def export_csv(results, path):
-    """(coords..., v_hat, log_z0_hat, slope, rss_rescaled, dof, reliable, se_v, se_log_z0)."""
-    kept = [r for r in results if r is not None]
-    if not kept:
-        raise ValueError("no regression results to export")
-    dim = kept[0].point.shape[0]
-    with open(path, "w") as fh:
-        cols = [f"x{i}" for i in range(dim)]
-        fh.write(",".join(cols + ["v_hat", "log_z0_hat", "slope", "rss_rescaled", "dof",
-                                  "reliable", "se_v", "se_log_z0"]) + "\n")
-        for r in kept:
-            coords = ",".join(f"{v:.17g}" for v in r.point)
-            fh.write(f"{coords},{r.v_hat:.17g},{r.log_z0_hat:.17g},{r.slope:.17g},"
-                     f"{r.rss_rescaled:.17g},{r.dof},{int(r.reliable)},"
-                     f"{r.se_v:.17g},{r.se_log_z0:.17g}\n")

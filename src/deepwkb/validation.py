@@ -124,16 +124,3 @@ def validate_wkb(results, dof, significance=DEFAULT_SIGNIFICANCE) -> ValidationR
         significance=significance, passed=passed,
         n_tested=len(kept), n_excluded=n_excluded,
     )
-
-
-def export_rss_csv(results, path):
-    """(coords..., rss) for heat-map plotting."""
-    kept = [r for r in results if r is not None and r.reliable]
-    if not kept:
-        raise ValueError("no reliable points to export")
-    dim = kept[0].point.shape[0]
-    with open(path, "w") as fh:
-        fh.write(",".join([f"x{i}" for i in range(dim)] + ["rss"]) + "\n")
-        for r in kept:
-            coords = ",".join(f"{v:.17g}" for v in r.point)
-            fh.write(f"{coords},{r.rss_rescaled:.17g}\n")

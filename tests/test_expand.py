@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from deepwkb import expand
 from deepwkb.expand import (CharState, SolverFailure, char_step, discrete_action,
                             hamiltonian, min_action_estimate, min_action_scan,
                             seed_characteristics, trace_curves)
@@ -84,11 +85,52 @@ def test_energy_drift_vdp_bounded_horizon():
     assert drifts[5e-4] < 0.6 * drifts[1e-3]
 
 
-def test_curve_terminates_below_seed_level(ou1d):
-    init = CharState(x=np.array([0.7]), p=np.array([1.4]), v=0.49)
-    curve = trace_one(ou1d, init, 1e-3, 0.4, OU_DOMAIN, 10)
+def test_curve_terminates_below_seed_level(ou1d, monkeypatch):
+    # A seed at or above v_max takes no step.
+    monkeypatch.setattr(expand, "char_step", lambda *args: pytest.fail("took a step"))
+    for v0 in (0.4, 0.49):
+        init = CharState(x=np.array([0.7]), p=np.array([1.4]), v=v0)
+        curve = trace_one(ou1d, init, 1e-3, 0.4, OU_DOMAIN, 10)
+        assert curve.reason == "reached_v_max"
+        assert curve.states == []
+        assert curve.max_energy_drift == 0.0
+
+
+def test_step_crossing_several_levels_records_one_sample(ou1d):
+    # Levels 0.001 apart; each step adds about 0.0025 to v and records one
+    # sample at the state after the step, so 10 levels give fewer samples.
+    h, v_max = 0.03, 0.05
+    init = CharState(x=np.array([0.2]), p=np.array([0.4]), v=0.04)
+    curve = trace_one(ou1d, init, h, v_max, OU_DOMAIN, 10)
+    x, p, v, expected = init.x[None], init.p[None], init.v, []
+    while v < v_max:
+        x, p, dv, _ = char_step(ou1d, x, p, h)
+        v += dv[0]
+        expected.append((x[0, 0], p[0, 0], v))
     assert curve.reason == "reached_v_max"
+    assert 1 < len(expected) < 10
+    assert [(st.x[0], st.p[0], st.v) for st in curve.states] == expected
+
+
+def test_costate_decay_stalls_the_curve():
+    # f = x: the costate decays as p0 e^-s, so p^T A p falls below 1e-4 of
+    # its seed value near s = ln(100), long before v reaches v_max.
+    unstable = SdeSystem(dim_state=1, dim_noise=1, drift=lambda x: np.array(x),
+                         drift_jacobian=lambda x: np.ones((x.shape[0], 1, 1)),
+                         drift_divergence=lambda x: np.ones(x.shape[0]),
+                         attractor_dim=0, sigma_constant=np.eye(1))
+    init = CharState(x=np.array([0.1]), p=np.array([0.1]), v=0.0)
+    curve = trace_one(unstable, init, 1e-2, 1.0, (np.array([-100.0]), np.array([100.0])), 10)
+    assert curve.reason == "stalled"
     assert curve.states == []
+    assert 0.0 < curve.max_energy_drift < 1e-3
+
+
+def test_step_too_large_to_contract_is_a_solver_failure(ou1d):
+    # With h = 2 the fixed-point map x -> x_k + h (-x + p_k) doubles errors.
+    init = CharState(x=np.array([0.2]), p=np.array([0.4]), v=0.04)
+    curve = trace_one(ou1d, init, 2.0, 0.4, OU_DOMAIN, 10)
+    assert (curve.reason, curve.states, curve.max_energy_drift) == ("solver_failure", [], 0.0)
 
 
 def test_curve_leaves_domain(ou1d):

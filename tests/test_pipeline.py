@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from deepwkb import pipeline, simulate
+from deepwkb import net, pipeline, simulate
 from deepwkb.cli import main as cli_main
 from deepwkb.density import DensityHistogram, GridSpec
 from deepwkb.models import make_benchmark
@@ -356,6 +356,42 @@ def test_density_outputs_shape(mini_run):
     header = (outdir / "density.csv").read_text().splitlines()[0]
     assert header == "x0,value"
     assert manifest.data["results"]["mass"] > 0.1
+
+
+def test_csvs_match_their_arrays(mini_run):
+    cfg, _, outdir = mini_run
+
+    def csv(name, **kwargs):
+        return np.loadtxt(outdir / name, delimiter=",", skiprows=1, ndmin=2, **kwargs)
+
+    reg = np.load(outdir / "regression.npy")
+    reg = reg[reg["used_rows"] > 0]
+    np.testing.assert_array_equal(csv("regression.csv"), np.column_stack(
+        [reg[name] for name in ("point", "v_hat", "log_z0_hat", "slope", "rss_rescaled",
+                                "dof", "reliable", "se_v", "se_log_z0")]))
+    curves = np.load(outdir / "curves.npy")
+    np.testing.assert_array_equal(csv("expanded.csv", usecols=(0, 1)),
+                                  np.column_stack([curves["point"], curves["v"]]))
+    assert {line.rsplit(",", 1)[1] for line in
+            (outdir / "expanded.csv").read_text().splitlines()[1:]} == {"characteristic"}
+    grid = cfg.grid()
+    for name in ("density", "fp_residual"):
+        np.testing.assert_array_equal(csv(f"{name}.csv"), np.column_stack(
+            [grid.centers(np.arange(grid.n_cells)), np.load(outdir / f"{name}.npy").ravel()]))
+
+
+def test_trained_v_is_the_checkpoint_expand_recorded(tmp_path):
+    # Both checkpoints are on disk; only the manifest says which expand wrote.
+    params = net.init_params(net.MlpSpec(widths=(1, 4, 1)), seed=0)
+    for name, alpha in (("checkpoint_v.dwkbnet", 1.0), ("checkpoint_v_refined.dwkbnet", 2.0)):
+        net.save_checkpoint(tmp_path / name, params, extra=json.dumps({"alpha": alpha}).encode())
+    manifest = RunManifest(tmp_path)
+    for outputs, alpha in ((["curves.npy"], 1.0), (["checkpoint_v_refined.dwkbnet"], 2.0)):
+        manifest.data["stages"]["expand"] = {"config_hash": "", "info": {},
+                                             "outputs": dict.fromkeys(outputs, "")}
+        manifest.save()
+        assert pipeline._load_trained_v(tmp_path).alpha == alpha
+        assert pipeline._load_trained_v(tmp_path, refined=False).alpha == 1.0
 
 
 def test_cli_end_to_end(tmp_path):

@@ -20,11 +20,15 @@ keeps every layer's activations and, beside each hidden one, its slope
 s (1 - s), computed once.  The three backward kernels (grad_params,
 grad_input and the directional kernel) take that trace in place of the
 points, so a loss that calls several of them traces the network once;
-``forward`` and ``hessian_input`` take the points and trace them
-themselves.  The parameter-gradient kernels write each layer's gradient
-straight into one flat vector.  Every kernel returns one value, gradient
-or Hessian per row.  Everything runs in float64: the second-order
-training signals are too fragile at single precision.
+``hessian_input`` takes the points and traces them itself, and
+``forward`` runs the same layers without keeping them.  The
+parameter-gradient kernels write each layer's gradient straight into one
+flat vector.  Every kernel returns one value, gradient or Hessian per
+row.  Everything runs in float64: the second-order training signals are
+too fragile at single precision.  Every 2-D product goes through
+``np.dot``, not ``@``: with an inner dimension of 1 (a 1-d input, the
+scalar output's adjoint) ``matmul`` takes a loop several times slower
+than ``dot``'s, for the same bits.
 
 The sigmoid is 1 / (1 + exp(-z)) in numpy ufuncs, in place, within 4 ulp
 of scipy's ``expit``.  At paper width ``expit`` costs about 12 ns per
@@ -179,6 +183,16 @@ class _Trace(list):
     __slots__ = ("slopes",)
 
 
+def _sigmoid_(s):
+    """1 / (1 + exp(-z)) in place; exp overflows to inf, so a very negative
+    z saturates to exactly 0."""
+    np.negative(s, out=s)
+    with np.errstate(over="ignore"):
+        np.exp(s, out=s)
+    s += 1.0
+    np.reciprocal(s, out=s)
+
+
 def trace(params: MlpParams, x) -> _Trace:
     """Forward trace of a (B, n) batch: every layer's activations and the
     hidden layers' slopes.  The backward kernels read it in place of x."""
@@ -186,17 +200,11 @@ def trace(params: MlpParams, x) -> _Trace:
     acts = _Trace([_as_batch(x, params.spec.dim_in)])
     acts.slopes = [None]
     for l, (w, b) in enumerate(params.layers):
-        s = acts[-1] @ w.T
+        s = np.dot(acts[-1], w.T)
         s += b
         sp = None
         if l < last:
-            # 1 / (1 + exp(-z)) in place; exp overflows to inf, so a very
-            # negative z saturates to exactly 0.
-            np.negative(s, out=s)
-            with np.errstate(over="ignore"):
-                np.exp(s, out=s)
-            s += 1.0
-            np.reciprocal(s, out=s)
+            _sigmoid_(s)
             sp = np.subtract(1.0, s)
             sp *= s
         acts.append(s)
@@ -205,8 +213,16 @@ def trace(params: MlpParams, x) -> _Trace:
 
 
 def forward(params: MlpParams, x):
-    """Network outputs (B,) for a (B, n) batch."""
-    return trace(params, x)[-1][:, 0]
+    """Network outputs (B,) for a (B, n) batch; the layers of ``trace``
+    without keeping the activations or computing the slopes."""
+    last = params.spec.n_layers - 1
+    a = _as_batch(x, params.spec.dim_in)
+    for l, (w, b) in enumerate(params.layers):
+        a = np.dot(a, w.T)
+        a += b
+        if l < last:
+            _sigmoid_(a)
+    return a[:, 0]
 
 
 def grad_params(params: MlpParams, acts, upstream) -> np.ndarray:
@@ -224,10 +240,10 @@ def grad_params(params: MlpParams, acts, upstream) -> np.ndarray:
     delta = ups[:, None]  # d(sum ups*y)/d z_L
     for l in range(params.spec.n_layers - 1, -1, -1):
         gw, gb = grad.layers[l]
-        np.matmul(delta.T, acts[l], out=gw)
+        np.dot(delta.T, acts[l], out=gw)
         delta.sum(axis=0, out=gb)
         if l > 0:
-            delta = delta @ params.layers[l][0]
+            delta = np.dot(delta, params.layers[l][0])
             delta *= acts.slopes[l]
     return grad.flat
 
@@ -236,9 +252,9 @@ def grad_input(params: MlpParams, acts):
     """Input gradients grad_x NN(x_b), shape (B, n), from the trace ``acts``."""
     delta = np.ones((acts[0].shape[0], 1))
     for l in range(params.spec.n_layers - 1, 0, -1):
-        delta = delta @ params.layers[l][0]
+        delta = np.dot(delta, params.layers[l][0])
         delta *= acts.slopes[l]
-    return delta @ params.layers[0][0]
+    return np.dot(delta, params.layers[0][0])
 
 
 def hessian_input(params: MlpParams, x):
@@ -267,7 +283,7 @@ def hessian_input(params: MlpParams, x):
     delta_dot = np.zeros((bsz, 1, n))
     for l in range(n_layers - 1, 0, -1):
         w, _ = params.layers[l]
-        s = delta @ w
+        s = np.dot(delta, w)
         s_dot = np.einsum("bot,oi->bit", delta_dot, w, optimize=True)
         sp = acts.slopes[l]
         spp = sp * (1.0 - 2.0 * acts[l])
@@ -306,7 +322,7 @@ def grad_params_of_directional_input_grad(params: MlpParams, acts, w_dir, coeff,
     zdots, adots = [], [wb]
     adot = wb
     for l, (wmat, _) in enumerate(params.layers):
-        zdot = adot @ wmat.T
+        zdot = np.dot(adot, wmat.T)
         zdots.append(zdot)
         adot = zdot if l == n_layers - 1 else acts.slopes[l + 1] * zdot
         adots.append(adot)
@@ -326,12 +342,12 @@ def grad_params_of_directional_input_grad(params: MlpParams, acts, w_dir, coeff,
             z_bar = sp * a_bar + spp * zdots[l] * q
             r = sp * q
         gw, gb = grad.layers[l]
-        np.matmul(z_bar.T, acts[l], out=gw)
-        gw += r.T @ adots[l]
+        np.dot(z_bar.T, acts[l], out=gw)
+        gw += np.dot(r.T, adots[l])
         z_bar.sum(axis=0, out=gb)
         if l > 0:
-            a_bar = z_bar @ wmat
-            q = r @ wmat
+            a_bar = np.dot(z_bar, wmat)
+            q = np.dot(r, wmat)
     return grad.flat
 
 

@@ -416,10 +416,10 @@ def _stage_expand(cfg: RunConfig, outdir: Path):
     arr = np.array([(ci, st.x, st.v, st.log_z)
                     for ci, curve in enumerate(curves) for st in curve.states],
                    dtype=[("curve", "i8"), ("point", "f8", (n,)), ("v", "f8"), ("log_z", "f8")])
-    np.save(outdir / "curves.npy", arr)
-    np.save(outdir / "curve_seeds.npy", np.asarray([s.x for s in seeds]))
     if not arr.size:
         raise ValueError("no curve samples to export")
+    np.save(outdir / "curves.npy", arr)
+    np.save(outdir / "curve_seeds.npy", np.asarray([s.x for s in seeds]))
     _write_csv(outdir / "expanded.csv", _coord_names(n) + ["v", "origin"],
                [arr["point"], arr["v"]], fmt=",".join(["%.17g"] * (n + 1)) + ",characteristic")
     reasons = sorted(set(c.reason for c in curves))

@@ -73,7 +73,7 @@ def transport_coefficients(system, trained, x):
     any analytic stand-in with the same surface).
     """
     xb = np.asarray(x, dtype=float)
-    b = system.drift(xb) + trained.grad_v(xb) @ system.a.T
+    b = system.drift(xb) + np.dot(trained.grad_v(xb), system.a.T)
     c = system.drift_divergence(xb) + 0.5 * np.einsum("ij,bij->b", system.a, trained.hess_v(xb))
     return b, c
 

@@ -7,14 +7,23 @@ with a one-sample Kolmogorov-Smirnov test.  In addition the number of
 points beyond the chi^2 0.999 quantile is tested against its
 Binomial(n, 0.001) law.  Both tests together decide "holds" / "does not
 hold".
+
+The degrees of freedom are always an integer, and for integer k the
+chi^2 law has exact closed forms in the standard ``math`` module
+(Abramowitz & Stegun 26.4.4-26.4.5): with y = x / 2 the survival
+function is a finite Poisson sum  e^{-y} sum_{j<k/2} y^j / j!  for even
+k, and  erfc(sqrt(y)) + e^{-y} sum_{j<(k-1)/2} y^{j+1/2} / Gamma(j+3/2)
+for odd k.  The quantile is found by bisection on that CDF and the
+binomial tail is a finite sum, so the module needs no special-function
+library.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import bdtrc, gammainc, gammaincinv
 
 __all__ = ["ValidationReport", "chi2_cdf", "chi2_quantile", "ks_test", "validate_wkb"]
 
@@ -56,22 +65,69 @@ class ValidationReport:
             fh.write("\n".join(self.lines()) + "\n")
 
 
+_erfc = np.vectorize(math.erfc, otypes=[float])
+
+
 def chi2_cdf(x, k):
-    """P(chi^2_k <= x) via the regularized lower incomplete gamma."""
+    """P(chi^2_k <= x) for a positive integer k, as 1 minus the closed-form
+    survival function (see the module docstring)."""
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise ValueError("chi2_cdf requires x >= 0")
-    if k < 1:
-        raise ValueError("chi2_cdf requires k >= 1")
-    out = gammainc(k / 2.0, x / 2.0)
+    if k != int(k) or k < 1:
+        raise ValueError("chi2_cdf requires a positive integer k")
+    k = int(k)
+    # An infinite x becomes the largest float, where every term is 0.
+    y = np.minimum(x / 2.0, np.finfo(float).max)
+    half = (k % 2) / 2.0
+    if half:
+        sf = _erfc(np.sqrt(y))
+        term = 2.0 * np.exp(-y) * np.sqrt(y / np.pi)  # e^{-y} y^{1/2} / Gamma(3/2)
+    else:
+        sf = np.zeros_like(y)
+        term = np.exp(-y)
+    # term = e^{-y} y^{j+h} / Gamma(j+h+1) with h = half, each from the last.
+    for j in range(1, k // 2 + 1):
+        sf += term
+        term = term * y / (j + half)
+    out = 1.0 - sf
     return float(out) if out.ndim == 0 else out
 
 
 def chi2_quantile(p, k):
-    """Inverse of chi2_cdf through the inverse regularized incomplete gamma."""
+    """Inverse of chi2_cdf by bisection down to adjacent floats: the
+    returned x has chi2_cdf(x, k) >= p, the float below it a CDF < p."""
     if not 0.0 < p < 1.0:
         raise ValueError("quantile level must lie in (0, 1)")
-    return float(2.0 * gammaincinv(k / 2.0, p))
+    lo, hi = 0.0, float(k)
+    while chi2_cdf(hi, k) < p:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return hi
+        if chi2_cdf(mid, k) < p:
+            lo = mid
+        else:
+            hi = mid
+
+
+def _binom_tail(k, n, q):
+    """P(Binom(n, q) >= k), summed upward from the k-th term by the ratio
+    of successive terms.  Exact to rounding while that first term does
+    not underflow, that is for n q well below 700."""
+    if k <= 0:
+        return 1.0
+    if k > n:
+        return 0.0
+    term = math.exp(math.log(math.comb(n, k)) + k * math.log(q) + (n - k) * math.log1p(-q))
+    odds = q / (1.0 - q)
+    total = 0.0
+    while term > 0.0:  # the factor n - k ends the sum at k = n
+        total += term
+        term *= (n - k) / (k + 1) * odds
+        k += 1
+    return total
 
 
 def _kolmogorov_sf(lam):
@@ -117,7 +173,7 @@ def validate_wkb(results, dof, significance=DEFAULT_SIGNIFICANCE) -> ValidationR
     rss = np.array([r.rss_rescaled for r in kept])
     d, p = ks_test(rss, dof)
     n_tail = int(np.sum(rss > chi2_quantile(TAIL_QUANTILE, dof)))
-    tail_p = bdtrc(n_tail - 1, len(kept), 1.0 - TAIL_QUANTILE)  # P(Binom >= n_tail)
+    tail_p = _binom_tail(n_tail, len(kept), 1.0 - TAIL_QUANTILE)
     passed = p >= significance and tail_p >= significance
     return ValidationReport(
         rss=rss, dof=dof, ks_statistic=d, p_value=p, tail_fraction=n_tail / len(kept),

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import deepwkb
 from deepwkb import net
 from deepwkb.models import make_benchmark
 
@@ -29,6 +34,14 @@ class AnalyticQp:
 def grad_input_at(params, x):
     """Input gradients of the network at a (B, n) batch, through one trace."""
     return net.grad_input(params, net.trace(params, x))
+
+
+def fresh_interpreter(code):
+    """Standard output of ``code`` run by a new Python that imports this
+    deepwkb, for what an earlier import or call in the test process hides."""
+    src = str(Path(deepwkb.__file__).parents[1])
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
 
 
 def weight_penalty(params):

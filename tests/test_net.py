@@ -87,6 +87,16 @@ def test_trace_sigmoid_and_slopes():
     assert tr.slopes[0] is None and tr.slopes[-1] is None
 
 
+@pytest.mark.parametrize("widths", [(1, 32, 32, 1), net.default_widths(2)])
+def test_forward_is_the_traced_output(rng, widths):
+    p = net.init_params(MlpSpec(widths=widths), seed=4)
+    x = 30.0 * rng.normal(size=(129, widths[0]))  # saturates some sigmoids
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = net.forward(p, x)
+    assert np.array_equal(out, net.trace(p, x)[-1][:, 0])
+
+
 def _fd_params(fun, p, step=1e-5):
     out = np.zeros(p.size)
     for i in range(p.size):

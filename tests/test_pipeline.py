@@ -1,5 +1,6 @@
 import json
 import multiprocessing
+import shutil
 import signal
 import time
 
@@ -378,6 +379,20 @@ def test_csvs_match_their_arrays(mini_run):
     for name in ("density", "fp_residual"):
         np.testing.assert_array_equal(csv(f"{name}.csv"), np.column_stack(
             [grid.centers(np.arange(grid.n_cells)), np.load(outdir / f"{name}.npy").ravel()]))
+
+
+def test_expand_without_samples_leaves_no_unrecorded_file(mini_run, tmp_path):
+    # Seeds near level 0.06 lie above v_max 0.05, so no curve records a sample.
+    cfg, _, outdir = mini_run
+    run = tmp_path / "run"
+    shutil.copytree(outdir, run)
+    expand = dict(cfg.data["expand"], v_max=0.05, rel_band=0.1)
+    with pytest.raises(ValueError, match="no curve samples"):
+        run_stage("expand", ou_mini_config(expand=expand), RunManifest(run))
+    stages = RunManifest(run).data["stages"]
+    assert "expand" not in stages
+    recorded = {name for stage in stages.values() for name in stage["outputs"]}
+    assert {f.name for f in run.iterdir()} - recorded == {"manifest.json", "timing.log"}
 
 
 def test_trained_v_is_the_checkpoint_expand_recorded(tmp_path):

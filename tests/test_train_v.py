@@ -1,3 +1,5 @@
+import ctypes
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from deepwkb.train_v import (QpTrainConfig, QpTrainingSets, TrainingDiverged,
                              alternating_adam, assemble_qp_sets, estimate_alpha,
                              hj_residual, qp_loss, train_qp)
 
-from conftest import figure8_quasipotential, weight_penalty
+from conftest import figure8_quasipotential, fresh_interpreter, weight_penalty
 
 
 def test_hj_residual_ou_exact(ou1d, rng):
@@ -267,3 +269,20 @@ def test_train_qp_continues_from_initial(ou1d):
     resumed = train_qp(sets, cfg, ou1d, initial=first.params)
     assert not np.array_equal(resumed.params.flat, first.params.flat)
     assert resumed.params.spec == first.params.spec
+
+
+@pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"), reason="no mallopt in this libc")
+def test_training_keeps_freed_memory_for_the_next_step():
+    # A fresh interpreter, whose allocator no training has set.  Blocks of
+    # 1 MB and up, each 64 KB larger than the last, are all above glibc's
+    # default mmap threshold, which rises only to the last block freed: so
+    # each is mapped and faulted in anew, over 5,000 page faults for the
+    # 20 blocks.  Kept in the heap, they cost about the pages of the last.
+    code = ("import resource, numpy as np\n"
+            "from deepwkb.train_v import _keep_freed_memory\n"
+            "_keep_freed_memory()\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "for k in range(20):\n"
+            "    np.ones((1 << 17) + k * (1 << 13))\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+    assert int(fresh_interpreter(code)) < 2000

@@ -1,11 +1,14 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.special import gammaincinv
+from scipy.special import bdtrc, gammainc, gammaincinv
 
 from deepwkb.regression import RegressionResult
-from deepwkb.validation import chi2_cdf, chi2_quantile, ks_test, validate_wkb
+from deepwkb.validation import _binom_tail, chi2_cdf, chi2_quantile, ks_test, validate_wkb
+
+from conftest import fresh_interpreter
 
 
 def chi2_cdf_quadrature(x, k, nodes=200001):
@@ -33,6 +36,8 @@ def test_chi2_cdf_boundaries_and_errors():
         chi2_cdf(-1.0, 5)
     with pytest.raises(ValueError):
         chi2_cdf(1.0, 0)
+    with pytest.raises(ValueError):
+        chi2_cdf(1.0, 2.5)
 
 
 def test_chi2_cdf_against_quadrature():
@@ -54,6 +59,46 @@ def test_chi2_quantile_inverts_cdf():
     for p in [0.1, 0.5, 0.9, 0.999]:
         q = chi2_quantile(p, 7)
         assert chi2_cdf(q, 7) == pytest.approx(p, abs=1e-9)
+
+
+# scipy's incomplete gamma and binomial tail serve as oracles for the
+# closed forms; the package itself does not import scipy.
+@pytest.mark.parametrize("k", range(1, 31))
+def test_chi2_cdf_matches_scipy(k):
+    x = np.concatenate([np.geomspace(1e-12, 1.0, 100), np.linspace(0.0, 200.0, 2001)])
+    np.testing.assert_allclose(chi2_cdf(x, k), gammainc(k / 2.0, x / 2.0), rtol=0.0, atol=1e-13)
+    assert chi2_cdf(np.inf, k) == 1.0
+
+
+@pytest.mark.parametrize("k", range(1, 31))
+def test_chi2_quantile_matches_scipy(k):
+    for p in (1e-3, 0.5, 0.999):
+        assert chi2_quantile(p, k) == pytest.approx(2.0 * gammaincinv(k / 2.0, p), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 50, 88, 400, 1000])
+def test_binomial_tail_matches_scipy_and_exact_sum(n):
+    q = 1.0 - 0.999
+    qf = Fraction(q)
+    assert _binom_tail(0, n, q) == 1.0
+    for k in range(1, 7):
+        got = _binom_tail(k, n, q)
+        if k > n:
+            assert got == 0.0
+            continue
+        # 1 - P(X < k) in exact rationals of the float q.
+        exact = float(1 - sum(math.comb(n, i) * qf**i * (1 - qf) ** (n - i) for i in range(k)))
+        assert got == pytest.approx(exact, rel=1e-14, abs=0.0)
+        assert got == pytest.approx(bdtrc(k - 1, n, q), rel=1e-12, abs=0.0)
+
+
+def test_no_module_loads_scipy():
+    # A fresh interpreter: this one has scipy loaded for the oracles.
+    code = ("import importlib, pkgutil, sys, deepwkb.cli\n"
+            "for m in pkgutil.iter_modules(deepwkb.__path__):\n"
+            "    importlib.import_module('deepwkb.' + m.name)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    assert fresh_interpreter(code).strip() == "[]"
 
 
 def test_ks_self_consistency():

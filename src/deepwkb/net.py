@@ -37,15 +37,39 @@ and the ufunc sigmoid on numpy's vectorised ``exp`` about a quarter of
 that.  numpy picks its ``exp`` kernel (as BLAS its matrix kernels) by
 the CPU's SIMD extensions at run time, so outputs are deterministic on
 one machine but their last bits may differ between CPUs.
+
+At paper width the three training kernels share their work with one
+helper thread, started on first use.  ``grad_params`` queues each
+layer's weight-gradient product and bias sum while its adjoint chain
+runs on; the directional kernel hands the helper its tangent-adjoint
+chain during the forward tangent pass, then queues each layer's
+gradient products during the adjoint chain; ``adam_step`` checks the
+whole gradient, then queues its update in chunks of 2^15 elements.  The
+helper takes queued tasks in order, and the calling thread runs what is
+still queued when its own chain ends.  numpy releases the interpreter
+lock inside its products and loops, so the two threads run on two
+cores, and every product and elementwise operation is the serial one,
+so the outputs keep their bits.  The helper engages only for networks
+of at least 2^14 parameters (the paper width has 157,633, the 1-d OU
+net 1,153) with a second usable core and one-threaded BLAS, read once
+from OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS in
+OpenBLAS's order: a multi-threaded BLAS already spreads the products
+over the cores.  A kernel waits for every task it queued before it
+returns or raises, and a forked child drops the helper, whose thread it
+does not inherit.  The tasks call numpy only, never this module's
+public functions, which perfbench's tracer wraps with one span stack
+for one thread.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+import time
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
@@ -100,16 +124,14 @@ class MlpSpec:
 
     @cached_property
     def layout(self):
-        """(offset, shape) pairs for the flat view, per layer W then b, and
-        the total size; computed once per spec."""
+        """Per layer, the slices of the flat vector that hold W and b and
+        W's shape, and the total size; computed once per spec."""
         out = []
         off = 0
-        for l in range(self.n_layers):
-            n_out, n_in = self.widths[l + 1], self.widths[l]
-            out.append((off, (n_out, n_in)))
-            off += n_out * n_in
-            out.append((off, (n_out,)))
-            off += n_out
+        for n_in, n_out in zip(self.widths[:-1], self.widths[1:]):
+            w_end = off + n_out * n_in
+            out.append((slice(off, w_end), (n_out, n_in), slice(w_end, w_end + n_out)))
+            off = w_end + n_out
         return tuple(out), off
 
 
@@ -118,20 +140,14 @@ class MlpParams:
 
     def __init__(self, spec: MlpSpec, flat=None):
         self.spec = spec
-        layout, size = spec.layout
+        _, size = spec.layout
         if flat is None:
             flat = np.zeros(size)
         flat = np.ascontiguousarray(flat, dtype=float)
         if flat.shape != (size,):
             raise ValueError(f"flat vector has length {flat.shape}, expected {size}")
         self.flat = flat
-        self.layers = []
-        for l in range(spec.n_layers):
-            w_off, w_shape = layout[2 * l]
-            b_off, b_shape = layout[2 * l + 1]
-            w = self.flat[w_off:w_off + w_shape[0] * w_shape[1]].reshape(w_shape)
-            b = self.flat[b_off:b_off + b_shape[0]]
-            self.layers.append((w, b))
+        self.layers = _layer_views(spec, flat)
 
     @property
     def size(self):
@@ -141,12 +157,19 @@ class MlpParams:
         return MlpParams(self.spec, self.flat.copy())
 
 
+def _layer_views(spec: MlpSpec, flat):
+    """Per-layer (W, b) views into the flat vector ``flat``."""
+    return [(flat[w].reshape(shape), flat[b]) for w, shape, b in spec.layout[0]]
+
+
 def _add_weight_penalty(params: MlpParams, grad):
     """Add the penalty's gradient lambda * W to the flat gradient ``grad`` in
     place, layer by layer; biases are not penalised.  Returns ``grad``."""
     lam = params.spec.l2_lambda
-    for (gw, _), (w, _) in zip(MlpParams(params.spec, grad).layers, params.layers):
-        gw += lam * w
+    flat = params.flat
+    for w, _, _ in params.spec.layout[0]:
+        gw = grad[w]
+        gw += lam * flat[w]
     return grad
 
 
@@ -225,27 +248,174 @@ def forward(params: MlpParams, x):
     return a[:, 0]
 
 
+# ---------------------------------------------------------------------------
+# The helper thread of the parameter-gradient kernels and Adam (see the
+# module docstring).
+# ---------------------------------------------------------------------------
+
+# Below this many parameters a handoff costs more than the work handed off.
+_HELPER_MIN_PARAMS = 1 << 14
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+_helper = None
+
+
+def _blas_threads():
+    """BLAS's thread count as OpenBLAS reads it at load: the first positive
+    value of its three variables, or 0 (every core) when none is set."""
+    for name in _BLAS_THREAD_VARS:
+        try:
+            n = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if n > 0:
+            return n
+    return 0
+
+
+@cache
+def _spare_core():
+    """Whether a second usable core sits idle beside one-threaded BLAS.
+    A multi-threaded BLAS already spreads the products over the cores, and
+    the helper only contends with it."""
+    from .simulate import _usable_cores
+
+    return _usable_cores() >= 2 and _blas_threads() == 1
+
+
+def _helper_for(size):
+    """The helper's executor for a network of ``size`` parameters, started
+    on first use; None where handing it work does not pay."""
+    global _helper
+    if size < _HELPER_MIN_PARAMS or not _spare_core():
+        return None
+    if _helper is None:
+        from concurrent.futures import ThreadPoolExecutor
+
+        _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="deepwkb-net")
+    return _helper
+
+
+def _drop_helper():
+    # A forked child inherits the executor but not its thread: work handed
+    # to it would wait forever.
+    global _helper
+    _helper = None
+
+
+os.register_at_fork(after_in_child=_drop_helper)
+
+
+class _Tasks:
+    """The tasks one kernel call hands to the helper, or runs at once in
+    the calling thread where the helper does not engage.
+
+    The helper takes the call's tasks from a queue in the order handed
+    over.  When the call joins, its own thread runs the tasks the helper
+    has not taken yet, then waits for the one it runs (or cancels its turn
+    if it has not started), so neither thread idles while work is queued.
+    The two threads poll rather than sleep: on a 2-vCPU virtual machine a
+    task handed to a sleeping thread started 0.14 ms later in the median
+    and 0.87 ms at the 90th percentile, against 0.04 and 0.06 ms for a
+    polling one, while a 256 x 256 layer's product takes about 0.4 ms.
+    Leaving the ``with`` block waits for every task, so none outlives the
+    call, and raises the first task's exception unless the block raised
+    its own.  A task calls numpy only: perfbench's tracer wraps this
+    module's public functions and keeps one span stack, for one thread.
+    """
+
+    __slots__ = ("pool", "queue", "serving")
+
+    def __init__(self, size):
+        self.pool = _helper_for(size)
+        self.queue = None
+        self.serving = None
+
+    def run(self, fn, *args):
+        if self.pool is None:
+            fn(*args)
+            return
+        if self.serving is None:
+            self.queue = deque()
+            self.serving = self.pool.submit(_take_tasks, self.queue, True)
+        self.queue.append((fn, args))
+
+    def join(self):
+        """Run every task handed over so far, here or on the helper; raise
+        the first exception."""
+        if self.serving is None:
+            return
+        serving, self.serving = self.serving, None
+        error = _take_tasks(self.queue, False)
+        if not serving.cancel():  # the helper has started: wait for its task
+            self.queue.append(None)
+            while not serving.done():
+                time.sleep(0)  # polls, releasing the interpreter lock
+            if error is None:
+                error = serving.result()
+        if error is not None:
+            raise error
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is None:
+            self.join()
+        elif self.serving is not None:  # the block's own exception wins
+            self.queue.append(None)
+            self.serving.result()
+
+
+def _take_tasks(queue, until_stopped):
+    """Take tasks from ``queue`` and run them, until it yields None or, if
+    not ``until_stopped``, until it is empty; return the first task's
+    exception, or None.  A task after a failed one still runs."""
+    error = None
+    while True:
+        try:
+            task = queue.popleft()
+        except IndexError:
+            if not until_stopped:
+                return error
+            time.sleep(0)  # polls, releasing the interpreter lock
+            continue
+        if task is None:
+            return error
+        fn, args = task
+        try:
+            fn(*args)
+        except Exception as exc:  # the kernel re-raises it
+            if error is None:
+                error = exc
+
+
+def _weight_grad(delta, a, gw, gb):
+    np.dot(delta.T, a, out=gw)
+    delta.sum(axis=0, out=gb)
+
+
 def grad_params(params: MlpParams, acts, upstream) -> np.ndarray:
     """Flat gradient of  sum_b upstream_b * NN(x_b)  over the parameters,
     from the trace ``acts`` of the batch.
 
     ``upstream`` holds one coefficient per batch row.  No weight penalty
-    is added here: the losses add it once.
+    is added here: the losses add it once.  Each layer's weight and bias
+    gradient is queued for the helper while the adjoint chain runs on.
     """
     ups = np.asarray(upstream, dtype=float)
     if ups.shape != (acts[0].shape[0],):
         raise ValueError("upstream has wrong shape")
 
-    grad = MlpParams(params.spec, np.empty(params.size))
+    grad = np.empty(params.size)
+    views = _layer_views(params.spec, grad)
     delta = ups[:, None]  # d(sum ups*y)/d z_L
-    for l in range(params.spec.n_layers - 1, -1, -1):
-        gw, gb = grad.layers[l]
-        np.dot(delta.T, acts[l], out=gw)
-        delta.sum(axis=0, out=gb)
-        if l > 0:
-            delta = np.dot(delta, params.layers[l][0])
-            delta *= acts.slopes[l]
-    return grad.flat
+    with _Tasks(params.size) as tasks:
+        for l in range(params.spec.n_layers - 1, -1, -1):
+            tasks.run(_weight_grad, delta, acts[l], *views[l])
+            if l > 0:
+                delta = np.dot(delta, params.layers[l][0])
+                delta *= acts.slopes[l]
+    return grad
 
 
 def grad_input(params: MlpParams, acts):
@@ -318,37 +488,63 @@ def grad_params_of_directional_input_grad(params: MlpParams, acts, w_dir, coeff,
         raise ValueError("upstream must hold one value per batch row")
 
     n_layers = params.spec.n_layers
-    # Forward tangent pass in direction w: zdot_l, adot_l.
-    zdots, adots = [], [wb]
-    adot = wb
-    for l, (wmat, _) in enumerate(params.layers):
-        zdot = np.dot(adot, wmat.T)
-        zdots.append(zdot)
-        adot = zdot if l == n_layers - 1 else acts.slopes[l + 1] * zdot
-        adots.append(adot)
-
-    grad = MlpParams(params.spec, np.empty(params.size))
+    weights = [w for w, _ in params.layers]
     # Adjoints of the augmented graph; objective is sum_b c_b * zdot_L
-    # plus sum_b upstream_b * z_L.
-    a_bar, q = ups[:, None], c[:, None]
-    for l in range(n_layers - 1, -1, -1):
-        wmat, _ = params.layers[l]
-        if l == n_layers - 1:  # linear output: act' = 1, act'' = 0
-            z_bar = a_bar
-            r = q
-        else:
-            sp = acts.slopes[l + 1]
-            spp = sp * (1.0 - 2.0 * acts[l + 1])
-            z_bar = sp * a_bar + spp * zdots[l] * q
-            r = sp * q
-        gw, gb = grad.layers[l]
-        np.dot(z_bar.T, acts[l], out=gw)
-        gw += np.dot(r.T, adots[l])
-        z_bar.sum(axis=0, out=gb)
+    # plus sum_b upstream_b * z_L.  The tangent adjoints q (and r = s' q)
+    # never read the forward tangents, so the helper runs their chain
+    # while this thread runs the forward tangent pass.
+    qs, rs = [None] * n_layers, [None] * n_layers
+    with _Tasks(params.size) as tasks:
+        tasks.run(_tangent_adjoints, weights, acts.slopes, c[:, None], qs, rs)
+        # Forward tangent pass in direction w: zdot_l, adot_l.
+        zdots, adots = [], [wb]
+        adot = wb
+        for l, wmat in enumerate(weights):
+            zdot = np.dot(adot, wmat.T)
+            zdots.append(zdot)
+            adot = zdot if l == n_layers - 1 else acts.slopes[l + 1] * zdot
+            adots.append(adot)
+        tasks.join()
+
+        grad = np.empty(params.size)
+        views = _layer_views(params.spec, grad)
+        a_bar = ups[:, None]
+        for l in range(n_layers - 1, -1, -1):
+            if l == n_layers - 1:  # linear output: act' = 1, act'' = 0
+                z_bar = a_bar
+            else:
+                sp = acts.slopes[l + 1]
+                spp = sp * (1.0 - 2.0 * acts[l + 1])
+                z_bar = sp * a_bar + spp * zdots[l] * qs[l]
+            tasks.run(_directional_weight_grad, z_bar, acts[l], rs[l], adots[l], *views[l])
+            if l > 0:
+                a_bar = np.dot(z_bar, weights[l])
+    return grad
+
+
+def _tangent_adjoints(weights, slopes, q, qs, rs):
+    """The chain q_l (into ``qs``) and r_l = s'_l q_l (into ``rs``), from
+    q = c at the linear output down to the first layer."""
+    last = len(weights) - 1
+    for l in range(last, -1, -1):
+        qs[l] = q
+        r = q if l == last else slopes[l + 1] * q
+        rs[l] = r
         if l > 0:
-            a_bar = np.dot(z_bar, wmat)
-            q = np.dot(r, wmat)
-    return grad.flat
+            q = np.dot(r, weights[l])
+
+
+def _directional_weight_grad(z_bar, a, r, adot, gw, gb):
+    np.dot(z_bar.T, a, out=gw)
+    gw += np.dot(r.T, adot)
+    z_bar.sum(axis=0, out=gb)
+
+
+# Elements per pass of the Adam update: a chunk's seven arrays of float64
+# (1.75 MB) stay in cache through its thirteen passes.  At paper width in
+# a training run, on one thread, the update took 2.6 ms over the whole
+# vector at once and 2.0 ms in chunks.
+_ADAM_CHUNK = 1 << 15
 
 
 @dataclass
@@ -381,24 +577,36 @@ def adam_step(state: AdamState, params: MlpParams, grads):
     if not np.all(np.isfinite(g)):
         state.rejected += 1
         return state, params
-    # In place, through three temporaries, in the operation order of
-    # lr * m_hat / (sqrt(v_hat) + floor): fresh parameter-sized arrays on
-    # every step cost page faults whose price varies from run to run.
     state.t += 1
-    state.m *= state.beta1
-    state.m += (1.0 - state.beta1) * g
+    corr1 = 1.0 - state.beta1 ** state.t
+    corr2 = 1.0 - state.beta2 ** state.t
+    # The update is elementwise: the two threads share its chunks.
+    with _Tasks(params.size) as tasks:
+        for lo in range(0, params.size, _ADAM_CHUNK):
+            tasks.run(_adam_update, state, params.flat, g, corr1, corr2,
+                      slice(lo, lo + _ADAM_CHUNK))
+    return state, params
+
+
+def _adam_update(state: AdamState, flat, g, corr1, corr2, part):
+    """Adam's update of ``flat[part]`` and its moments, in place through
+    three chunk-sized temporaries, in the operation order of
+    lr * m_hat / (sqrt(v_hat) + floor)."""
+    m, v, g = state.m[part], state.v[part], g[part]
+    m *= state.beta1
+    m += (1.0 - state.beta1) * g
     g2 = (1.0 - state.beta2) * g
     g2 *= g
-    state.v *= state.beta2
-    state.v += g2
-    step = np.divide(state.m, 1.0 - state.beta1 ** state.t)
-    denom = np.divide(state.v, 1.0 - state.beta2 ** state.t, out=g2)
+    v *= state.beta2
+    v += g2
+    step = np.divide(m, corr1)
+    denom = np.divide(v, corr2, out=g2)
     np.sqrt(denom, out=denom)
     denom += state.floor
     step *= state.lr
     step /= denom
-    params.flat -= step
-    return state, params
+    p = flat[part]
+    p -= step
 
 
 # ---------------------------------------------------------------------------

@@ -14,14 +14,15 @@ curves of a batch advance together through one batched step kernel, and
 their bookkeeping (termination, level crossings, samples) is done with
 masks over the live rows.
 
-A simplified fixed-horizon minimum-action search estimates V at a single
-target point: starting from points on a level set {V = C}, the discrete
-action of a path to the target is minimized by gradient descent over the
-interior nodes.  No pipeline stage calls it yet.
+A simplified minimum-action search estimates V at a single target point:
+starting from points on a level set {V = C}, the discrete action of a
+path to the target over each of a few fixed horizons is minimized over
+the interior nodes by L-BFGS.  No pipeline stage calls it yet.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,6 @@ __all__ = [
     "seed_characteristics",
     "trace_curves",
     "min_action_estimate",
-    "min_action_scan",
 ]
 
 FIXED_POINT_TOL = 1e-12
@@ -46,7 +46,6 @@ FIXED_POINT_MAX_ITER = 50
 ENERGY_TOL = 0.05   # bound on |H| at a seed and on the energy drift along a curve
 MAX_CURVE_STEPS = 2_000_000
 STALL_RATE_FRACTION = 1e-4   # terminate when p^T A p falls this far below its seed value
-_DIVERGENCE_PATIENCE = 50
 
 
 class SolverFailure(RuntimeError):
@@ -247,99 +246,100 @@ def trace_curves(system, seeds, h, v_max, domain, samples_per_curve,
 
 
 # ---------------------------------------------------------------------------
-# Simplified minimum action method (fixed horizon, fixed endpoints).
+# Simplified minimum action method (fixed horizons, fixed endpoints).
 # ---------------------------------------------------------------------------
 
+_LBFGS_MEMORY = 10
+_LBFGS_MAX_ITER = 10_000
+_ARMIJO_C1 = 1e-4
+_BACKTRACK_FACTOR = 0.5
+_MAX_BACKTRACKS = 40
+_REL_DECREASE_TOL = 1e-12
 
-def discrete_action(system, nodes, dt, a_inv):
-    """Trapezoid discretization of  int 1/2 (phi' - f)^T A^-1 (phi' - f) ds.
 
-    A diverging path overflows to an infinite action, which
-    min_action_estimate reports as a SolverFailure.
-    """
+def _lbfgs(fg, x0):
+    """Minimize ``fg(x) -> (value, flat gradient)`` from ``x0`` by L-BFGS with
+    Armijo backtracking (Nocedal & Wright, Numerical Optimization, Alg. 7.4);
+    return the last iterate and its value.  A non-finite value raises, and a
+    line search without decrease ends the run.  ``fg`` may write into x0."""
+    x = np.array(x0, dtype=float)
+    f, g = fg(x)
+    if not np.isfinite(f):
+        raise SolverFailure("non-finite value at the start")
+    pairs = deque(maxlen=_LBFGS_MEMORY)
+    for _ in range(_LBFGS_MAX_ITER):
+        q = g.copy()
+        alphas = []
+        for s, y, rho in reversed(pairs):
+            alphas.append(rho * (s @ q))
+            q -= alphas[-1] * y
+        if pairs:
+            s, y, _ = pairs[-1]
+            q *= (s @ y) / (y @ y)
+        for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+            q += (alpha - rho * (y @ q)) * s
+        slope = -(g @ q)
+        if not slope < 0:  # stationary
+            break
+        t = 1.0 if pairs else 1.0 / np.linalg.norm(g)  # the first step has unit length
+        for _ in range(_MAX_BACKTRACKS):
+            x_new = x - t * q
+            f_new, g_new = fg(x_new)
+            if not np.isfinite(f_new):
+                raise SolverFailure("non-finite value in the line search")
+            if f_new <= f + _ARMIJO_C1 * t * slope:
+                break
+            t *= _BACKTRACK_FACTOR
+        else:
+            break
+        if f - f_new <= _REL_DECREASE_TOL * abs(f):
+            return x_new, f_new
+        s, y = x_new - x, g_new - g
+        if s @ y > 0:  # else the pair would break the inverse Hessian's definiteness
+            pairs.append((s, y, 1.0 / (s @ y)))
+        x, f, g = x_new, f_new, g_new
+    return x, f
+
+
+def _discrete_action(system, nodes, dt, a_inv):
+    """Trapezoid rule for  int 1/2 (phi' - f)^T A^-1 (phi' - f) ds  and its gradient
+    over all nodes (zero at the fixed ends); a diverging path overflows to inf."""
     with np.errstate(over="ignore"):
         vel = np.diff(nodes, axis=0) / dt
-        fa = system.drift(nodes[:-1])
-        fb = system.drift(nodes[1:])
-        ra = (vel - fa) @ a_inv
-        rb = (vel - fb) @ a_inv
-        return 0.25 * dt * float(np.einsum("bi,bi->", vel - fa, ra) +
-                                 np.einsum("bi,bi->", vel - fb, rb))
+        f = system.drift(nodes)
+        da, db = vel - f[:-1], vel - f[1:]
+        ra, rb = da @ a_inv, db @ a_inv
+        value = 0.25 * dt * float(np.sum(da * ra) + np.sum(db * rb))
+        grad = np.zeros_like(nodes)
+        # d/d phi_k of the velocity terms of segments k-1 and k.
+        grad[1:-1] += 0.5 * (ra[:-1] + rb[:-1] - ra[1:] - rb[1:])
+        # d/d phi_k of f(phi_k) inside segments k-1 (right end) and k (left end).
+        jac = system.drift_jacobian(nodes[1:-1])
+        grad[1:-1] -= 0.5 * dt * np.einsum("bij,bi->bj", jac, rb[:-1] + ra[1:])
+    return value, grad
 
 
-def _action_gradient(system, nodes, dt, a_inv):
-    vel = np.diff(nodes, axis=0) / dt
-    ra = (vel - system.drift(nodes[:-1])) @ a_inv
-    rb = (vel - system.drift(nodes[1:])) @ a_inv
-    grad = np.zeros_like(nodes)
-    # d/d phi_k of the velocity terms of segments k-1 and k.
-    grad[1:-1] += 0.5 * (ra[:-1] + rb[:-1] - ra[1:] - rb[1:])
-    # d/d phi_k of f(phi_k) inside segments k-1 (right end) and k (left end).
-    jac = system.drift_jacobian(nodes[1:-1])
-    grad[1:-1] -= 0.5 * dt * np.einsum("bij,bi->bj", jac, rb[:-1] + ra[1:])
-    return grad
-
-
-def min_action_estimate(system, x_target, surface_points, horizon, n_nodes,
-                        iters, lr, level_value=0.0):
-    """Quasi-potential upper bound  C + min over surface starts of the
-    minimized discrete action from the level set {V = C} to the target.
-
-    Fixed horizon and time grid (no geometric reparametrization); each
-    start initializes a straight-line path whose interior nodes descend
-    the analytic action gradient.  Raises when A is not positive definite
-    or when the action increases for 50 consecutive iterations.
-    """
-    a = system.a
-    eigs = np.linalg.eigvalsh(a)
-    if eigs.min() <= 0:
+def min_action_estimate(system, x_target, surface_points, n_nodes, level_value=0.0,
+                        horizons=(0.5, 1.0, 2.0, 5.0)):
+    """Quasi-potential upper bound  C + min over horizons and surface starts of
+    the discrete action on n_nodes fixed steps from {V = C} to the target,
+    minimized over the interior nodes, and the best ActionPath.  The infimum
+    sits at a finite horizon, which the default horizons bracket."""
+    if np.linalg.eigvalsh(system.a).min() <= 0:
         raise ValueError("diffusion matrix must be positive definite for the action")
-    a_inv = np.linalg.inv(a)
-    x_target = np.asarray(x_target, dtype=float)
-    dt = horizon / n_nodes
-
-    best = None
-    for y in _as_batch(surface_points, system.dim_state):
-        nodes = np.linspace(y, x_target, n_nodes + 1)
-        action = discrete_action(system, nodes, dt, a_inv)
-        rising = 0
-        for _ in range(iters):
-            nodes[1:-1] -= lr * _action_gradient(system, nodes, dt, a_inv)[1:-1]
-            new_action = discrete_action(system, nodes, dt, a_inv)
-            if not np.isfinite(new_action):
-                raise SolverFailure("action diverged to a non-finite value")
-            rising = rising + 1 if new_action > action else 0
-            if rising >= _DIVERGENCE_PATIENCE:
-                raise SolverFailure("action increased for 50 consecutive iterations")
-            action = new_action
-        if best is None or action < best.action:
-            best = ActionPath(nodes=nodes.copy(), dt=dt, action=action)
-    if best is None:
-        raise ValueError("surface_points must be nonempty")
-    return level_value + best.action, best
-
-
-DEFAULT_ACTION_HORIZONS = (0.5, 1.0, 2.0, 5.0)
-
-
-def min_action_scan(system, x_target, surface_points, n_nodes, iters, lr_per_dt,
-                    level_value=0.0, horizons=DEFAULT_ACTION_HORIZONS):
-    """Scan fixed horizons and keep the smallest estimate.
-
-    The fixed-horizon action is minimized over T in a short list because
-    the unconstrained infimum sits at a finite horizon that depends on
-    the start and target; the spread of the default grid brackets it for
-    targets a moderate climb above the surface.  ``lr_per_dt`` scales the
-    descent step with the node spacing (the velocity term's curvature
-    grows like 1/dt).
-    """
-    best = None
-    best_path = None
+    a_inv = np.linalg.inv(system.a)
+    starts = _as_batch(surface_points, system.dim_state)
+    paths = []
     for horizon in horizons:
-        lr = lr_per_dt * horizon / n_nodes
-        est, path = min_action_estimate(system, x_target, surface_points, horizon,
-                                        n_nodes, iters, lr, level_value=level_value)
-        if best is None or est < best:
-            best, best_path = est, path
-    return best, best_path
-
+        dt = horizon / n_nodes
+        for y in starts:  # a straight path from each start
+            nodes = np.linspace(y, x_target, n_nodes + 1)
+            def fg(z):
+                nodes[1:-1] = z.reshape(-1, nodes.shape[1])
+                value, grad = _discrete_action(system, nodes, dt, a_inv)
+                return value, grad[1:-1].ravel()
+            z, action = _lbfgs(fg, nodes[1:-1].ravel())
+            nodes[1:-1] = z.reshape(-1, nodes.shape[1])
+            paths.append(ActionPath(nodes=nodes, dt=dt, action=action))
+    best = min(paths, key=lambda path: path.action)  # empty starts raise ValueError
+    return level_value + best.action, best

@@ -14,7 +14,7 @@ import pytest
 
 from deepwkb import net
 from deepwkb.density import DensityHistogram, GridSpec
-from deepwkb.expand import CharState, min_action_scan, trace_curves
+from deepwkb.expand import CharState, min_action_estimate, trace_curves
 from deepwkb.models import make_benchmark
 from deepwkb.net import MlpParams, MlpSpec
 from deepwkb.pipeline import (RunConfig, evaluate_wkb_grid, fp_residual_grid,
@@ -287,9 +287,8 @@ def test_criterion_9_fp_residual_diagnostic():
 def test_criterion_10_min_action_oracle():
     t0 = time.time()
     ou = make_benchmark("ou1d")
-    est, path = min_action_scan(ou, np.array([0.6]), np.array([[0.3], [-0.3]]),
-                                n_nodes=50, iters=20000, lr_per_dt=0.3,
-                                level_value=0.09)
+    est, path = min_action_estimate(ou, np.array([0.6]), np.array([[0.3], [-0.3]]),
+                                    n_nodes=50, level_value=0.09)
     elapsed = time.time() - t0
     ok = abs(est - 0.36) < 0.02 and elapsed < 30
     _verdict(10, ok, f"estimate={est:.4f} vs 0.36 +- 0.02; {elapsed:.0f}s (<30s)")

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from deepwkb import expand
-from deepwkb.expand import (CharState, SolverFailure, char_step, discrete_action,
-                            hamiltonian, min_action_estimate, min_action_scan,
-                            seed_characteristics, trace_curves)
+from deepwkb.expand import (CharState, SolverFailure, _discrete_action, _lbfgs, char_step,
+                            hamiltonian, min_action_estimate, seed_characteristics,
+                            trace_curves)
 from deepwkb.models import SdeSystem, make_benchmark
 
 from conftest import AnalyticQp, curve_arrays, figure8_quasipotential
@@ -229,64 +229,134 @@ def test_discrete_action_matches_riemann_form(ou1d, rng):
         la = 0.5 * float((vel[i] - fa) @ a_inv @ (vel[i] - fa))
         lb = 0.5 * float((vel[i] - fb) @ a_inv @ (vel[i] - fb))
         manual += 0.5 * dt * (la + lb)
-    assert discrete_action(ou1d, nodes, dt, a_inv) == pytest.approx(manual, abs=1e-12)
+    assert _discrete_action(ou1d, nodes, dt, a_inv)[0] == pytest.approx(manual, abs=1e-12)
 
 
 def test_straight_line_descent(ou1d):
     # The first gradient iterations strictly decrease the action.
-    from deepwkb.expand import _action_gradient
-
     nodes = np.linspace([0.3], [0.6], 51)
     dt = 1.0 / 50
     a_inv = np.eye(1)
-    actions = [discrete_action(ou1d, nodes, dt, a_inv)]
-    for _ in range(10):
-        nodes[1:-1] -= 0.3 * dt * _action_gradient(ou1d, nodes, dt, a_inv)[1:-1]
-        actions.append(discrete_action(ou1d, nodes, dt, a_inv))
+    actions = []
+    for _ in range(11):
+        action, grad = _discrete_action(ou1d, nodes, dt, a_inv)
+        actions.append(action)
+        nodes[1:-1] -= 0.3 * dt * grad[1:-1]
     assert np.all(np.diff(actions) < 0)
 
 
 def test_action_gradient_matches_finite_differences(ou1d, rng):
-    from deepwkb.expand import _action_gradient
-
     nodes = np.linspace([0.3], [0.6], 13) + rng.normal(0, 0.02, size=(13, 1))
     dt = 0.1
     a_inv = np.eye(1)
-    grad = _action_gradient(ou1d, nodes, dt, a_inv)
+    grad = _discrete_action(ou1d, nodes, dt, a_inv)[1]
+    assert np.all(grad[[0, -1]] == 0.0)  # the endpoints are fixed
     step = 1e-7
     for k in range(1, 12):
         plus = nodes.copy()
         plus[k, 0] += step
         minus = nodes.copy()
         minus[k, 0] -= step
-        fd = (discrete_action(ou1d, plus, dt, a_inv) - discrete_action(ou1d, minus, dt, a_inv)) / (2 * step)
+        fd = (_discrete_action(ou1d, plus, dt, a_inv)[0]
+              - _discrete_action(ou1d, minus, dt, a_inv)[0]) / (2 * step)
         assert grad[k, 0] == pytest.approx(fd, rel=1e-6)
 
 
 def test_min_action_fixed_horizon_matches_lq_oracle(ou1d):
     for horizon in (1.0, 5.0):
-        est, path = min_action_estimate(ou1d, np.array([0.6]), np.array([[0.3]]),
-                                        horizon, 50, 20000, 0.3 * horizon / 50,
-                                        level_value=0.09)
+        est, path = min_action_estimate(ou1d, np.array([0.6]), np.array([[0.3]]), 50,
+                                        level_value=0.09, horizons=(horizon,))
         assert est - 0.09 == pytest.approx(lq_fixed_horizon_action(0.3, 0.6, horizon), abs=2e-3)
         assert path.action >= 0.0
+        assert path.dt == horizon / 50
+        # The returned nodes are the minimizer's, not its last trial point's.
+        assert _discrete_action(ou1d, path.nodes, path.dt, np.eye(1))[0] == path.action
+        assert np.array_equal(path.nodes[[0, -1]], [[0.3], [0.6]])
 
 
 def test_min_action_scan_reaches_quasipotential(ou1d):
-    est, _ = min_action_scan(ou1d, np.array([0.6]), np.array([[0.3], [-0.3]]),
-                             n_nodes=50, iters=20000, lr_per_dt=0.3, level_value=0.09)
+    est, _ = min_action_estimate(ou1d, np.array([0.6]), np.array([[0.3], [-0.3]]),
+                                 n_nodes=50, level_value=0.09)
     assert abs(est - 0.36) < 0.02  # V(0.6) = 0.36 for V = x^2
 
 
 def test_min_action_target_at_equilibrium_start(ou1d):
     # Start and target both at the stable point: the resting path is a flow
     # line with zero cost, so the estimate equals the level value.
-    est, _ = min_action_estimate(ou1d, np.array([0.0]), np.array([[0.0]]),
-                                 1.0, 20, 50, 1e-3, level_value=0.0)
+    est, _ = min_action_estimate(ou1d, np.array([0.0]), np.array([[0.0]]), 20,
+                                 level_value=0.0, horizons=(1.0,))
     assert est == pytest.approx(0.0, abs=1e-15)
 
 
 def test_min_action_divergence_guard(ou1d):
-    with pytest.raises(SolverFailure, match="diverged|consecutive"):
-        min_action_estimate(ou1d, np.array([0.6]), np.array([[0.3]]),
-                            0.5, 50, 500, 5.0, level_value=0.09)
+    # A target so far out that the straight path's action overflows.
+    with pytest.raises(SolverFailure, match="non-finite"):
+        min_action_estimate(ou1d, np.array([1e200]), np.array([[0.3]]), 50,
+                            level_value=0.09)
+
+
+# L-BFGS against scipy's L-BFGS-B, run to tight tolerances.
+SCIPY_OPTIONS = {"ftol": 1e-15, "gtol": 1e-12, "maxiter": 10_000}
+
+
+def scipy_lbfgsb(fg, x0):
+    from scipy.optimize import minimize
+
+    res = minimize(fg, x0, jac=True, method="L-BFGS-B", options=SCIPY_OPTIONS)
+    return res.x, res.fun
+
+
+def test_lbfgs_spd_quadratic_matches_scipy(rng):
+    q_basis, _ = np.linalg.qr(rng.normal(size=(20, 20)))
+    hess = q_basis @ np.diag(np.logspace(0.0, 2.0, 20)) @ q_basis.T
+    b = rng.normal(size=20)
+
+    def fg(x):
+        hx = hess @ x
+        return 0.5 * x @ hx - b @ x, hx - b
+
+    x_star = np.linalg.solve(hess, b)
+    f_star = -0.5 * b @ x_star
+    x0 = rng.normal(size=20)
+    for x, f in (_lbfgs(fg, x0), scipy_lbfgsb(fg, x0)):
+        assert np.max(np.abs(x - x_star)) < 1e-5
+        assert abs(f - f_star) <= 1e-10 * abs(f_star)
+
+
+def test_lbfgs_rosenbrock_matches_scipy():
+    def fg(x):
+        u, v = x
+        return (100.0 * (v - u * u) ** 2 + (1.0 - u) ** 2,
+                np.array([-400.0 * u * (v - u * u) - 2.0 * (1.0 - u), 200.0 * (v - u * u)]))
+
+    x0 = np.array([-1.2, 1.0])
+    for x, f in (_lbfgs(fg, x0), scipy_lbfgsb(fg, x0)):
+        assert np.max(np.abs(x - 1.0)) < 1e-5
+        assert f < 1e-10
+    assert np.array_equal(x0, [-1.2, 1.0])  # the start is not written
+
+
+def test_lbfgs_nonfinite_value_raises():
+    with pytest.raises(SolverFailure, match="start"):
+        _lbfgs(lambda x: (np.inf, np.ones_like(x)), np.zeros(3))
+
+    def fg(x):  # finite on x > -0.5 only; the first step has unit length
+        return (0.5 * x @ x if x[0] > -0.5 else np.nan), x.copy()
+
+    with pytest.raises(SolverFailure, match="line search"):
+        _lbfgs(fg, np.array([0.3]))
+
+
+def test_lbfgs_stationary_start_returns_its_value():
+    center = np.array([0.25, -1.5, 3.0])
+    calls = []
+
+    def fg(x):
+        calls.append(x.copy())
+        d = x - center
+        return 3.25 + d @ d, 2.0 * d
+
+    x, f = _lbfgs(fg, center)
+    assert f == 3.25
+    assert np.array_equal(x, center)
+    assert len(calls) == 1

@@ -9,7 +9,8 @@ These outputs are hashed:
 * every file of ``run_all`` on the OU mini config of
   ``tests/test_pipeline.py`` (``timing.log`` holds wall times and is left
   out);
-* every file of simulate -> regress on ``perfbench/workloads.figure8_config(1)``;
+* every file of simulate -> regress -> validate on
+  ``perfbench/workloads.figure8_config(1)``;
 * every file of simulate on a shrunken copy of that config whose box cuts
   through the attractor, so that every level escapes and the rollback
   path runs, and the digest of its per-level escape counts;
@@ -30,8 +31,8 @@ scores it).  Equal outputs print equal errors.
 
 BLAS runs on one thread, as in the benchmark, since the last bits of a
 matrix product may depend on the thread count.  Run directories go under
-``--out`` (a temporary directory by default).  The whole print takes a few
-minutes on a 2-core machine.
+``--out`` (a temporary directory by default).  The whole print takes about
+20 s on a 2-core machine.
 """
 
 from __future__ import annotations
@@ -169,7 +170,7 @@ def main(argv=None):
 
         f8_dir = base / "figure8"
         cfg, manifest = figure8_config(1), RunManifest(f8_dir)
-        for stage in ("simulate", "regress"):
+        for stage in ("simulate", "regress", "validate"):
             run_stage(stage, cfg, manifest)
         for line in run_dir_lines("figure8", f8_dir):
             print(line, flush=True)

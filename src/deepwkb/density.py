@@ -12,7 +12,7 @@ dimensions use a sparse map keyed by the C-order flat index.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from .models import _as_batch
 __all__ = [
     "GridSpec",
     "DensityHistogram",
-    "CollocationSet",
     "select_collocation",
 ]
 
@@ -208,40 +207,26 @@ class DensityHistogram:
         return hist
 
 
-@dataclass
-class CollocationSet:
-    """Collocation points with per-noise-level counts.  The first
-    round(M * traj_fraction) points are the trajectory-weighted draw."""
-
-    points: np.ndarray                      # (M, n)
-    counts: dict = field(default_factory=dict)   # eps -> (M,) bin counts
-    totals: dict = field(default_factory=dict)   # eps -> total N
-
-    def __len__(self):
-        return self.points.shape[0]
-
-
 def _weighted_sample_without_replacement(rng, weights, k):
     # Exponential-keys scheme: smallest Exp(1)/w wins; exact for k draws.
     keys = rng.exponential(size=weights.shape[0]) / weights
     return np.argpartition(keys, k - 1)[:k]
 
 
-def select_collocation(grid: GridSpec, histograms, m_points, traj_fraction=0.5, seed=0) -> CollocationSet:
-    """Pick collocation points: a trajectory-weighted half and a uniform half.
+def select_collocation(grid: GridSpec, histograms, m_points, traj_fraction=0.5, seed=0):
+    """Pick (m_points, n) collocation points: a trajectory-weighted share
+    and a uniform rest.
 
-    The trajectory half is drawn without replacement over occupied bins of
-    the histogram at the largest noise level, proportionally to bin counts;
-    the remainder is drawn uniformly over the rest of the grid.  All points
-    are snapped to bin centers, the trajectory-weighted ones first, and
-    annotated with per-epsilon counts.
+    The first round(m_points * traj_fraction) points are drawn without
+    replacement over occupied bins of the histogram at the largest noise
+    level, proportionally to bin counts; the rest uniformly over the
+    remaining grid.  All points are bin centers.
     """
-    hists = sorted(histograms, key=lambda h: h.epsilon)
-    if not hists:
+    if not histograms:
         raise ValueError("no histograms supplied")
     if not 0.0 <= traj_fraction <= 1.0:
         raise ValueError("traj_fraction must lie in [0, 1]")
-    top = hists[-1]
+    top = max(histograms, key=lambda h: h.epsilon)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
     n_traj_pts = int(round(m_points * traj_fraction))
@@ -275,11 +260,4 @@ def select_collocation(grid: GridSpec, histograms, m_points, traj_fraction=0.5, 
         chosen.append(np.asarray(picked, dtype=np.int64))
 
     flat = np.concatenate(chosen) if chosen else np.empty(0, dtype=np.int64)
-    points = grid.centers(flat)
-
-    counts = {}
-    totals = {}
-    for h in hists:
-        counts[h.epsilon] = h.counts_at_flat(flat)
-        totals[h.epsilon] = h.total
-    return CollocationSet(points=points, counts=counts, totals=totals)
+    return grid.centers(flat)

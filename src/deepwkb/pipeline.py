@@ -17,7 +17,10 @@ One table, ``_STAGE_TABLE``, names each stage's parent, the config
 sections it reads and its implementation.  Every stage saves its arrays
 as ``.npy`` and writes its CSV views of them through one writer,
 ``_write_csv``, at full float64 precision (``%.17g``, which reads back
-exactly); the training loss logs use ``%.10g``.
+exactly); the training loss logs use ``%.10g``.  The regression results
+are one structured array, the table described in ``regression``: the
+regress stage saves it as ``regression.npy``, and validate, train-v,
+expand and train-z load it and read its columns.
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ from . import expand as expand_mod
 from . import net
 from .density import DensityHistogram, GridSpec, select_collocation
 from .models import make_benchmark
-from .regression import (RegressionResult, extrapolate_z0_attractor, regress_collocation,
-                         PointData)
+from .regression import (InsufficientRowsError, PointData, extrapolate_z0_attractor,
+                         regress_collocation)
 from .simulate import SimConfig, call_in_child, sample_attractor, simulate_ensemble
 from .train_v import QpTrainConfig, TrainedQp, assemble_qp_sets, train_qp
 from .train_z import TrainedZ, assemble_z_sets, train_z, transport_coefficients
@@ -273,12 +276,6 @@ def _stage_simulate(cfg: RunConfig, outdir: Path):
     return outputs, info
 
 
-_REG_FIELDS = [("v_hat", "f8"), ("log_z0_hat", "f8"), ("slope", "f8"),
-               ("rss_plain", "f8"), ("rss_rescaled", "f8"), ("dof", "i8"),
-               ("used_rows", "i8"), ("reliable", "i8"), ("u_top", "f8"),
-               ("se_v", "f8"), ("se_log_z0", "f8")]
-
-
 def _load_hists(cfg, outdir):
     return [DensityHistogram.from_file(outdir / _hist_name(i))
             for i in range(len(cfg.data["ladder"]))]
@@ -286,73 +283,37 @@ def _load_hists(cfg, outdir):
 
 def _stage_regress(cfg: RunConfig, outdir: Path):
     system = cfg.system()
-    grid = cfg.grid()
     hists = _load_hists(cfg, outdir)
     coll = cfg.data["collocation"]
-    colloc = select_collocation(grid, hists, coll["m_points"],
+    points = select_collocation(cfg.grid(), hists, coll["m_points"],
                                 traj_fraction=coll["traj_fraction"],
                                 seed=_derive_seed(cfg["seed"], "collocation"))
-    results, threshold = regress_collocation(
-        colloc, cfg.data["ladder"], (system.dim_state, system.attractor_dim), grid,
+    table, threshold = regress_collocation(
+        hists, points, (system.dim_state, system.attractor_dim),
         min_count=coll["min_count"], far_field_percentile=coll["far_field_percentile"])
-
-    top = hists[-1]
-    u_top = top.counts_at(colloc.points) / (grid.bin_volume * top.total)
-    arr = np.zeros(len(colloc), dtype=[("point", "f8", (system.dim_state,))] + _REG_FIELDS)
-    arr["point"] = colloc.points
-    arr["u_top"] = u_top
-    for i, r in enumerate(results):
-        if r is None:
-            continue
-        for name in ("v_hat", "log_z0_hat", "slope", "rss_plain", "rss_rescaled",
-                     "se_v", "se_log_z0"):
-            arr[name][i] = getattr(r, name)
-        arr["dof"][i] = r.dof
-        arr["used_rows"][i] = r.used_rows
-        arr["reliable"][i] = int(r.reliable)
-    np.save(outdir / "regression.npy", arr)
-    kept = arr[arr["used_rows"] > 0]
+    kept = table[table["used_rows"] > 0]
     if not kept.size:
         raise ValueError("no regression results to export")
+    np.save(outdir / "regression.npy", table)
     fields = ["v_hat", "log_z0_hat", "slope", "rss_rescaled", "dof", "reliable", "se_v",
               "se_log_z0"]
     _write_csv(outdir / "regression.csv", _coord_names(system.dim_state) + fields,
                [kept["point"]] + [kept[name] for name in fields])
     return ["regression.npy", "regression.csv"], {
-        "points": len(colloc), "regressed": kept.size,
-        "excluded": len(colloc) - kept.size, "far_field_threshold": threshold,
+        "points": table.size, "regressed": kept.size,
+        "excluded": table.size - kept.size, "far_field_threshold": threshold,
     }
 
 
-def _load_regressions(outdir):
-    """(results, the regression.npy array) from regression.npy; a result is
-    None where no row was used."""
-    arr = np.load(outdir / "regression.npy")
-    results = []
-    for row in arr:
-        if row["used_rows"] == 0:
-            results.append(None)
-            continue
-        results.append(RegressionResult(
-            point=np.asarray(row["point"]),
-            v_hat=float(row["v_hat"]), log_z0_hat=float(row["log_z0_hat"]),
-            slope=float(row["slope"]), rss_plain=float(row["rss_plain"]),
-            rss_rescaled=float(row["rss_rescaled"]), dof=int(row["dof"]),
-            used_rows=int(row["used_rows"]), reliable=bool(row["reliable"]),
-            se_v=float(row["se_v"]), se_log_z0=float(row["se_log_z0"]),
-        ))
-    return results, arr
-
-
 def _stage_validate(cfg: RunConfig, outdir: Path):
-    results, reg = _load_regressions(outdir)
-    report = validate_wkb(results, significance=cfg.data["validate"]["significance"],
+    table = np.load(outdir / "regression.npy")
+    # validate_wkb reads the rows' reliable, dof and rss_rescaled as attributes
+    report = validate_wkb(table.view(np.recarray),
+                          significance=cfg.data["validate"]["significance"],
                           dof=len(cfg.data["ladder"]) - 3)
     report.write(outdir / "validation.txt")
-    reliable = reg[reg["reliable"] == 1]
-    if not reliable.size:
-        raise ValueError("no reliable points to export")
-    _write_csv(outdir / "rss.csv", _coord_names(reg["point"].shape[1]) + ["rss"],
+    reliable = table[table["reliable"] == 1]
+    _write_csv(outdir / "rss.csv", _coord_names(table["point"].shape[1]) + ["rss"],
                [reliable["point"], reliable["rss_rescaled"]])
     verdict = "holds" if report.passed else "does not hold"
     return ["validation.txt", "rss.csv"], {
@@ -364,10 +325,9 @@ def _stage_validate(cfg: RunConfig, outdir: Path):
 
 def _stage_train_v(cfg: RunConfig, outdir: Path):
     system = cfg.system()
-    results, reg = _load_regressions(outdir)
     tcfg = cfg.train_cfg("train_v", _derive_seed(cfg["seed"], "train_v"))
-    sets = assemble_qp_sets(np.load(outdir / "attractor.npy"), reg["point"], results, tcfg,
-                            largest_eps_density=reg["u_top"])
+    sets = assemble_qp_sets(np.load(outdir / "attractor.npy"),
+                            np.load(outdir / "regression.npy"), tcfg)
     trained = train_qp(sets, tcfg, system)
     net.save_checkpoint(outdir / "checkpoint_v.dwkbnet", trained.params,
                         extra=json.dumps({"alpha": trained.alpha}).encode())
@@ -433,12 +393,11 @@ def _stage_expand(cfg: RunConfig, outdir: Path):
     # Continue training V on the expanded set (curriculum: start from the
     # learned parameters, artificial targets drop out in favor of curves).
     if e["refine_epochs"] > 0:
-        results, reg = _load_regressions(outdir)
         tcfg = cfg.train_cfg("train_v", _derive_seed(cfg["seed"], "refine_v"))
         tcfg.epochs = e["refine_epochs"]
         tcfg.fine_tune_epochs = max(1, e["refine_epochs"] // 5)
-        sets = assemble_qp_sets(np.load(outdir / "attractor.npy"), reg["point"], results, tcfg,
-                                largest_eps_density=reg["u_top"],
+        sets = assemble_qp_sets(np.load(outdir / "attractor.npy"),
+                                np.load(outdir / "regression.npy"), tcfg,
                                 expanded=(arr["point"], arr["v"]))
         refined = train_qp(sets, tcfg, system, initial=trained.params)
         net.save_checkpoint(outdir / "checkpoint_v_refined.dwkbnet", refined.params,
@@ -455,7 +414,7 @@ def _stage_train_z(cfg: RunConfig, outdir: Path):
     dims = (system.dim_state, system.attractor_dim)
     hists = _load_hists(cfg, outdir)
     eps = np.asarray(cfg.data["ladder"])
-    results, reg = _load_regressions(outdir)
+    table = np.load(outdir / "regression.npy")
     trained_v = _load_trained_v(outdir)
 
     # Attractor targets by extrapolation to eps = 0.
@@ -470,7 +429,7 @@ def _stage_train_z(cfg: RunConfig, outdir: Path):
                          n0=counts[i].astype(float), n=totals)
         try:
             z0 = extrapolate_z0_attractor(data, dims, min_count=min_count)
-        except ValueError:
+        except InsufficientRowsError:
             continue
         attr_pts.append(attractor_points[i])
         attr_z0.append(z0)
@@ -481,7 +440,7 @@ def _stage_train_z(cfg: RunConfig, outdir: Path):
     # from the nearest reliable regression point.
     curves = np.load(outdir / "curves.npy")
     seeds = np.load(outdir / "curve_seeds.npy")
-    rel = reg[reg["reliable"] == 1]
+    rel = table[table["reliable"] == 1]
     transported = None
     if curves.size and rel.size:
         dist = np.linalg.norm(rel["point"][None, :, :] - seeds[:, None, :], axis=2)
@@ -490,7 +449,7 @@ def _stage_train_z(cfg: RunConfig, outdir: Path):
 
     z = cfg.data["train_z"]
     zcfg = cfg.train_cfg("train_z", _derive_seed(cfg["seed"], "train_z"))
-    sets = assemble_z_sets((np.asarray(attr_pts), np.asarray(attr_z0)), results,
+    sets = assemble_z_sets((np.asarray(attr_pts), np.asarray(attr_z0)), table,
                            transported,
                            {"y2_regression": z["y2_regression"],
                             "y2_transport": z["y2_transport"], "y3": z["y3"]},

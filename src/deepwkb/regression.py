@@ -19,6 +19,14 @@ R^-1 R^-T.  No variance is re-estimated from the residual: the rescaled
 sampling errors are unit normal by construction.  The slope column is
 nearly collinear with the intercept over the ladder, so where the
 small-eps rows are thin it dominates the uncertainty of log Z0.
+
+The results of a run are one table, a numpy structured array with one
+row per collocation point, which ``regression.npy`` stores as it is.
+Its columns, in order: point (n,), v_hat, log_z0_hat, slope, rss_plain,
+rss_rescaled, dof, used_rows, reliable (0 or 1), u_top (the empirical
+density at the largest noise level), se_v, se_log_z0.  An excluded
+point, with fewer than 4 usable levels, is a row with used_rows == 0:
+every column but point and u_top holds 0.
 """
 
 from __future__ import annotations
@@ -50,6 +58,15 @@ class PointData:
     u_hat: np.ndarray   # (K,) empirical densities N0/(hN)
     n0: np.ndarray      # (K,) bin counts
     n: np.ndarray       # (K,) total retained samples
+
+
+# The regression table's columns after ``point``, in their stored order.
+_COLUMNS = [("v_hat", "f8"), ("log_z0_hat", "f8"), ("slope", "f8"),
+            ("rss_plain", "f8"), ("rss_rescaled", "f8"), ("dof", "i8"),
+            ("used_rows", "i8"), ("reliable", "i8"), ("u_top", "f8"),
+            ("se_v", "f8"), ("se_log_z0", "f8")]
+# The columns regress_point fills; the far-field rule sets reliable.
+_FIT_COLUMNS = [name for name, _ in _COLUMNS if name not in ("reliable", "u_top")]
 
 
 @dataclass
@@ -125,7 +142,7 @@ def regress_point(data: PointData, dims, point,
 
     v_hat is reported as fitted even when slightly negative; clipping is
     left to the training stage.  A fit whose v_hat is not NaN is flagged
-    reliable until apply_far_field_threshold compares it with the others.
+    reliable; in the table apply_far_field_threshold sets the flags.
     """
     try:
         response, dw, keep = build_response(data, dims, min_count=min_count)
@@ -154,37 +171,49 @@ def regress_point(data: PointData, dims, point,
     )
 
 
-def regress_collocation(colloc, eps, dims, grid,
-                        min_count=DEFAULT_MIN_COUNT,
+def _empty_table(points):
+    """A regression table for the (M, n) ``points`` with every row excluded."""
+    points = np.asarray(points, dtype=float)
+    table = np.zeros(points.shape[0], dtype=[("point", "f8", points.shape[1:])] + _COLUMNS)
+    table["point"] = points
+    return table
+
+
+def regress_collocation(histograms, points, dims, min_count=DEFAULT_MIN_COUNT,
                         far_field_percentile=95.0):
-    """Regress every collocation point over the noise ladder ``eps``, then
-    fix reliability flags.
+    """Regress the (M, n) ``points`` over the noise ladder of ``histograms``.
 
-    The far-field threshold is the given percentile of v_hat over the
-    points that survived row filtering, recomputed per run.  Returns
-    (results, threshold) where results[i] is None for excluded points.
+    The points are binned once into an (M, K) count matrix whose rows go
+    to regress_point; u_top is the empirical density of its top level's
+    column.
+    Returns (table, far-field threshold), see apply_far_field_threshold.
     """
-    eps = np.asarray(eps, dtype=float)
-    h = grid.bin_volume
-    results = []
-    for i in range(len(colloc)):
-        n0 = np.array([colloc.counts[e][i] for e in eps], dtype=float)
-        n = np.array([colloc.totals[e] for e in eps], dtype=float)
-        data = PointData(eps=eps, u_hat=n0 / (h * n), n0=n0, n=n)
-        results.append(regress_point(data, dims, colloc.points[i], min_count=min_count))
-    threshold = apply_far_field_threshold(results, far_field_percentile)
-    return results, threshold
+    hists = sorted(histograms, key=lambda h: h.epsilon)
+    h = hists[0].grid.bin_volume
+    eps = np.array([hist.epsilon for hist in hists])
+    totals = np.array([hist.total for hist in hists], dtype=float)
+    flat, _ = hists[0].grid.flat_indices(points)
+    counts = np.stack([hist.counts_at_flat(flat) for hist in hists], axis=1)
+    table = _empty_table(points)
+    table["u_top"] = counts[:, -1] / (h * totals[-1])
+    results = [regress_point(PointData(eps=eps, u_hat=n0 / (h * totals), n0=n0, n=totals),
+                             dims, point, min_count=min_count)
+               for point, n0 in zip(table["point"], counts.astype(float))]
+    fitted = np.array([r is not None for r in results], dtype=bool)
+    for name in _FIT_COLUMNS:
+        table[name][fitted] = [getattr(r, name) for r in results if r is not None]
+    return table, apply_far_field_threshold(table, far_field_percentile)
 
 
-def apply_far_field_threshold(results, percentile=95.0):
-    """Recompute reliability flags against a percentile-based threshold."""
-    v = np.array([r.v_hat for r in results if r is not None and r.used_rows > 3])
-    if v.size == 0:
-        return np.inf
-    threshold = float(np.percentile(v, percentile))
-    for r in results:
-        if r is not None:
-            r.reliable = r.used_rows > 3 and r.v_hat <= threshold
+def apply_far_field_threshold(table, percentile=95.0):
+    """Set the reliable column of a regression table: a fitted row is
+    reliable when its v_hat is at most the given percentile of v_hat over
+    the fitted rows, recomputed per run.  Returns that threshold, inf when
+    no row was fitted."""
+    fitted = table["used_rows"] > 3
+    v = table["v_hat"][fitted]
+    threshold = float(np.percentile(v, percentile)) if v.size else np.inf
+    table["reliable"] = fitted & (table["v_hat"] <= threshold)
     return threshold
 
 

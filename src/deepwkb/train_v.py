@@ -154,28 +154,26 @@ def fit_loss(params: MlpParams, x, targets):
     return value, net.grad_params(params, acts, upstream)
 
 
-def assemble_qp_sets(attractor_points, points, regressions, cfg: QpTrainConfig,
-                     largest_eps_density=None, expanded=None) -> QpTrainingSets:
-    """Build (X1, X2, X3) from the attractor points, the collocation
-    points and the per-point regressions.
+def assemble_qp_sets(attractor_points, table, cfg: QpTrainConfig,
+                     expanded=None) -> QpTrainingSets:
+    """Build (X1, X2, X3) from the attractor points and the regression
+    table (see ``regression``), whose points are the collocation points.
 
-    Reliable points enter X2 with their fitted value.  The remaining
-    collocation points (unreliable, or with empirical density at the
-    largest noise level below the far-field threshold) receive the
-    artificial value C so the far field is not left unconstrained.  When
+    Reliable points enter X2 with their fitted value.  The other
+    collocation points whose empirical density at the largest noise
+    level (u_top) is below the far-field threshold receive the artificial
+    value C, so the far field is not left unconstrained.  When
     characteristic-curve data is supplied through ``expanded`` as a
     (points, values) pair, its points join X2 and the artificial points
     are dropped.
     """
-    points = np.asarray(points)
-    reliable = np.array([r is not None and r.reliable for r in regressions], dtype=bool)
+    points = table["point"]
+    reliable = table["reliable"] == 1
     if not reliable.any():
         raise ValueError("no reliable regression targets for X2")
     reliable_pts = points[reliable]
-    reliable_targets = np.array([r.v_hat for r, ok in zip(regressions, reliable) if ok])
-    far = ~reliable
-    if largest_eps_density is not None:
-        far &= np.asarray(largest_eps_density) < cfg.far_field_density
+    reliable_targets = table["v_hat"][reliable]
+    far = ~reliable & (table["u_top"] < cfg.far_field_density)
 
     c_value = cfg.artificial_value
     if c_value is None:

@@ -78,23 +78,24 @@ def transport_coefficients(system, trained, x):
     return b, c
 
 
-def assemble_z_sets(attractor, regressions, curves, counts, seed) -> ZTrainingSets:
+def assemble_z_sets(attractor, table, curves, counts, seed) -> ZTrainingSets:
     """Build (Y1, Y2, Y3) for the prefactor.
 
     ``attractor`` is a (points, z0_targets) pair from the eps -> 0
-    extrapolation.  Y2 merges reliable regression prefactors with
-    characteristic-transported values (``curves`` as a (points, z0) pair
-    or None).  Y3 reuses the collocation coordinates, which are already
-    half trajectory-weighted, half uniform.
+    extrapolation.  Y2 merges the reliable prefactors of the regression
+    table (see ``regression``) with characteristic-transported values
+    (``curves`` as a (points, z0) pair or None).  Y3 reuses the
+    coordinates of the table's fitted points, which are already partly
+    trajectory-weighted, partly uniform.
     """
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     attr_pts, attr_z0 = attractor
     attr_pts = np.asarray(attr_pts)
     attr_z0 = np.asarray(attr_z0, dtype=float)
 
-    usable = [r for r in regressions if r is not None and r.reliable]
-    reg_pts = np.asarray([r.point for r in usable])
-    reg_z0 = np.exp(np.asarray([r.log_z0_hat for r in usable]))
+    usable = table[table["reliable"] == 1]
+    reg_pts = usable["point"]
+    reg_z0 = np.exp(usable["log_z0_hat"])
     n_reg = min(counts.get("y2_regression", len(usable)), len(usable))
     if n_reg < len(usable):
         keep = rng.choice(len(usable), size=n_reg, replace=False)
@@ -111,7 +112,7 @@ def assemble_z_sets(attractor, regressions, curves, counts, seed) -> ZTrainingSe
             y2_parts.append(cur_pts)
             t2_parts.append(cur_z0)
 
-    all_pts = np.asarray([r.point for r in regressions if r is not None])
+    all_pts = table["point"][table["used_rows"] > 0]
     n_res = min(counts.get("y3", len(all_pts)), len(all_pts))
     if n_res < len(all_pts):
         keep = rng.choice(len(all_pts), size=n_res, replace=False)

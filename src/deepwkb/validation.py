@@ -159,12 +159,15 @@ def ks_test(sample, k):
 def validate_wkb(results, dof, significance=DEFAULT_SIGNIFICANCE) -> ValidationReport:
     """Pool rescaled RSS over reliable points and test against chi^2(dof).
 
-    ``dof`` is K - 3 for the K-level ladder.  Points flagged unreliable or
-    with a row count different from the ladder's (mismatched dof) are
-    excluded.  The hypothesis holds when the pooled KS p-value reaches the
-    significance level and so does the chance that a correct model puts
-    at least as many of the n points beyond the chi^2 0.999 quantile,
-    P(Binom(n, 0.001) >= k).
+    ``results`` holds one record per point, read through its ``reliable``,
+    ``dof`` and ``rss_rescaled`` attributes: RegressionResult objects (None
+    for an excluded point), or the rows of the regression table viewed as
+    a ``np.recarray``.  ``dof`` is K - 3 for the K-level ladder.  Points
+    flagged unreliable or with a row count different from the ladder's
+    (mismatched dof) are excluded.  The hypothesis holds when the pooled
+    KS p-value reaches the significance level and so does the chance that
+    a correct model puts at least as many of the n points beyond the
+    chi^2 0.999 quantile, P(Binom(n, 0.001) >= k).
     """
     kept = [r for r in results if r is not None and r.reliable and r.dof == dof]
     n_excluded = len(results) - len(kept)

@@ -19,7 +19,7 @@ from deepwkb.models import make_benchmark
 from deepwkb.net import MlpParams, MlpSpec
 from deepwkb.pipeline import (RunConfig, evaluate_wkb_grid, fp_residual_grid,
                               run_all, _load_trained_v)
-from deepwkb.regression import PointData, regress_point, apply_far_field_threshold
+from deepwkb.regression import regress_collocation
 from deepwkb.simulate import SimConfig, sample_attractor, simulate_ensemble
 from deepwkb.train_v import QpTrainConfig, assemble_qp_sets, hj_residual, train_qp
 from deepwkb.train_z import TrainedZ, assemble_z_sets, train_z
@@ -68,33 +68,23 @@ def ou_histograms():
     return grid, hists, time.time() - t0
 
 
-def _regress_all_bins(grid, hists, min_count):
-    eps = np.array([h.epsilon for h in hists])
-    flat = np.arange(grid.n_cells)
-    centers = grid.centers(flat)
-    counts = np.stack([h.counts_at_flat(flat) for h in hists], axis=1).astype(float)
-    totals = np.array([h.total for h in hists], dtype=float)
-    results = []
-    for i in range(grid.n_cells):
-        data = PointData(eps=eps, u_hat=counts[i] / (grid.bin_volume * totals),
-                         n0=counts[i], n=totals)
-        results.append(regress_point(data, (1, 0), centers[i], min_count=min_count))
-    apply_far_field_threshold(results)
-    return results
+def _full_bins(grid, hists, min_count):
+    """Regression table rows of the bins that are reliable and use every level."""
+    table, _ = regress_collocation(hists, grid.centers(np.arange(grid.n_cells)), (1, 0),
+                                   min_count=min_count)
+    return table[(table["reliable"] == 1) & (table["used_rows"] == len(OU_LADDER))]
 
 
 def test_criterion_1_ou_regression_oracle(ou_histograms):
     grid, hists, sim_seconds = ou_histograms
     t0 = time.time()
-    results = _regress_all_bins(grid, hists, OU_MIN_COUNT)
-    full = [r for r in results
-            if r is not None and r.reliable and r.used_rows == len(OU_LADDER)
-            and abs(r.point[0]) <= 1.0]
-    x = np.array([r.point[0] for r in full])
-    v_hat = np.array([r.v_hat for r in full])
-    z_hat = np.exp([r.log_z0_hat for r in full])
-    se_v = np.array([r.se_v for r in full])
-    se_z = z_hat * np.array([r.se_log_z0 for r in full])  # delta method
+    full = _full_bins(grid, hists, OU_MIN_COUNT)
+    full = full[np.abs(full["point"][:, 0]) <= 1.0]
+    x = full["point"][:, 0]
+    v_hat = full["v_hat"]
+    z_hat = np.exp(full["log_z0_hat"])
+    se_v = full["se_v"]
+    se_z = z_hat * full["se_log_z0"]  # delta method
     v_dev = v_hat - x**2
     z_dev = z_hat - np.pi**-0.5
     v_err = np.abs(v_dev).max()
@@ -122,10 +112,7 @@ def test_criterion_2_chi2_validation(ou_histograms):
     grid, hists, _ = ou_histograms
     t0 = time.time()
     # dT = 200 dt >= 50 dt: pooled rescaled RSS vs chi^2(7)
-    results = _regress_all_bins(grid, hists, OU_MIN_COUNT)
-    full = [r for r in results if r is not None and r.reliable
-            and r.used_rows == len(OU_LADDER)]
-    rss = np.array([r.rss_rescaled for r in full])
+    rss = _full_bins(grid, hists, OU_MIN_COUNT)["rss_rescaled"]
     _, p_value = ks_test(rss, 7)
 
     # contrast run: dT = dt makes samples strongly correlated
@@ -136,10 +123,7 @@ def test_criterion_2_chi2_validation(ou_histograms):
                       domain=(grid.lower_arr, grid.upper_arr))
             for i, eps in enumerate(OU_LADDER)]
     simulate_ensemble(system, cfgs, [h.add_batch for h in hists_fast])
-    results_fast = _regress_all_bins(grid, hists_fast, OU_MIN_COUNT)
-    full_fast = [r for r in results_fast if r is not None and r.reliable
-                 and r.used_rows == len(OU_LADDER)]
-    rss_fast = np.array([r.rss_rescaled for r in full_fast])
+    rss_fast = _full_bins(grid, hists_fast, OU_MIN_COUNT)["rss_rescaled"]
     elapsed = time.time() - t0
     ok = p_value > 0.01 and rss_fast.mean() > rss.mean() and elapsed < 300
     _verdict(2, ok,

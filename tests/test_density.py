@@ -139,29 +139,26 @@ def _two_level_histograms(rng):
 
 def test_select_collocation_composition(rng):
     g, hists = _two_level_histograms(rng)
-    colloc = select_collocation(g, hists, 40, traj_fraction=0.5, seed=9)
-    assert len(colloc) == 40
+    points = select_collocation(g, hists, 40, traj_fraction=0.5, seed=9)
+    assert points.shape == (40, 1)
     # points snapped to centers and unique
-    centers = g.centers(g.flat_indices(colloc.points)[0])
-    assert np.allclose(centers, colloc.points)
-    assert len(np.unique(colloc.points.round(12))) == 40
+    centers = g.centers(g.flat_indices(points)[0])
+    assert np.allclose(centers, points)
+    assert len(np.unique(points.round(12))) == 40
     # trajectory half (the first round(40 * 0.5) rows) concentrates where
     # the top-noise data lives
-    traj = np.abs(colloc.points[:20, 0])
-    unif = np.abs(colloc.points[20:, 0])
+    traj = np.abs(points[:20, 0])
+    unif = np.abs(points[20:, 0])
     assert traj.mean() < unif.mean()
-    # per-eps counts attached for both levels
-    assert set(colloc.counts) == {0.1, 0.4}
-    assert colloc.totals[0.4] == 20000
 
 
 def test_select_collocation_degenerate_fraction(rng):
     g, hists = _two_level_histograms(rng)
-    colloc = select_collocation(g, hists, 30, traj_fraction=0.0, seed=1)
+    points = select_collocation(g, hists, 30, traj_fraction=0.0, seed=1)
     # every point is a uniform draw: the histogram counts do not matter
     unrelated = select_collocation(g, [DensityHistogram(g, 0.4)], 30, traj_fraction=0.0, seed=1)
-    assert len(colloc) == 30
-    assert np.array_equal(colloc.points, unrelated.points)
+    assert points.shape == (30, 1)
+    assert np.array_equal(points, unrelated)
 
 
 def test_select_collocation_errors(rng):

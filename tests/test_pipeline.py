@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import multiprocessing
 import shutil
@@ -14,6 +15,7 @@ from deepwkb.models import make_benchmark
 from deepwkb.pipeline import (STAGES, DependencyError, RunConfig, RunManifest,
                               evaluate_wkb_grid, fp_residual_grid, run_all,
                               run_stage)
+from deepwkb.regression import PointData, regress_point
 from deepwkb.simulate import sample_attractor
 from deepwkb.train_v import QpTrainConfig
 
@@ -393,6 +395,71 @@ def test_expand_without_samples_leaves_no_unrecorded_file(mini_run, tmp_path):
     assert "expand" not in stages
     recorded = {name for stage in stages.values() for name in stage["outputs"]}
     assert {f.name for f in run.iterdir()} - recorded == {"manifest.json", "timing.log"}
+
+
+def test_regress_without_results_leaves_no_unrecorded_file(mini_run, tmp_path):
+    # With min_count above every count no point keeps the 4 levels a fit needs.
+    cfg, _, outdir = mini_run
+    run = tmp_path / "run"
+    shutil.copytree(outdir, run)
+    collocation = dict(cfg.data["collocation"], min_count=10**9)
+    with pytest.raises(ValueError, match="no regression results"):
+        run_stage("regress", ou_mini_config(collocation=collocation), RunManifest(run))
+    stages = RunManifest(run).data["stages"]
+    assert "regress" not in stages
+    recorded = {name for stage in stages.values() for name in stage["outputs"]}
+    assert {f.name for f in run.iterdir()} - recorded == {"manifest.json", "timing.log"}
+
+
+def test_train_z_surfaces_extrapolation_errors(mini_run, tmp_path, monkeypatch):
+    # Only a thin attractor point (InsufficientRowsError) is skipped.
+    cfg, _, outdir = mini_run
+    run = tmp_path / "run"
+    shutil.copytree(outdir, run)
+
+    def broken(*args, **kwargs):
+        raise ValueError("broken extrapolation")
+
+    monkeypatch.setattr(pipeline, "extrapolate_z0_attractor", broken)
+    with pytest.raises(ValueError, match="broken extrapolation"):
+        run_stage("train-z", cfg, RunManifest(run), force=True)
+
+
+def test_regression_table_layout(mini_run):
+    # Each row of regression.npy is regress_point on the row's ladder
+    # counts; the far-field rule sets reliable and u_top is the top
+    # level's density.  An excluded row is zero but for point and u_top.
+    cfg, manifest, outdir = mini_run
+    table = np.load(outdir / "regression.npy")
+    assert table.dtype.names == ("point", "v_hat", "log_z0_hat", "slope", "rss_plain",
+                                 "rss_rescaled", "dof", "used_rows", "reliable", "u_top",
+                                 "se_v", "se_log_z0")
+    ladder = cfg.data["ladder"]
+    hists = [DensityHistogram.from_file(outdir / f"hist_{i:02d}.dwkbhist")
+             for i in range(len(ladder))]
+    assert [hist.epsilon for hist in hists] == ladder  # increasing: the top level is last
+    h = cfg.grid().bin_volume
+    totals = np.array([hist.total for hist in hists], dtype=float)
+    info = manifest.data["stages"]["regress"]["info"]
+    min_count = cfg.data["collocation"]["min_count"]
+    excluded = 0
+    for row in table:
+        n0 = np.array([hist.counts_at(row["point"][None])[0] for hist in hists], dtype=float)
+        assert row["u_top"] == n0[-1] / (h * totals[-1])
+        r = regress_point(PointData(eps=np.array(ladder), u_hat=n0 / (h * totals), n0=n0,
+                                    n=totals), (1, 0), row["point"], min_count=min_count)
+        if r is None:
+            excluded += 1
+            assert all(row[name] == 0 for name in table.dtype.names
+                       if name not in ("point", "u_top"))
+            continue
+        # every level's count enters the fit
+        assert r.used_rows == np.sum(n0 >= min_count)
+        expected = dict(dataclasses.asdict(r), u_top=row["u_top"],
+                        reliable=r.v_hat <= info["far_field_threshold"])
+        for name in table.dtype.names:
+            assert np.array_equal(row[name], expected[name]), name
+    assert 0 < excluded == info["excluded"] < table.size
 
 
 def test_trained_v_is_the_checkpoint_expand_recorded(tmp_path):

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from deepwkb.pipeline import RunConfig
-from deepwkb.regression import (PointData, build_design_matrix,
-                                build_response, extrapolate_z0_attractor,
-                                regress_point, solve_rescaled_ls,
-                                apply_far_field_threshold)
+from deepwkb.regression import (PointData, _empty_table, apply_far_field_threshold,
+                                build_design_matrix, build_response,
+                                extrapolate_z0_attractor, regress_point,
+                                solve_rescaled_ls)
 
 
 def ou_point_data(x, eps, n0=None, n=None):
@@ -203,11 +203,14 @@ def test_synthetic_recovery_noiseless(rng):
 
 def test_far_field_threshold_flags():
     eps = np.linspace(0.2, 0.6, 10) ** 2
-    results = [regress_point(ou_point_data(x, eps), (1, 0), np.array([x]))
-               for x in np.linspace(0.0, 1.4, 40)]
-    thr = apply_far_field_threshold(results, percentile=95.0)
-    vals = np.array([r.v_hat for r in results])
-    flags = np.array([r.reliable for r in results])
+    xs = np.linspace(0.0, 1.4, 40)
+    results = [regress_point(ou_point_data(x, eps), (1, 0), np.array([x])) for x in xs]
+    table = _empty_table(xs[:, None])
+    table["v_hat"] = [r.v_hat for r in results]
+    table["used_rows"] = [r.used_rows for r in results]
+    thr = apply_far_field_threshold(table, percentile=95.0)
+    vals = table["v_hat"]
+    flags = table["reliable"] == 1
     assert np.array_equal(flags, vals <= thr)
     assert flags.sum() == 38  # 95th percentile keeps all but the top two
 

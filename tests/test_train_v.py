@@ -5,7 +5,7 @@ import pytest
 
 from deepwkb import net
 from deepwkb.net import AdamState, MlpParams, MlpSpec
-from deepwkb.regression import RegressionResult
+from deepwkb.regression import _empty_table
 from deepwkb.train_v import (QpTrainConfig, QpTrainingSets, TrainingDiverged,
                              alternating_adam, assemble_qp_sets, estimate_alpha,
                              hj_residual, qp_loss, train_qp)
@@ -113,25 +113,34 @@ def test_qp_loss_traces_the_network_once(ou1d, rng, trace_calls):
         assert trace_calls == [params], kind
 
 
-def _make_results(points, v_fn, reliable_mask):
-    out = []
-    for p, ok in zip(points, reliable_mask):
-        out.append(RegressionResult(point=p, v_hat=v_fn(p), log_z0_hat=0.0, slope=0.0,
-                                    rss_plain=1.0, rss_rescaled=1.0, dof=7,
-                                    used_rows=10, reliable=bool(ok),
-                                    se_v=0.01, se_log_z0=0.01))
-    return out
+def _make_table(points, v_fn, reliable_mask, u_top=0.0):
+    """A regression table that fits every point, with V = v_fn."""
+    table = _empty_table(points)
+    table["v_hat"] = [v_fn(p) for p in points]
+    table["rss_plain"] = table["rss_rescaled"] = 1.0
+    table["dof"], table["used_rows"], table["reliable"] = 7, 10, reliable_mask
+    table["se_v"] = table["se_log_z0"] = 0.01
+    table["u_top"] = u_top
+    return table
+
+
+def _exclude(table, rows):
+    """Make ``rows`` excluded points: every column but point and u_top 0."""
+    for name in table.dtype.names:
+        if name not in ("point", "u_top"):
+            table[name][rows] = 0
 
 
 def test_assemble_sets_composition(rng):
     pts = rng.uniform(-2, 2, size=(50, 1))
     reliable = np.abs(pts[:, 0]) < 1.0
-    results = _make_results(pts, lambda p: p[0] ** 2, reliable)
-    results[3] = None if not reliable[3] else results[3]
+    # far points have no density mass
+    table = _make_table(pts, lambda p: p[0] ** 2, reliable, u_top=np.where(reliable, 1.0, 0.0))
+    if not reliable[3]:
+        _exclude(table, [3])
     attractor = np.zeros((5, 1))
     cfg = QpTrainConfig(artificial_value=2.5)
-    u_top = np.where(reliable, 1.0, 0.0)  # far points have no density mass
-    sets = assemble_qp_sets(attractor, pts, results, cfg, largest_eps_density=u_top)
+    sets = assemble_qp_sets(attractor, table, cfg)
     n_rel = int(reliable.sum())
     assert sets.x1.shape == (5, 1)
     assert sets.x2.shape[0] == 50  # reliable with targets + artificial rest
@@ -145,27 +154,26 @@ def test_assemble_sets_match_per_point_rule(rng):
     # X2 holds the reliable points in order, then the far points: those
     # without a reliable fit whose top-level density is below the threshold.
     pts = rng.uniform(-2, 2, size=(60, 1))
-    results = _make_results(pts, lambda p: p[0] ** 2, np.abs(pts[:, 0]) < 1.0)
-    for i in range(0, 60, 7):
-        results[i] = None
     u_top = rng.uniform(0.0, 2e-6, size=60)
+    table = _make_table(pts, lambda p: p[0] ** 2, np.abs(pts[:, 0]) < 1.0, u_top=u_top)
+    _exclude(table, np.arange(0, 60, 7))
     cfg = QpTrainConfig(artificial_value=4.0)
-    sets = assemble_qp_sets(np.zeros((3, 1)), pts, results, cfg, largest_eps_density=u_top)
-    rel = [i for i, r in enumerate(results) if r is not None and r.reliable]
+    sets = assemble_qp_sets(np.zeros((3, 1)), table, cfg)
+    rel = [i for i in range(60) if table["reliable"][i] == 1]
     far = [i for i in range(60) if i not in rel and u_top[i] < cfg.far_field_density]
     assert 0 < len(far) < 60 - len(rel)
     assert np.array_equal(sets.x2, pts[rel + far])
-    assert np.array_equal(sets.x2_targets, [results[i].v_hat for i in rel] + [4.0] * len(far))
+    assert np.array_equal(sets.x2_targets, list(table["v_hat"][rel]) + [4.0] * len(far))
     assert np.array_equal(sets.x2_artificial, np.arange(len(rel) + len(far)) >= len(rel))
     assert np.array_equal(sets.x2_is_reference, ~sets.x2_artificial)
 
 
 def test_assemble_keeps_small_negative_targets(rng):
     pts = np.array([[0.1], [0.2], [0.3]])
-    results = _make_results(pts, lambda p: -0.003 if p[0] == 0.1 else p[0] ** 2,
-                            [True, True, True])
+    table = _make_table(pts, lambda p: -0.003 if p[0] == 0.1 else p[0] ** 2,
+                        [True, True, True])
     attractor = np.zeros((2, 1))
-    sets = assemble_qp_sets(attractor, pts, results, QpTrainConfig())
+    sets = assemble_qp_sets(attractor, table, QpTrainConfig())
     assert -0.003 in sets.x2_targets  # no pre-clipping, the hinge handles sign
     assert sets.x2_artificial.sum() == 0  # all reliable: no artificial points
 
@@ -173,11 +181,10 @@ def test_assemble_keeps_small_negative_targets(rng):
 def test_assemble_expanded_replaces_artificial(rng):
     pts = rng.uniform(-2, 2, size=(30, 1))
     reliable = np.abs(pts[:, 0]) < 0.8
-    results = _make_results(pts, lambda p: p[0] ** 2, reliable)
+    table = _make_table(pts, lambda p: p[0] ** 2, reliable)
     attractor = np.zeros((2, 1))
     curve_pts = rng.uniform(-1.5, 1.5, size=(40, 1))
-    sets = assemble_qp_sets(attractor, pts, results, QpTrainConfig(),
-                            largest_eps_density=np.zeros(30),
+    sets = assemble_qp_sets(attractor, table, QpTrainConfig(),
                             expanded=(curve_pts, curve_pts[:, 0] ** 2))
     assert sets.x2_artificial.sum() == 0
     assert sets.x2.shape[0] == int(reliable.sum()) + 40
@@ -187,10 +194,10 @@ def test_assemble_expanded_replaces_artificial(rng):
 
 def test_assemble_requires_reliable_targets():
     pts = np.array([[0.5], [1.0]])
-    results = _make_results(pts, lambda p: p[0] ** 2, [False, False])
+    table = _make_table(pts, lambda p: p[0] ** 2, [False, False])
     attractor = np.zeros((2, 1))
     with pytest.raises(ValueError, match="reliable"):
-        assemble_qp_sets(attractor, pts, results, QpTrainConfig())
+        assemble_qp_sets(attractor, table, QpTrainConfig())
 
 
 def test_alternating_schedule_state_isolation(ou1d, rng):
@@ -247,10 +254,10 @@ def test_estimate_alpha_median_robust():
 
 def test_train_qp_smoke_and_determinism(ou1d, rng):
     pts = np.linspace(-1.2, 1.2, 60)[:, None]
-    results = _make_results(pts, lambda p: p[0] ** 2, np.ones(60, bool))
+    table = _make_table(pts, lambda p: p[0] ** 2, np.ones(60, bool))
     attractor = np.zeros((20, 1))
     cfg = QpTrainConfig(epochs=3, fine_tune_epochs=1, widths=(1, 8, 6, 1), seed=7)
-    sets = assemble_qp_sets(attractor, pts, results, cfg)
+    sets = assemble_qp_sets(attractor, table, cfg)
     t1 = train_qp(sets, cfg, ou1d)
     t2 = train_qp(sets, cfg, ou1d)
     assert np.array_equal(t1.params.flat, t2.params.flat)
@@ -261,10 +268,10 @@ def test_train_qp_smoke_and_determinism(ou1d, rng):
 
 def test_train_qp_continues_from_initial(ou1d):
     pts = np.linspace(-1.2, 1.2, 30)[:, None]
-    results = _make_results(pts, lambda p: p[0] ** 2, np.ones(30, bool))
+    table = _make_table(pts, lambda p: p[0] ** 2, np.ones(30, bool))
     attractor = np.zeros((5, 1))
     cfg = QpTrainConfig(epochs=1, fine_tune_epochs=0, widths=(1, 6, 1), seed=1)
-    sets = assemble_qp_sets(attractor, pts, results, cfg)
+    sets = assemble_qp_sets(attractor, table, cfg)
     first = train_qp(sets, cfg, ou1d)
     resumed = train_qp(sets, cfg, ou1d, initial=first.params)
     assert not np.array_equal(resumed.params.flat, first.params.flat)

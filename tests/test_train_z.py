@@ -5,7 +5,7 @@ from deepwkb import net
 from deepwkb import train_z as train_z_mod
 from deepwkb.models import SdeSystem, make_benchmark
 from deepwkb.net import MlpParams, MlpSpec
-from deepwkb.regression import RegressionResult
+from deepwkb.regression import _empty_table
 from deepwkb.train_v import QpTrainConfig, TrainedQp
 from deepwkb.train_z import (ZTrainingSets, assemble_z_sets, train_z,
                              transport_coefficients, z_loss)
@@ -177,15 +177,14 @@ def test_train_z_computes_coefficients_once_in_full_batches(ou1d, rng, monkeypat
 
 
 def _regressions(rng, n=40):
-    pts = rng.uniform(-1, 1, size=(n, 1))
-    out = []
-    for p in pts:
-        out.append(RegressionResult(point=p, v_hat=p[0] ** 2,
-                                    log_z0_hat=np.log(np.pi**-0.5),
-                                    slope=0.0, rss_plain=1.0, rss_rescaled=1.0,
-                                    dof=7, used_rows=10, reliable=True,
-                                    se_v=0.01, se_log_z0=0.01))
-    return out
+    """A regression table of n reliable points with the OU's V and Z0."""
+    table = _empty_table(rng.uniform(-1, 1, size=(n, 1)))
+    table["v_hat"] = table["point"][:, 0] ** 2
+    table["log_z0_hat"] = np.log(np.pi**-0.5)
+    table["rss_plain"] = table["rss_rescaled"] = 1.0
+    table["dof"], table["used_rows"], table["reliable"] = 7, 10, 1
+    table["se_v"] = table["se_log_z0"] = 0.01
+    return table
 
 
 def test_assemble_z_sets(rng):

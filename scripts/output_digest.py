@@ -1,10 +1,17 @@
 """Print the sha256 of every deterministic output, one line per output.
 
-    python3 scripts/output_digest.py [--out DIR] > digest.txt
+    python3 scripts/output_digest.py [--root DIR] [--out DIR] > digest.txt
 
-Run it on two checkouts on the same machine and ``diff`` the two prints:
-a change that claims bitwise-identical outputs must print the same lines.
-These outputs are hashed:
+It digests the checkout at ``--root`` (its ``src/``, ``tests/`` and
+``perfbench/``), by default the checkout this script lives in.  Run one
+copy of it on two checkouts on the same machine and ``diff`` the two
+prints:
+
+    python3 scripts/output_digest.py --root ../parent > parent.txt
+    python3 scripts/output_digest.py > change.txt
+
+A change that claims bitwise-identical outputs must print the same
+lines.  These outputs are hashed:
 
 * every file of ``run_all`` on the OU mini config of
   ``tests/test_pipeline.py`` (``timing.log`` holds wall times and is left
@@ -50,18 +57,10 @@ import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
-
 import numpy as np  # noqa: E402
 
-from deepwkb import expand, net  # noqa: E402
-from deepwkb.models import make_benchmark  # noqa: E402
-from deepwkb.pipeline import RunConfig, RunManifest, run_all, run_stage  # noqa: E402
-from deepwkb.train_z import transport_coefficients  # noqa: E402
-from conftest import AnalyticQp, figure8_quasipotential  # noqa: E402
-from test_pipeline import ou_mini_config  # noqa: E402
-from workloads import PaperTrain, figure8_config  # noqa: E402
+# The checkout's own modules (deepwkb, tests/conftest.py, perfbench) are
+# imported inside the functions, once ``main`` has put --root on the path.
 
 PAPER_TRAIN_SEEDS = (1, 2, 3)
 
@@ -79,6 +78,8 @@ def run_dir_lines(label, outdir):
 def ou_v_err_line(cfg, outdir):
     """RMS of train-v's V against the exact x^2 at the grid's cell centres
     with |x| <= 0.5."""
+    from deepwkb import net
+
     grid = cfg.grid()
     centers = grid.centers(np.arange(grid.n_cells))[:, 0]
     xs = centers[np.abs(centers) <= 0.5][:, None]
@@ -91,6 +92,9 @@ def escaping_lines(outdir):
     """Simulate the figure-eight in a box narrower than its attractor
     (|x| <= 2 against the figure-eight's |x| <= 6 ** 0.5), 50 trajectories
     for 20 time units per level."""
+    from deepwkb.pipeline import RunConfig, RunManifest, run_stage
+    from workloads import figure8_config
+
     data = figure8_config(1).data
     cfg = RunConfig(dict(data, grid=dict(data["grid"], lower=[-2.0, -2.5], upper=[2.0, 2.5]),
                          sim=dict(data["sim"], total_time=20.0, n_traj=50)))
@@ -109,6 +113,11 @@ def figure8_curve_lines():
     coefficient refreshed every 10 steps, as the expand stage does.  In
     the box [-3, 3]^2 the curves reach V = 0.3 or stall; the box
     [-2, 2] x [-1, 1] cuts most of them."""
+    from deepwkb import expand
+    from deepwkb.models import make_benchmark
+    from deepwkb.train_z import transport_coefficients
+    from conftest import AnalyticQp, figure8_quasipotential
+
     system = make_benchmark("figure8")
     oracle = AnalyticQp(*figure8_quasipotential(mu=0.5))
     box = (np.array([-3.0, -3.0]), np.array([3.0, 3.0]))
@@ -133,6 +142,8 @@ def figure8_curve_lines():
 
 
 def paper_train_lines(seed, workdir):
+    from workloads import PaperTrain
+
     work = PaperTrain(seed, workdir)
     for _, _, op in work.ops():
         op()
@@ -156,9 +167,20 @@ def paper_train_lines(seed, workdir):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
+                    help="checkout to digest (default: the one holding this script)")
     ap.add_argument("--out", type=Path, default=None,
                     help="directory for the run directories (default: a temporary one)")
     args = ap.parse_args(argv)
+    root = args.root.resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "tests"), str(root / "perfbench")]
+    import deepwkb
+    from deepwkb.pipeline import RunManifest, run_all, run_stage
+    from test_pipeline import ou_mini_config
+    from workloads import figure8_config
+
+    if not Path(deepwkb.__file__).resolve().is_relative_to(root / "src"):
+        raise SystemExit(f"deepwkb was imported from {deepwkb.__file__}, not from {root}")
     with tempfile.TemporaryDirectory() as tmp:
         base = args.out or Path(tmp)
         base.mkdir(parents=True, exist_ok=True)

@@ -5,11 +5,13 @@ the Hamiltonian flow of  H(x, p) = f(x)^T p + 1/2 p^T A p,
 
     dx/ds = f(x) + A p,      dp/ds = -(grad f(x))^T p,
 
-along which  dV/ds = 1/2 p^T A p >= 0.  A first-order symplectic Euler
-step (implicit in x, explicit in p) keeps the energy H bounded over long
-arcs, which an explicit scheme would not.  The diffusion A is the
-system's constant matrix (sigma is constant and required), so the force
-term grad_x(1/2 p^T A(x) p) of a state-dependent A does not arise.  All
+along which  dV/ds = 1/2 p^T A p >= 0.  H is ``train_v.hj_residual``
+with p in place of grad V, so one kernel defines it for training and
+for the characteristics.  A first-order symplectic Euler step (implicit
+in x, explicit in p) keeps the energy H bounded over long arcs, which an
+explicit scheme would not.  The diffusion A is the system's constant
+matrix (sigma is constant and required), so the force term
+grad_x(1/2 p^T A(x) p) of a state-dependent A does not arise.  All
 curves of a batch advance together through one batched step kernel, and
 their bookkeeping (termination, level crossings, samples) is done with
 masks over the live rows.
@@ -28,13 +30,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import _as_batch
+from .train_v import hj_residual
 
 __all__ = [
     "CharState",
     "CharacteristicCurve",
     "ActionPath",
     "SolverFailure",
-    "hamiltonian",
     "char_step",
     "seed_characteristics",
     "trace_curves",
@@ -85,11 +87,6 @@ def _quad(p, a):
     return np.einsum("bi,ij,bj->b", p, a, p)
 
 
-def hamiltonian(system, x, p):
-    """H(x, p) = f^T p + 1/2 p^T A p for batches (B, n), (B, n) -> (B,)."""
-    return np.einsum("bi,bi->b", system.drift(x), p) + 0.5 * _quad(p, system.a)
-
-
 def char_step(system, x, p, h):
     """One implicit-in-x symplectic Euler step for a batch of curves.
 
@@ -135,7 +132,7 @@ def seed_characteristics(system, trained, level, count, seed, domain,
             continue
         xs, vs = batch[hit], vals[hit]
         grads = np.asarray(trained.grad_v(xs), dtype=float)
-        good = np.nonzero(np.abs(hamiltonian(system, xs, grads)) < ENERGY_TOL)[0]
+        good = np.nonzero(np.abs(hj_residual(system, grads, xs)[0]) < ENERGY_TOL)[0]
         out += [CharState(x=xs[i].copy(), p=grads[i].copy(), v=float(vs[i]))
                 for i in good[:count - len(out)]]
     if len(out) < count:
@@ -183,7 +180,7 @@ def trace_curves(system, seeds, h, v_max, domain, samples_per_curve,
     logz = np.array([s.log_z for s in seeds], dtype=float)
     s_par = np.array([s.s for s in seeds], dtype=float)
 
-    h0 = hamiltonian(system, x, p)
+    h0 = hj_residual(system, p, x)[0]
     levels = v[:, None] + (v_max - v)[:, None] * (np.arange(samples_per_curve) + 1) / samples_per_curve
     rate_floor = STALL_RATE_FRACTION * _quad(p, system.a)
     next_level = np.zeros(c, dtype=int)
@@ -212,7 +209,7 @@ def trace_curves(system, seeds, h, v_max, domain, samples_per_curve,
         v[idx] += dv
         s_par[idx] += h
 
-        energy_drift = np.abs(hamiltonian(system, xi, p_next) - h0[idx])
+        energy_drift = np.abs(hj_residual(system, p_next, xi)[0] - h0[idx])
         stalled = _quad(p_next, system.a) < rate_floor[idx]
         bad = ~converged | (energy_drift > ENERGY_TOL) | stalled
         ok = idx[~bad]

@@ -1,13 +1,13 @@
 """SDE system abstraction and the registered benchmark systems.
 
-Every system bundles the drift f, the constant noise factor sigma, the
-diffusion matrix A = sigma sigma^T, the drift Jacobian and the drift
-divergence that appears in the transport operator.  sigma is required:
-the noise is additive, so A is one (n, n) array stored on the system.
-The drift evaluators take a batch of states of shape (B, n), the only
-input shape they accept, and return (B, n) drifts, (B, n, n) Jacobians
-and (B,) divergences.  They are pure functions, safe to call
-concurrently.
+A system is the drift f, its Jacobian grad f and the constant noise
+factor sigma; everything else is derived from these.  The diffusion
+matrix A = sigma sigma^T is one (n, n) array stored on the system, and
+the drift divergence of the transport operator is read off the
+Jacobian as its trace.  The drift evaluators take a batch of states of
+shape (B, n), the only input shape they accept, and return (B, n)
+drifts, (B, n, n) Jacobians and (B,) divergences.  They are pure
+functions, safe to call concurrently.
 
 Integer powers of the state are written as products (``u * u * u``, not
 ``u**3``): numpy's float ``power`` costs about 90 ns per element, against
@@ -41,14 +41,15 @@ class SdeSystem:
     attractor_dim is the dimension d of the attractor of the zero-noise
     flow (0 for an equilibrium, 1 for a limit cycle, ...).  It enters the
     normalization scaling eps^((n-d)/2) and must be supplied by the user.
-    ``a`` is the diffusion matrix sigma sigma^T, computed once.
+    A system is f, grad f and sigma: ``a`` is the diffusion matrix
+    sigma sigma^T, computed once, and the divergence is the trace of the
+    Jacobian.
     """
 
     dim_state: int
     dim_noise: int
     drift: Callable[[np.ndarray], np.ndarray]
     drift_jacobian: Callable[[np.ndarray], np.ndarray]
-    drift_divergence: Callable[[np.ndarray], np.ndarray]
     attractor_dim: int
     sigma_constant: np.ndarray
     name: str = "custom"
@@ -66,9 +67,13 @@ class SdeSystem:
         self.sigma_constant = np.asarray(self.sigma_constant, dtype=float)
         self.a = self.sigma_constant @ self.sigma_constant.T
 
+    def drift_divergence(self, x):
+        """div f on a (B, n) batch: the trace of the drift Jacobian, (B,)."""
+        return np.trace(self.drift_jacobian(x), axis1=1, axis2=2)
+
 
 # ---------------------------------------------------------------------------
-# Registered benchmarks.  Derivatives are coded analytically, no finite
+# Registered benchmarks.  Jacobians are coded analytically, no finite
 # differences.  All use additive noise sigma = I (m = n).
 # ---------------------------------------------------------------------------
 
@@ -82,17 +87,12 @@ def _make_ou(dim):
         xb = _as_batch(x, dim)
         return np.array(np.broadcast_to(-np.eye(dim), (xb.shape[0], dim, dim)))
 
-    def div(x):
-        xb = _as_batch(x, dim)
-        return np.full(xb.shape[0], -float(dim))
-
     def build(**params):
         if params:
             raise ValueError(f"ou{dim}d takes no parameters, got {sorted(params)}")
         return SdeSystem(
-            dim_state=dim, dim_noise=dim, drift=drift, drift_jacobian=jac,
-            drift_divergence=div, attractor_dim=0, sigma_constant=np.eye(dim),
-            name=f"ou{dim}d", params={},
+            dim_state=dim, dim_noise=dim, drift=drift, drift_jacobian=jac, attractor_dim=0,
+            sigma_constant=np.eye(dim), name=f"ou{dim}d", params={},
         )
 
     return build
@@ -120,15 +120,9 @@ def _make_vdp(**params):
         j[:, 1, 0] = 1.0 / mu
         return j
 
-    def div(x):
-        xb = _as_batch(x, 2)
-        u = xb[:, 0]
-        return mu * (1.0 - u * u)
-
     return SdeSystem(
-        dim_state=2, dim_noise=2, drift=drift, drift_jacobian=jac,
-        drift_divergence=div, attractor_dim=1, sigma_constant=np.eye(2),
-        name="vdp", params={"mu": mu},
+        dim_state=2, dim_noise=2, drift=drift, drift_jacobian=jac, attractor_dim=1,
+        sigma_constant=np.eye(2), name="vdp", params={"mu": mu},
     )
 
 
@@ -165,15 +159,9 @@ def _make_figure8(**params):
         j[:, 1, 1] = -mu * (v * v + h)        # H_yy = 1
         return j
 
-    def div(x):
-        xb = _as_batch(x, 2)
-        u2, v, h, hx = _parts(xb)
-        return -mu * (hx * hx + v * v + h * (u2 - 1.0) + h)
-
     return SdeSystem(
-        dim_state=2, dim_noise=2, drift=drift, drift_jacobian=jac,
-        drift_divergence=div, attractor_dim=1, sigma_constant=np.eye(2),
-        name="figure8", params={"mu": mu},
+        dim_state=2, dim_noise=2, drift=drift, drift_jacobian=jac, attractor_dim=1,
+        sigma_constant=np.eye(2), name="figure8", params={"mu": mu},
     )
 
 
@@ -207,15 +195,9 @@ def _make_coupled_vdp(**params):
         j[:, 3, 2] = 1.0 / mu
         return j
 
-    def div(x):
-        xb = _as_batch(x, 4)
-        x1, x2 = xb[:, 0], xb[:, 2]
-        return mu * (2.0 - x1 * x1 - x2 * x2) + 2.0 * delta
-
     return SdeSystem(
-        dim_state=4, dim_noise=4, drift=drift, drift_jacobian=jac,
-        drift_divergence=div, attractor_dim=2, sigma_constant=np.eye(4),
-        name="coupled_vdp", params={"mu": mu, "delta": delta},
+        dim_state=4, dim_noise=4, drift=drift, drift_jacobian=jac, attractor_dim=2,
+        sigma_constant=np.eye(4), name="coupled_vdp", params={"mu": mu, "delta": delta},
     )
 
 
@@ -247,14 +229,9 @@ def _make_rossler(**params):
         j[:, 2, 2] = u - c
         return j
 
-    def div(x):
-        xb = _as_batch(x, 3)
-        return a + xb[:, 0] - c
-
     return SdeSystem(
-        dim_state=3, dim_noise=3, drift=drift, drift_jacobian=jac,
-        drift_divergence=div, attractor_dim=2, sigma_constant=np.eye(3),
-        name="rossler", params={"a": a, "b": b, "c": c},
+        dim_state=3, dim_noise=3, drift=drift, drift_jacobian=jac, attractor_dim=2,
+        sigma_constant=np.eye(3), name="rossler", params={"a": a, "b": b, "c": c},
     )
 
 

@@ -441,11 +441,9 @@ def _stage_train_z(cfg: RunConfig, outdir: Path):
     curves = np.load(outdir / "curves.npy")
     seeds = np.load(outdir / "curve_seeds.npy")
     rel = table[table["reliable"] == 1]
-    transported = None
-    if curves.size and rel.size:
-        dist = np.linalg.norm(rel["point"][None, :, :] - seeds[:, None, :], axis=2)
-        z_init = np.exp(rel["log_z0_hat"])[np.argmin(dist, axis=1)]
-        transported = (curves["point"], z_init[curves["curve"]] * np.exp(curves["log_z"]))
+    dist = np.linalg.norm(rel["point"][None, :, :] - seeds[:, None, :], axis=2)
+    z_init = np.exp(rel["log_z0_hat"])[np.argmin(dist, axis=1)]
+    transported = (curves["point"], z_init[curves["curve"]] * np.exp(curves["log_z"]))
 
     z = cfg.data["train_z"]
     zcfg = cfg.train_cfg("train_z", _derive_seed(cfg["seed"], "train_z"))
@@ -459,7 +457,7 @@ def _stage_train_z(cfg: RunConfig, outdir: Path):
     _write_train_log(outdir / "trainlog_z.csv", trained_z.log)
     return ["checkpoint_z.dwkbnet", "trainlog_z.csv"], {
         "attractor_targets": len(attr_pts),
-        "transported_points": 0 if transported is None else int(transported[0].shape[0]),
+        "transported_points": int(curves.shape[0]),
     }
 
 

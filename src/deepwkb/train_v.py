@@ -154,6 +154,17 @@ def fit_loss(params: MlpParams, x, targets):
     return value, net.grad_params(params, acts, upstream)
 
 
+def _subsample(rng, count, *arrays):
+    """The same ``count`` rows of each array, drawn without replacement
+    and kept in their order; a ``count`` of None, or not below the row
+    count, keeps every row."""
+    rows = len(arrays[0])
+    if count is None or count >= rows:
+        return arrays
+    keep = np.sort(rng.choice(rows, size=count, replace=False))
+    return tuple(a[keep] for a in arrays)
+
+
 def assemble_qp_sets(attractor_points, table, cfg: QpTrainConfig,
                      expanded=None) -> QpTrainingSets:
     """Build (X1, X2, X3) from the attractor points and the regression
@@ -184,11 +195,8 @@ def assemble_qp_sets(attractor_points, table, cfg: QpTrainConfig,
         extra_pts, extra_v = (np.asarray(a) for a in expanded)
     is_extra = np.arange(len(reliable_pts) + len(extra_pts)) >= len(reliable_pts)
 
-    x3 = points
-    if cfg.residual_count is not None and cfg.residual_count < len(points):
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed)))
-        keep = rng.choice(len(points), size=cfg.residual_count, replace=False)
-        x3 = points[np.sort(keep)]
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed)))
+    (x3,) = _subsample(rng, cfg.residual_count, points)
 
     sets = QpTrainingSets(
         x1=np.asarray(attractor_points),

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import net
 from .net import MlpParams
-from .train_v import QpTrainConfig, alternating_adam, fit_loss, new_params
+from .train_v import QpTrainConfig, _subsample, alternating_adam, fit_loss, new_params
 
 __all__ = [
     "ZTrainingSets",
@@ -94,31 +94,18 @@ def assemble_z_sets(attractor, table, curves, counts, seed) -> ZTrainingSets:
     attr_z0 = np.asarray(attr_z0, dtype=float)
 
     usable = table[table["reliable"] == 1]
-    reg_pts = usable["point"]
-    reg_z0 = np.exp(usable["log_z0_hat"])
-    n_reg = min(counts.get("y2_regression", len(usable)), len(usable))
-    if n_reg < len(usable):
-        keep = rng.choice(len(usable), size=n_reg, replace=False)
-        reg_pts, reg_z0 = reg_pts[np.sort(keep)], reg_z0[np.sort(keep)]
+    reg_pts, reg_z0 = _subsample(rng, counts.get("y2_regression"),
+                                 usable["point"], np.exp(usable["log_z0_hat"]))
 
     y2_parts, t2_parts = [reg_pts], [reg_z0]
     if curves is not None:
-        cur_pts, cur_z0 = (np.asarray(a) for a in curves)
-        n_cur = min(counts.get("y2_transport", len(cur_pts)), len(cur_pts))
-        if n_cur < len(cur_pts):
-            keep = rng.choice(len(cur_pts), size=n_cur, replace=False)
-            cur_pts, cur_z0 = cur_pts[np.sort(keep)], cur_z0[np.sort(keep)]
+        cur_pts, cur_z0 = _subsample(rng, counts.get("y2_transport"),
+                                     *(np.asarray(a) for a in curves))
         if len(cur_pts):
             y2_parts.append(cur_pts)
             t2_parts.append(cur_z0)
 
-    all_pts = table["point"][table["used_rows"] > 0]
-    n_res = min(counts.get("y3", len(all_pts)), len(all_pts))
-    if n_res < len(all_pts):
-        keep = rng.choice(len(all_pts), size=n_res, replace=False)
-        y3 = all_pts[np.sort(keep)]
-    else:
-        y3 = all_pts
+    (y3,) = _subsample(rng, counts.get("y3"), table["point"][table["used_rows"] > 0])
 
     sets = ZTrainingSets(
         y1=attr_pts,

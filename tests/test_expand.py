@@ -3,9 +3,9 @@ import pytest
 
 from deepwkb import expand
 from deepwkb.expand import (CharState, SolverFailure, _discrete_action, _lbfgs, char_step,
-                            hamiltonian, min_action_estimate, seed_characteristics,
-                            trace_curves)
+                            min_action_estimate, seed_characteristics, trace_curves)
 from deepwkb.models import SdeSystem, make_benchmark
+from deepwkb.train_v import hj_residual
 
 from conftest import AnalyticQp, curve_arrays, figure8_quasipotential
 
@@ -32,7 +32,7 @@ def test_hand_computed_implicit_step(ou1d):
     assert converged.tolist() == [True]
     assert x[0, 0] == pytest.approx(0.12 / 1.1, abs=1e-12)
     assert p[0, 0] == pytest.approx(0.22, abs=1e-15)
-    assert hamiltonian(ou1d, x, p)[0] == pytest.approx(2.0e-4, abs=1e-5)
+    assert hj_residual(ou1d, p, x)[0][0] == pytest.approx(2.0e-4, abs=1e-5)
     assert dv[0] == pytest.approx(0.1 * 0.5 * 0.2**2, abs=1e-15)
 
 
@@ -76,11 +76,11 @@ def test_energy_drift_vdp_bounded_horizon():
     drifts = {}
     for h in (1e-3, 5e-4):
         x, p = np.array([[2.0, 0.0]]), np.array([[0.1, -0.2]])
-        h0 = hamiltonian(sys_, x, p)[0]
+        h0 = hj_residual(sys_, p, x)[0][0]
         worst = 0.0
         for _ in range(round(1.0 / h)):  # fixed s-horizon 1.0
             x, p, _, _ = char_step(sys_, x, p, h)
-            worst = max(worst, abs(hamiltonian(sys_, x, p)[0] - h0))
+            worst = max(worst, abs(hj_residual(sys_, p, x)[0][0] - h0))
         drifts[h] = worst
     assert drifts[5e-4] < 0.6 * drifts[1e-3]
 
@@ -94,6 +94,19 @@ def test_curve_terminates_below_seed_level(ou1d, monkeypatch):
         assert curve.reason == "reached_v_max"
         assert curve.states == []
         assert curve.max_energy_drift == 0.0
+
+
+def test_seed_energy_is_the_hj_residual():
+    # The 4-d einsums sum in their own order, so only the one kernel gives
+    # these bits; v_max below every seed's v keeps the seeds unstepped.
+    sys_ = make_benchmark("coupled_vdp")
+    rng = np.random.default_rng(4)
+    x = rng.uniform(-3.0, 3.0, size=(64, 4))
+    p = rng.uniform(-1.0, 1.0, size=(64, 4)) * np.logspace(-3, np.log10(50.0), 64)[:, None]
+    seeds = [CharState(x=xi, p=pi, v=1.0) for xi, pi in zip(x, p)]
+    curves = trace_curves(sys_, seeds, 1e-3, 0.5, (np.full(4, -5.0), np.full(4, 5.0)), 4)
+    assert [c.reason for c in curves] == ["reached_v_max"] * 64
+    assert np.array_equal([c.h0 for c in curves], hj_residual(sys_, p, x)[0])
 
 
 def test_step_crossing_several_levels_records_one_sample(ou1d):
@@ -117,7 +130,6 @@ def test_costate_decay_stalls_the_curve():
     # its seed value near s = ln(100), long before v reaches v_max.
     unstable = SdeSystem(dim_state=1, dim_noise=1, drift=lambda x: np.array(x),
                          drift_jacobian=lambda x: np.ones((x.shape[0], 1, 1)),
-                         drift_divergence=lambda x: np.ones(x.shape[0]),
                          attractor_dim=0, sigma_constant=np.eye(1))
     init = CharState(x=np.array([0.1]), p=np.array([0.1]), v=0.0)
     curve = trace_one(unstable, init, 1e-2, 1.0, (np.array([-100.0]), np.array([100.0])), 10)
@@ -198,7 +210,6 @@ def test_nonconstant_diffusion_rejected():
         SdeSystem(dim_state=1, dim_noise=1,
                   drift=lambda x: -np.atleast_2d(x),
                   drift_jacobian=lambda x: -np.ones((np.atleast_2d(x).shape[0], 1, 1)),
-                  drift_divergence=lambda x: -np.ones(np.atleast_2d(x).shape[0]),
                   attractor_dim=0, sigma_constant=None)
 
 

@@ -142,7 +142,6 @@ def test_nonfinite_trajectory_aborts():
 
     bomb = SdeSystem(dim_state=1, dim_noise=1, drift=drift,
                      drift_jacobian=lambda x: 3 * np.atleast_2d(x)[:, :, None] ** 2,
-                     drift_divergence=lambda x: 3 * np.atleast_2d(x)[:, 0] ** 2,
                      attractor_dim=0, sigma_constant=np.eye(1))
     cfg = SimConfig(epsilon=0.01, dt=0.5, total_time=50.0, n_traj=3,
                     sample_interval=0.5, seed=0,
@@ -259,7 +258,6 @@ def well_system():
 
     return SdeSystem(dim_state=1, dim_noise=1, drift=drift,
                      drift_jacobian=lambda x: 3 * np.atleast_2d(x)[:, :, None] ** 2 - 1,
-                     drift_divergence=lambda x: 3 * np.atleast_2d(x)[:, 0] ** 2 - 1,
                      attractor_dim=0, sigma_constant=np.eye(1))
 
 
@@ -287,7 +285,6 @@ def decay_system(drift):
     # A 1-d system with the given drift, which acts as -x where it does not fail.
     return SdeSystem(dim_state=1, dim_noise=1, drift=drift,
                      drift_jacobian=lambda x: -np.ones((x.shape[0], 1, 1)),
-                     drift_divergence=lambda x: -np.ones(x.shape[0]),
                      attractor_dim=0, sigma_constant=np.eye(1))
 
 
@@ -400,7 +397,6 @@ def test_integrate_ode_fixed_point():
     still = SdeSystem(dim_state=2, dim_noise=2,
                       drift=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
                       drift_jacobian=lambda x: np.zeros((np.atleast_2d(x).shape[0], 2, 2)),
-                      drift_divergence=lambda x: np.zeros(np.atleast_2d(x).shape[0]),
                       attractor_dim=0, sigma_constant=np.eye(2))
     traj = integrate_ode(still, np.array([0.3, -0.4]), 0.01, 5.0)
     assert np.array_equal(traj, np.tile([0.3, -0.4], (traj.shape[0], 1)))
@@ -437,7 +433,6 @@ def test_integrate_ode_divergence_raises():
 
     bomb = SdeSystem(dim_state=1, dim_noise=1, drift=drift,
                      drift_jacobian=lambda x: 3 * np.atleast_2d(x)[:, :, None] ** 2,
-                     drift_divergence=lambda x: 3 * np.atleast_2d(x)[:, 0] ** 2,
                      attractor_dim=0, sigma_constant=np.eye(1))
     with pytest.raises(FloatingPointError):
         integrate_ode(bomb, np.array([2.0]), 0.5, 100.0)

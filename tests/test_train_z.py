@@ -58,7 +58,6 @@ def test_transport_trace_term_isolation():
         drift=lambda x: np.stack([-np.atleast_2d(x)[:, 1], np.atleast_2d(x)[:, 0]], axis=1),
         drift_jacobian=lambda x: np.broadcast_to(np.array([[0.0, -1.0], [1.0, 0.0]]),
                                                  (np.atleast_2d(x).shape[0], 2, 2)),
-        drift_divergence=lambda x: np.zeros(np.atleast_2d(x).shape[0]),
         attractor_dim=0, sigma_constant=np.diag([1.0, 2.0]),
     )
     m = np.array([[0.7, 0.1], [0.1, 1.3]])

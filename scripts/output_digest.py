@@ -27,6 +27,11 @@ lines.  These outputs are hashed:
   ``V = mu H^2`` with its transport coefficient, once in a box that holds
   them and once in a box that cuts them: the seeds, the sample states,
   the termination reasons, the seed energies and the largest drifts.
+  The exact coefficient vanishes, so a third group traces them in the
+  first box with ``c(x) = |x|^2``, whose ``log_z`` is the ``-h c`` sum
+  itself rather than rounding noise;
+* ``fp_residual_grid`` on a 2-d grid with correlated noise, so that both
+  difference stencils and the mixed term run (the OU mini run is 1-d).
 
 It also prints the trained networks' errors in full precision, so that a
 change that moves outputs can report its accuracy from the same print:
@@ -112,7 +117,8 @@ def figure8_curve_lines():
     h = 1e-3, with 10 samples per curve and the exact transport
     coefficient refreshed every 10 steps, as the expand stage does.  In
     the box [-3, 3]^2 the curves reach V = 0.3 or stall; the box
-    [-2, 2] x [-1, 1] cuts most of them."""
+    [-2, 2] x [-1, 1] cuts most of them.  The group "transport" traces
+    them in [-3, 3]^2 with the coefficient |x|^2 instead."""
     from deepwkb import expand
     from deepwkb.models import make_benchmark
     from deepwkb.train_z import transport_coefficients
@@ -125,11 +131,15 @@ def figure8_curve_lines():
                                         rel_band=0.02)
     lines = [f"figure8-curves/seeds "
              f"{sha(b''.join(np.float64([*s.x, *s.p, s.v]).tobytes() for s in seeds))}"]
-    for label, domain in (("box", box), ("cut", (np.array([-2.0, -1.0]), np.array([2.0, 1.0])))):
-        curves = expand.trace_curves(
-            system, seeds, 1e-3, 0.3, domain, 10,
-            transport=lambda x: transport_coefficients(system, oracle, x)[1],
-            transport_every=10)
+    cut = (np.array([-2.0, -1.0]), np.array([2.0, 1.0]))
+
+    def exact(x):
+        return transport_coefficients(system, oracle, x)[1]
+
+    for label, domain, transport in (("box", box, exact), ("cut", cut, exact),
+                                     ("transport", box, lambda x: np.sum(x**2, axis=1))):
+        curves = expand.trace_curves(system, seeds, 1e-3, 0.3, domain, 10,
+                                     transport=transport, transport_every=10)
         parts = {
             "states": b"".join(np.float64([*st.x, *st.p, st.v, st.log_z, st.s]).tobytes()
                                for c in curves for st in c.states),
@@ -139,6 +149,25 @@ def figure8_curve_lines():
         }
         lines += [f"figure8-curves/{label}/{name} {sha(data)}" for name, data in parts.items()]
     return lines
+
+
+def fp_residual_lines():
+    """The FP residual of the density exp(-|x|^2) on 64 x 80 bins of
+    [-3, 3] x [-2.5, 2.5] at eps = 0.1, under the figure-eight's drift with
+    sigma = [[1, 0], [0.5, 1]], whose diffusion matrix is not diagonal."""
+    import dataclasses
+
+    from deepwkb.density import GridSpec
+    from deepwkb.models import make_benchmark
+    from deepwkb.pipeline import fp_residual_grid
+
+    system = dataclasses.replace(make_benchmark("figure8"),
+                                 sigma_constant=np.array([[1.0, 0.0], [0.5, 1.0]]))
+    grid = GridSpec((-3.0, -2.5), (3.0, 2.5), (64, 80))
+    values = np.exp(-np.sum(grid.centers(np.arange(grid.n_cells)) ** 2, axis=1))
+    residual, rel = fp_residual_grid(system, values, grid, 0.1)
+    return [f"fp-residual-2d/residual {sha(residual.tobytes())}",
+            f"fp-residual-2d/relative_residual {rel!r}"]
 
 
 def paper_train_lines(seed, workdir):
@@ -200,7 +229,7 @@ def main(argv=None):
         for line in escaping_lines(base / "figure8-escaping"):
             print(line, flush=True)
 
-        for line in figure8_curve_lines():
+        for line in figure8_curve_lines() + fp_residual_lines():
             print(line, flush=True)
 
         for seed in PAPER_TRAIN_SEEDS:

@@ -75,13 +75,13 @@ class GridSpec:
         """Multi-indices for points of shape (B, n); -1 marks off-grid rows.
 
         A point on a shared boundary goes to the lower-index bin; the grid's
-        lower edge belongs to bin 0.
+        lower edge belongs to bin 0 and its upper edge to the last bin, even
+        where (upper - lower) / widths rounds above the bin count.
         """
         pts = _as_batch(points, self.dim)
         lo, hi = self.lower_arr, self.upper_arr
         t = (pts - lo) / self.widths
-        idx = np.ceil(t).astype(np.int64) - 1
-        idx[t <= 0.0] = 0
+        idx = np.clip(np.ceil(t).astype(np.int64) - 1, 0, np.asarray(self.bins_per_dim) - 1)
         inside = np.all((pts >= lo) & (pts <= hi), axis=1)
         idx[~inside] = -1
         return idx, inside

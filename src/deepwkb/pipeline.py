@@ -21,6 +21,12 @@ exactly); the training loss logs use ``%.10g``.  The regression results
 are one structured array, the table described in ``regression``: the
 regress stage saves it as ``regression.npy``, and validate, train-v,
 expand and train-z load it and read its columns.
+
+Each chore has one path: config sections go straight to the objects they
+configure; ``_fit_v`` trains and saves V (checkpoint, ``alpha``, loss
+log) for train-v and expand's refinement, and ``_load_trained_v`` reads
+it back; ``regression`` alone reads the ladder at a set of points; both
+finite differences of the FP residual use one shifted-view stencil.
 """
 
 from __future__ import annotations
@@ -39,8 +45,7 @@ from . import expand as expand_mod
 from . import net
 from .density import DensityHistogram, GridSpec, select_collocation
 from .models import make_benchmark
-from .regression import (InsufficientRowsError, PointData, extrapolate_z0_attractor,
-                         regress_collocation)
+from .regression import _extrapolate_attractor, regress_collocation
 from .simulate import SimConfig, call_in_child, sample_attractor, simulate_ensemble
 from .train_v import QpTrainConfig, TrainedQp, assemble_qp_sets, train_qp
 from .train_z import TrainedZ, assemble_z_sets, train_z, transport_coefficients
@@ -253,17 +258,10 @@ def _stage_simulate(cfg: RunConfig, outdir: Path):
     x0 = att["x0"] if att["x0"] is not None else 0.5 * (grid.lower_arr + grid.upper_arr)
     ladder = cfg.data["ladder"]
     hists = [DensityHistogram(grid, eps) for eps in ladder]
-    levels = [SimConfig(
-        epsilon=eps, dt=sim["dt"], total_time=sim["total_time"],
-        n_traj=sim["n_traj"], sample_interval=sim["sample_interval"],
-        seed=_derive_seed(cfg["seed"], "simulate", i),
-        domain=(grid.lower_arr, grid.upper_arr),
-        escape_policy=sim["escape_policy"],
-        x0=None if sim["x0"] is None else np.asarray(sim["x0"], dtype=float),
-        burn_in_fraction=sim["burn_in_fraction"],
-    ) for i, eps in enumerate(ladder)]
-    with call_in_child(sample_attractor, system, np.asarray(x0, dtype=float),
-                       att["burn_in"], att["collect_time"], att["count"], dt=att["dt"],
+    levels = [SimConfig(**sim, epsilon=eps, seed=_derive_seed(cfg["seed"], "simulate", i),
+                        domain=(grid.lower_arr, grid.upper_arr))
+              for i, eps in enumerate(ladder)]
+    with call_in_child(sample_attractor, system, **dict(att, x0=x0),
                        seed=_derive_seed(cfg["seed"], "attractor")) as attractor:
         summary = simulate_ensemble(system, levels, [h.add_batch for h in hists])
         points = attractor()
@@ -323,16 +321,27 @@ def _stage_validate(cfg: RunConfig, outdir: Path):
     }
 
 
-def _stage_train_v(cfg: RunConfig, outdir: Path):
-    system = cfg.system()
-    tcfg = cfg.train_cfg("train_v", _derive_seed(cfg["seed"], "train_v"))
+def _fit_v(cfg: RunConfig, outdir: Path, system, label, name, expanded=None, initial=None,
+           **changes):
+    """Train V on the run's sets (plus the ``expanded`` (points, v) pair)
+    from ``initial`` or fresh parameters, by train_v seeded from ``label``
+    with ``changes``; save checkpoint_<name>.dwkbnet, with alpha, and
+    trainlog_<name>.csv.  Returns (those names, alpha)."""
+    tcfg = dataclasses.replace(cfg.train_cfg("train_v", _derive_seed(cfg["seed"], label)),
+                               **changes)
     sets = assemble_qp_sets(np.load(outdir / "attractor.npy"),
-                            np.load(outdir / "regression.npy"), tcfg)
-    trained = train_qp(sets, tcfg, system)
-    net.save_checkpoint(outdir / "checkpoint_v.dwkbnet", trained.params,
+                            np.load(outdir / "regression.npy"), tcfg, expanded=expanded)
+    trained = train_qp(sets, tcfg, system, initial=initial)
+    outputs = [f"checkpoint_{name}.dwkbnet", f"trainlog_{name}.csv"]
+    net.save_checkpoint(outdir / outputs[0], trained.params,
                         extra=json.dumps({"alpha": trained.alpha}).encode())
-    _write_train_log(outdir / "trainlog_v.csv", trained.log)
-    return ["checkpoint_v.dwkbnet", "trainlog_v.csv"], {"alpha": trained.alpha}
+    _write_train_log(outdir / outputs[1], trained.log)
+    return outputs, trained.alpha
+
+
+def _stage_train_v(cfg: RunConfig, outdir: Path):
+    outputs, alpha = _fit_v(cfg, outdir, cfg.system(), "train_v", "v")
+    return outputs, {"alpha": alpha}
 
 
 def _write_train_log(path, log):
@@ -393,47 +402,24 @@ def _stage_expand(cfg: RunConfig, outdir: Path):
     # Continue training V on the expanded set (curriculum: start from the
     # learned parameters, artificial targets drop out in favor of curves).
     if e["refine_epochs"] > 0:
-        tcfg = cfg.train_cfg("train_v", _derive_seed(cfg["seed"], "refine_v"))
-        tcfg.epochs = e["refine_epochs"]
-        tcfg.fine_tune_epochs = max(1, e["refine_epochs"] // 5)
-        sets = assemble_qp_sets(np.load(outdir / "attractor.npy"),
-                                np.load(outdir / "regression.npy"), tcfg,
-                                expanded=(arr["point"], arr["v"]))
-        refined = train_qp(sets, tcfg, system, initial=trained.params)
-        net.save_checkpoint(outdir / "checkpoint_v_refined.dwkbnet", refined.params,
-                            extra=json.dumps({"alpha": refined.alpha}).encode())
-        _write_train_log(outdir / "trainlog_v_refined.csv", refined.log)
-        outputs += ["checkpoint_v_refined.dwkbnet", "trainlog_v_refined.csv"]
-        info["alpha"] = refined.alpha
+        names, info["alpha"] = _fit_v(
+            cfg, outdir, system, "refine_v", "v_refined", expanded=(arr["point"], arr["v"]),
+            initial=trained.params, epochs=e["refine_epochs"],
+            fine_tune_epochs=max(1, e["refine_epochs"] // 5))
+        outputs += names
     return outputs, info
 
 
 def _stage_train_z(cfg: RunConfig, outdir: Path):
     system = cfg.system()
-    grid = cfg.grid()
-    dims = (system.dim_state, system.attractor_dim)
-    hists = _load_hists(cfg, outdir)
-    eps = np.asarray(cfg.data["ladder"])
     table = np.load(outdir / "regression.npy")
     trained_v = _load_trained_v(outdir)
 
     # Attractor targets by extrapolation to eps = 0.
-    attractor_points = np.load(outdir / "attractor.npy")
-    h = grid.bin_volume
-    counts = np.stack([hh.counts_at(attractor_points) for hh in hists], axis=1)
-    totals = np.asarray([hh.total for hh in hists], dtype=float)
-    attr_pts, attr_z0 = [], []
-    min_count = cfg.data["collocation"]["min_count"]
-    for i in range(attractor_points.shape[0]):
-        data = PointData(eps=eps, u_hat=counts[i] / (h * totals),
-                         n0=counts[i].astype(float), n=totals)
-        try:
-            z0 = extrapolate_z0_attractor(data, dims, min_count=min_count)
-        except InsufficientRowsError:
-            continue
-        attr_pts.append(attractor_points[i])
-        attr_z0.append(z0)
-    if not attr_pts:
+    attr_pts, attr_z0 = _extrapolate_attractor(
+        _load_hists(cfg, outdir), np.load(outdir / "attractor.npy"),
+        (system.dim_state, system.attractor_dim), min_count=cfg.data["collocation"]["min_count"])
+    if not attr_z0.size:
         raise RuntimeError("no attractor point has enough data for the eps->0 extrapolation")
 
     # Transported prefactor along the stored curves: the seed value comes
@@ -445,18 +431,14 @@ def _stage_train_z(cfg: RunConfig, outdir: Path):
     z_init = np.exp(rel["log_z0_hat"])[np.argmin(dist, axis=1)]
     transported = (curves["point"], z_init[curves["curve"]] * np.exp(curves["log_z"]))
 
-    z = cfg.data["train_z"]
     zcfg = cfg.train_cfg("train_z", _derive_seed(cfg["seed"], "train_z"))
-    sets = assemble_z_sets((np.asarray(attr_pts), np.asarray(attr_z0)), table,
-                           transported,
-                           {"y2_regression": z["y2_regression"],
-                            "y2_transport": z["y2_transport"], "y3": z["y3"]},
+    sets = assemble_z_sets((attr_pts, attr_z0), table, transported, cfg.data["train_z"],
                            _derive_seed(cfg["seed"], "z_sets"))
     trained_z = train_z(sets, zcfg, system, trained_v)
     net.save_checkpoint(outdir / "checkpoint_z.dwkbnet", trained_z.params)
     _write_train_log(outdir / "trainlog_z.csv", trained_z.log)
     return ["checkpoint_z.dwkbnet", "trainlog_z.csv"], {
-        "attractor_targets": len(attr_pts),
+        "attractor_targets": attr_z0.size,
         "transported_points": int(curves.shape[0]),
     }
 
@@ -485,28 +467,24 @@ def evaluate_wkb_grid(trained_v, trained_z, eval_eps, grid: GridSpec, dims):
     return values, mass
 
 
-def _second_diff(arr, axis, h):
+def _stencil(arr, axis, combine):
+    """Zero on the two edge layers of ``axis``; on the interior nodes,
+    ``combine`` of the views of ``arr`` shifted up, unshifted and down."""
+    def along(part):
+        return tuple(part if k == axis else slice(None) for k in range(arr.ndim))
+
     out = np.zeros_like(arr)
-    inner = [slice(None)] * arr.ndim
-    plus = [slice(None)] * arr.ndim
-    minus = [slice(None)] * arr.ndim
-    inner[axis] = slice(1, -1)
-    plus[axis] = slice(2, None)
-    minus[axis] = slice(None, -2)
-    out[tuple(inner)] = (arr[tuple(plus)] - 2.0 * arr[tuple(inner)] + arr[tuple(minus)]) / h**2
+    out[along(slice(1, -1))] = combine(arr[along(slice(2, None))], arr[along(slice(1, -1))],
+                                       arr[along(slice(None, -2))])
     return out
+
+
+def _second_diff(arr, axis, h):
+    return _stencil(arr, axis, lambda up, mid, down: (up - 2.0 * mid + down) / h**2)
 
 
 def _first_diff(arr, axis, h):
-    out = np.zeros_like(arr)
-    inner = [slice(None)] * arr.ndim
-    plus = [slice(None)] * arr.ndim
-    minus = [slice(None)] * arr.ndim
-    inner[axis] = slice(1, -1)
-    plus[axis] = slice(2, None)
-    minus[axis] = slice(None, -2)
-    out[tuple(inner)] = (arr[tuple(plus)] - arr[tuple(minus)]) / (2.0 * h)
-    return out
+    return _stencil(arr, axis, lambda up, mid, down: (up - down) / (2.0 * h))
 
 
 def fp_residual_grid(system, values, grid: GridSpec, eps):

@@ -27,6 +27,11 @@ rss_rescaled, dof, used_rows, reliable (0 or 1), u_top (the empirical
 density at the largest noise level), se_v, se_log_z0.  An excluded
 point, with fewer than 4 usable levels, is a row with used_rows == 0:
 every column but point and u_top holds 0.
+
+The ladder is read once per set of points (each histogram's count, the
+totals, u_hat = N0 / (h N)), for regress_point at the collocation points
+and for extrapolate_z0_attractor, the prefactor's eps -> 0 targets, at
+the attractor's.
 """
 
 from __future__ import annotations
@@ -179,30 +184,53 @@ def _empty_table(points):
     return table
 
 
-def regress_collocation(histograms, points, dims, min_count=DEFAULT_MIN_COUNT,
-                        far_field_percentile=95.0):
-    """Regress the (M, n) ``points`` over the noise ladder of ``histograms``.
-
-    The points are binned once into an (M, K) count matrix whose rows go
-    to regress_point; u_top is the empirical density of its top level's
-    column.
-    Returns (table, far-field threshold), see apply_far_field_threshold.
-    """
+def _ladder_read(histograms, points):
+    """Each histogram's count at the (M, n) ``points``, binned once, in
+    increasing eps: returns the (K,) eps, the (M, K) float counts N0, the
+    (K,) totals N and the (M, K) u_hat = N0 / (h N)."""
     hists = sorted(histograms, key=lambda h: h.epsilon)
     h = hists[0].grid.bin_volume
     eps = np.array([hist.epsilon for hist in hists])
     totals = np.array([hist.total for hist in hists], dtype=float)
     flat, _ = hists[0].grid.flat_indices(points)
-    counts = np.stack([hist.counts_at_flat(flat) for hist in hists], axis=1)
+    counts = np.stack([hist.counts_at_flat(flat) for hist in hists], axis=1).astype(float)
+    return eps, counts, totals, counts / (h * totals)
+
+
+def regress_collocation(histograms, points, dims, min_count=DEFAULT_MIN_COUNT,
+                        far_field_percentile=95.0):
+    """Regress the (M, n) ``points`` over the noise ladder of ``histograms``.
+
+    Each row of the ladder read goes to regress_point; u_top is the
+    empirical density at the top level.
+    Returns (table, far-field threshold), see apply_far_field_threshold.
+    """
+    eps, counts, totals, u_hat = _ladder_read(histograms, points)
     table = _empty_table(points)
-    table["u_top"] = counts[:, -1] / (h * totals[-1])
-    results = [regress_point(PointData(eps=eps, u_hat=n0 / (h * totals), n0=n0, n=totals),
+    table["u_top"] = u_hat[:, -1]
+    results = [regress_point(PointData(eps=eps, u_hat=u, n0=n0, n=totals),
                              dims, point, min_count=min_count)
-               for point, n0 in zip(table["point"], counts.astype(float))]
+               for point, n0, u in zip(table["point"], counts, u_hat)]
     fitted = np.array([r is not None for r in results], dtype=bool)
     for name in _FIT_COLUMNS:
         table[name][fitted] = [getattr(r, name) for r in results if r is not None]
     return table, apply_far_field_threshold(table, far_field_percentile)
+
+
+def _extrapolate_attractor(histograms, points, dims, min_count=DEFAULT_MIN_COUNT):
+    """extrapolate_z0_attractor on the ladder read at each of the (M, n)
+    attractor ``points``; returns (the points with enough usable levels,
+    their Z0)."""
+    eps, counts, totals, u_hat = _ladder_read(histograms, points)
+    kept, z0 = [], []
+    for point, n0, u in zip(np.asarray(points), counts, u_hat):
+        try:
+            z0.append(extrapolate_z0_attractor(PointData(eps=eps, u_hat=u, n0=n0, n=totals),
+                                               dims, min_count=min_count))
+        except InsufficientRowsError:
+            continue
+        kept.append(point)
+    return np.array(kept), np.array(z0)
 
 
 def apply_far_field_threshold(table, percentile=95.0):

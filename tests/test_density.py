@@ -42,6 +42,19 @@ def test_boundary_tie_break_lower_index():
     assert dict(zip(flat.tolist(), cnt.tolist())) == {0: 1, 1: 1, 9: 1}
 
 
+def test_upper_edge_where_the_bin_count_rounds_up():
+    # (1.4 - -2.9) / ((1.4 - -2.9) / 7) rounds to 7.000000000000001, yet the
+    # upper edge belongs to the last bin, as in any other grid.
+    g = GridSpec((-2.9,), (1.4,), (7,))
+    assert (1.4 - g.lower_arr[0]) / g.widths[0] > 7
+    hist = DensityHistogram(g, epsilon=0.1)
+    assert hist.counts_at(np.array([[1.4]])).tolist() == [0]
+    hist.add_batch(np.array([[1.4], [1.3], [-2.9]]))
+    flat, cnt = hist.occupied()
+    assert dict(zip(flat.tolist(), cnt.tolist())) == {0: 1, 6: 2}
+    assert hist.counts_at(np.array([[1.4], [1.3], [1.5]])).tolist() == [2, 2, 0]
+
+
 def test_empty_histogram():
     g = GridSpec((0.0,), (1.0,), (4,))
     hist = DensityHistogram(g, epsilon=0.1)

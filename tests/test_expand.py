@@ -204,6 +204,30 @@ def test_transport_zero_coefficient_for_exact_ou(ou1d):
     assert np.allclose(z, np.pi**-0.5, atol=1e-15)
 
 
+@pytest.mark.parametrize("every", [1, 10])
+def test_transport_state_dependent_coefficient(ou1d, every):
+    # On p = 2x the characteristic is x(s) = x0 e^s, so with c(x) = x the
+    # exact log_z(s) = -x0 (e^s - 1).  The traced -h sum_m c(x~_j(m)), with
+    # j(m) = k floor(m / k) for k = every and x~ the discrete states, misses
+    # it by at most
+    #   k h |x(s) - x0|: c held over k steps is off by at most kh |x'| = kh |x|
+    #   at each s, which integrates to this;
+    #   (s / 2) h ((1 + s) |x(s)| + |x0|): the step's own solution
+    #   x~_m = 2 x0 (1 + h)^m / (2 + h) + x0 h (1 + h)^-m / (2 + h) lies
+    #   within (h / 2) ((1 + s) |x(s)| + |x0|) of x(mh), over s / h steps.
+    h = 1e-3
+    for x0 in (0.2, -0.2):
+        init = CharState(x=np.array([x0]), p=np.array([2.0 * x0]), v=x0**2)
+        curve = trace_one(ou1d, init, h, 0.4, OU_DOMAIN, 8, transport=lambda x: x[:, 0],
+                          transport_every=every)
+        assert curve.reason == "reached_v_max" and curve.states[-1].s > 1.0
+        for st in curve.states:
+            xs = x0 * np.exp(st.s)
+            bound = h * (every * abs(xs - x0)
+                         + 0.5 * st.s * ((1.0 + st.s) * abs(xs) + abs(x0)))
+            assert abs(st.log_z + x0 * np.expm1(st.s)) <= bound
+
+
 def test_nonconstant_diffusion_rejected():
     # The noise factor is a required constant (n, m) array.
     with pytest.raises(ValueError, match="sigma_constant"):

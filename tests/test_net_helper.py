@@ -1,6 +1,6 @@
 """The network kernels' helper thread: the same bits as the inline path,
-its gate, Adam's rejection under the split update, fork safety and
-draining on error."""
+its gate, Adam's chunked update and rejection under either gate, fork
+safety and draining on error."""
 
 import signal
 import sys
@@ -145,10 +145,8 @@ def _raise_timeout(signum, frame):
 def test_forked_child_drops_the_helper(gate, paper):
     gate(True)
     p, acts, _, _, ups = paper
-    state = AdamState.fresh(p, lr=1e-3)
-    net.adam_step(state, p.copy(), ups.mean() * np.ones(p.size))  # starts the helper
+    want = net.grad_params(p, acts, ups)  # starts the helper
     assert net._helper is not None
-    want = net.grad_params(p, acts, ups)
     previous = signal.signal(signal.SIGALRM, _raise_timeout)
     signal.alarm(30)
     try:

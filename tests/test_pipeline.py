@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from deepwkb import net, pipeline, simulate
+from deepwkb import net, pipeline, regression, simulate
 from deepwkb.cli import main as cli_main
 from deepwkb.density import DensityHistogram, GridSpec
 from deepwkb.models import make_benchmark
@@ -420,7 +420,7 @@ def test_train_z_surfaces_extrapolation_errors(mini_run, tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("broken extrapolation")
 
-    monkeypatch.setattr(pipeline, "extrapolate_z0_attractor", broken)
+    monkeypatch.setattr(regression, "extrapolate_z0_attractor", broken)
     with pytest.raises(ValueError, match="broken extrapolation"):
         run_stage("train-z", cfg, RunManifest(run), force=True)
 

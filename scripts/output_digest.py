@@ -16,6 +16,10 @@ lines.  These outputs are hashed:
 * every file of ``run_all`` on the OU mini config of
   ``tests/test_pipeline.py`` (``timing.log`` holds wall times and is left
   out);
+* every file of that config's simulate stage run with one usable core,
+  so that its ladder is simulated and binned in this process rather than
+  in forked workers; the script stops unless its histograms and
+  attractor points equal those of the ``run_all`` above;
 * every file of simulate -> regress -> validate on
   ``perfbench/workloads.figure8_config(1)``;
 * every file of simulate on a shrunken copy of that config whose box cuts
@@ -91,6 +95,26 @@ def ou_v_err_line(cfg, outdir):
     params, _, extra = net.load_checkpoint(Path(outdir) / "checkpoint_v.dwkbnet")
     v = net.forward(params, xs) / json.loads(extra.decode())["alpha"]
     return f"ou_mini/train_v.v_err {float(np.sqrt(np.mean((v - xs[:, 0] ** 2) ** 2)))!r}"
+
+
+def in_process_lines(outdir, forked_dir):
+    """Run the OU mini simulate stage with ``simulate._usable_cores``
+    pinned to 1.  On two or more cores ``forked_dir`` was simulated in
+    forked workers; its histograms and attractor points must be equal."""
+    from deepwkb import simulate
+    from deepwkb.pipeline import RunManifest, run_stage
+    from test_pipeline import ou_mini_config
+
+    cores = simulate._usable_cores
+    simulate._usable_cores = lambda: 1
+    try:
+        manifest = run_stage("simulate", ou_mini_config(), RunManifest(outdir))
+    finally:
+        simulate._usable_cores = cores
+    for name in manifest.data["stages"]["simulate"]["outputs"]:
+        if (Path(outdir) / name).read_bytes() != (Path(forked_dir) / name).read_bytes():
+            raise SystemExit(f"{name} of the in-process simulate differs from the forked one")
+    return run_dir_lines("ou_mini-in-process", outdir)
 
 
 def escaping_lines(outdir):
@@ -217,6 +241,8 @@ def main(argv=None):
         ou_dir, ou_cfg = base / "ou_mini", ou_mini_config()
         run_all(ou_cfg, ou_dir)
         for line in run_dir_lines("ou_mini", ou_dir) + [ou_v_err_line(ou_cfg, ou_dir)]:
+            print(line, flush=True)
+        for line in in_process_lines(base / "ou_mini-in-process", ou_dir):
             print(line, flush=True)
 
         f8_dir = base / "figure8"

@@ -81,7 +81,8 @@ class GridSpec:
         pts = _as_batch(points, self.dim)
         lo, hi = self.lower_arr, self.upper_arr
         t = (pts - lo) / self.widths
-        idx = np.clip(np.ceil(t).astype(np.int64) - 1, 0, np.asarray(self.bins_per_dim) - 1)
+        # Clipped before the cast, so a point far off the grid cannot overflow int64.
+        idx = np.clip(np.ceil(t), 1, np.asarray(self.bins_per_dim)).astype(np.int64) - 1
         inside = np.all((pts >= lo) & (pts <= hi), axis=1)
         idx[~inside] = -1
         return idx, inside

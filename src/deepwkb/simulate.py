@@ -4,8 +4,8 @@ Trajectories advance with the explicit scheme
 
     x <- x + f(x) dt + sqrt(eps * dt) * sigma xi,   xi ~ N(0, I_m),
 
-and push retained states to a caller-supplied sink every
-``sample_interval`` time units.  One call advances a whole noise ladder.
+and retain their states every ``sample_interval`` time units for a
+caller-supplied sink.  One call advances a whole noise ladder.
 Its K levels are split into one contiguous group per usable core (at
 most K groups), and each group runs in a forked worker process; with a
 single group the call runs in-process.  Within a group one step loop
@@ -15,13 +15,13 @@ an independent counter-based RNG substream, the
 ``SeedSequence(seed).spawn(n_traj)`` children of its level's seed, so a
 level's noise, states and samples are bit for bit those of a call with
 that level alone, whatever the grouping.  A worker sends its retained
-batches through a pipe, one message per chunk of steps, and the sinks
-are called in the calling process: each sink gets its level's batches in
-the order they were drawn, but the levels' calls may interleave in any
-order.  Each worker draws normals ``_CHUNK_STEPS`` steps at a time into
-a step-major buffer of ``_CHUNK_STEPS * levels * n_traj * m`` float64
-values for its own levels (2 KiB per trajectory and noise dimension);
-the streams do not depend on the chunk size.
+states through a pipe, one message per chunk of steps with one batch per
+level, and the sinks are called in the calling process: each sink gets
+its level's batches in the order they were drawn, but the levels' calls
+may interleave in any order.  Each worker draws normals ``_CHUNK_STEPS``
+steps at a time into a step-major buffer of ``_CHUNK_STEPS * levels *
+n_traj * m`` float64 values for its own levels (2 KiB per trajectory and
+noise dimension); the streams do not depend on the chunk size.
 
 The zero-noise flow that ``sample_attractor`` integrates does not depend
 on the ensemble, so the simulate stage runs it through
@@ -134,8 +134,9 @@ def simulate_ensemble(system, cfgs, sinks) -> SimSummary:
     """Run one or several levels and stream retained states into their sinks.
 
     ``cfgs`` is one SimConfig or a list of them, and ``sinks`` one callable
-    or a list with one per level.  Level i's sink receives arrays of shape
-    (k, n) holding one retained state per live trajectory of that level.
+    or a list with one per level.  Level i's sink receives one (k, n) array
+    per chunk of steps: the level's states retained in the chunk, one row
+    per live trajectory and sample time, in the order drawn.
     With escape_policy="restart_at_last_inside", a step that exits the
     domain box is rolled back to the previous state and counted;
     rolled-back states are re-sampled as usual, so no emitted sample lies
@@ -176,11 +177,12 @@ def _advance(system, cfgs, lo, hi):
     """The step loop: advance the levels ``cfgs`` as one state array.
 
     Yields one ("batches", [(level, batch), ...]) message per chunk of
-    steps, holding the chunk's retained batches in the order drawn (one
-    message per chunk, not per batch, since each message costs a worker's
-    parent a pipe read and an unpickle).  The last message is ("done",
-    counts), with counts a (levels, 4) int array of steps taken, samples
-    emitted, escapes and aborted trajectories per level.
+    steps, with one batch per level holding its states retained in the
+    chunk, in the order drawn (per chunk, not per sample time, since each
+    message costs a worker's parent a pipe read and an unpickle, and each
+    batch a sink call).  The last message is ("done", counts), with counts
+    a (levels, 4) int array of steps taken, samples emitted, escapes and
+    aborted trajectories per level.
     """
     n, m = system.dim_state, system.dim_noise
     cfg = cfgs[0]
@@ -213,7 +215,7 @@ def _advance(system, cfgs, lo, hi):
     step = 0
     while step < n_steps:
         chunk = min(_CHUNK_STEPS, n_steps - step)
-        batches = []
+        retained = [[] for _ in levels]
         for j, g in enumerate(gens):
             noise[:chunk, j] = g.standard_normal((chunk, m))
         for k in range(chunk):
@@ -236,10 +238,10 @@ def _advance(system, cfgs, lo, hi):
                 for i, level in enumerate(levels):
                     batch = x[level][alive[level]]
                     if batch.shape[0]:
-                        batches.append((i, batch))
+                        retained[i].append(batch)
                         emitted[i] += batch.shape[0]
-        if batches:
-            yield "batches", batches
+        if any(retained):
+            yield "batches", [(i, np.concatenate(s)) for i, s in enumerate(retained) if s]
 
     steps = steps_done.reshape(n_levels, n_traj).sum(axis=1)
     aborted = (~alive).reshape(n_levels, n_traj).sum(axis=1)

@@ -55,6 +55,15 @@ def test_upper_edge_where_the_bin_count_rounds_up():
     assert hist.counts_at(np.array([[1.4], [1.3], [1.5]])).tolist() == [2, 2, 0]
 
 
+def test_points_far_off_the_grid_count_in_the_total_only():
+    # (1e300 - 0) / 0.25 lies far beyond int64: no bin, and no overflow.
+    hist = DensityHistogram(GridSpec((0.0,), (1.0,), (4,)), epsilon=0.1)
+    hist.add_batch(np.array([[1e300], [-3e154], [0.1]]))
+    assert hist.total == 3
+    flat, cnt = hist.occupied()
+    assert flat.tolist() == [0] and cnt.tolist() == [1]
+
+
 def test_empty_histogram():
     g = GridSpec((0.0,), (1.0,), (4,))
     hist = DensityHistogram(g, epsilon=0.1)

@@ -249,6 +249,15 @@ def test_results_do_not_depend_on_chunk_size(monkeypatch, chunk, name, ladder):
         assert np.array_equal(got.stacked(), want.stacked())
 
 
+def test_a_sink_gets_one_batch_per_chunk(monkeypatch, ou1d):
+    # 1000 steps, all sampled, in chunks of 7: 142 full chunks and one of 6 steps.
+    monkeypatch.setattr(simulate, "_CHUNK_STEPS", 7)
+    sink = Collector()
+    simulate_ensemble(ou1d, ou_config(total_time=10.0, sample_interval=0.01,
+                                      burn_in_fraction=0.0), sink)
+    assert [b.shape for b in sink.batches] == [(7 * 4, 1)] * 142 + [(6 * 4, 1)]
+
+
 def well_system():
     # f = x^3 - x: a well at 0 with barriers at +-1, beyond which Euler
     # steps blow up.

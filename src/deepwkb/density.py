@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import _as_batch
+from .models import _as_batch, _philox
 
 __all__ = [
     "GridSpec",
@@ -228,7 +228,7 @@ def select_collocation(grid: GridSpec, histograms, m_points, traj_fraction=0.5, 
     if not 0.0 <= traj_fraction <= 1.0:
         raise ValueError("traj_fraction must lie in [0, 1]")
     top = max(histograms, key=lambda h: h.epsilon)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = _philox(seed)
 
     n_traj_pts = int(round(m_points * traj_fraction))
     occ_flat, occ_cnt = top.occupied()

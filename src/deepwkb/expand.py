@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import _as_batch
+from .models import _as_batch, _philox
 from .train_v import hj_residual
 
 __all__ = [
@@ -48,6 +48,7 @@ FIXED_POINT_MAX_ITER = 50
 ENERGY_TOL = 0.05   # bound on |H| at a seed and on the energy drift along a curve
 MAX_CURVE_STEPS = 2_000_000
 STALL_RATE_FRACTION = 1e-4   # terminate when p^T A p falls this far below its seed value
+SEED_MAX_DRAWS = 200_000   # candidates seed_characteristics draws before it gives up
 
 
 class SolverFailure(RuntimeError):
@@ -108,22 +109,22 @@ def char_step(system, x, p, h):
     return xi, p_next, 0.5 * h * _quad(p, system.a), converged
 
 
-def seed_characteristics(system, trained, level, count, seed, domain,
-                         rel_band=0.1, max_tries=200000):
+def seed_characteristics(system, trained, level, count, seed, domain, rel_band=0.1):
     """Rejection-sample seed states near the level set {V = level}.
 
     Candidates are uniform in the domain box, kept when
     |V(x) - level| < rel_band * level, and given the costate
     p = grad V(x).  Seeds whose Hamiltonian exceeds ENERGY_TOL in
-    magnitude indicate a badly trained gradient and are rejected.
+    magnitude indicate a badly trained gradient and are rejected.  After
+    SEED_MAX_DRAWS candidates with fewer seeds, SolverFailure is raised.
     """
     if count == 0:
         return []
     lo, hi = (np.asarray(v, dtype=float) for v in domain)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = _philox(seed)
     out = []
     tries = 0
-    while len(out) < count and tries < max_tries:
+    while len(out) < count and tries < SEED_MAX_DRAWS:
         batch = rng.uniform(lo, hi, size=(256, lo.shape[0]))
         tries += 256
         vals = np.asarray(trained.v(batch))

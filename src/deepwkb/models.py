@@ -34,6 +34,11 @@ def _as_batch(x, dim):
     return x
 
 
+def _philox(seed):
+    """The package's one way from a seed to a random stream."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+
+
 @dataclass
 class SdeSystem:
     """A small-noise SDE dX = f(X) dt + sqrt(eps) sigma dB, sigma constant.

@@ -74,7 +74,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .models import _as_batch
+from .models import _as_batch, _philox
 
 __all__ = [
     "MlpSpec",
@@ -186,7 +186,7 @@ def init_params(spec: MlpSpec, seed) -> MlpParams:
     by a factor ~4^-L and training collapses onto the constant (trivial)
     solution.  The linear output layer keeps the unit-gain bound.
     """
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = _philox(seed)
     params = MlpParams(spec)
     last = spec.n_layers - 1
     for l, (w, b) in enumerate(params.layers):

@@ -46,7 +46,8 @@ from . import net
 from .density import DensityHistogram, GridSpec, select_collocation
 from .models import make_benchmark
 from .regression import _extrapolate_attractor, regress_collocation
-from .simulate import SimConfig, call_in_child, sample_attractor, simulate_ensemble
+from .simulate import (SimConfig, _attractor_pool_size, call_in_child, sample_attractor,
+                       simulate_ensemble)
 from .train_v import QpTrainConfig, TrainedQp, assemble_qp_sets, train_qp
 from .train_z import TrainedZ, assemble_z_sets, train_z, transport_coefficients
 from .validation import validate_wkb
@@ -64,12 +65,10 @@ __all__ = [
 
 CONFIG_VERSION = 1
 
-# Both training sections start from QpTrainConfig's defaults.  The seed is
-# derived per stage; train-z has no far field, artificial value or residual cap.
+# QpTrainConfig's defaults less the seed, derived per stage; train-z has no residual cap.
 _TRAIN_V_DEFAULTS = {k: v for k, v in dataclasses.asdict(QpTrainConfig()).items()
                      if k != "seed"}
-_TRAIN_Z_DEFAULTS = {k: v for k, v in _TRAIN_V_DEFAULTS.items()
-                     if k not in ("residual_count", "artificial_value", "far_field_density")}
+_TRAIN_Z_DEFAULTS = {k: v for k, v in _TRAIN_V_DEFAULTS.items() if k != "residual_count"}
 
 DEFAULT_CONFIG = {
     "version": CONFIG_VERSION,
@@ -84,7 +83,6 @@ DEFAULT_CONFIG = {
                   "count": 500, "dt": 0.01},
     "collocation": {"m_points": 1000, "traj_fraction": 0.5,
                     "min_count": 20, "far_field_percentile": 95.0},
-    "validate": {"significance": 0.01},
     "train_v": _TRAIN_V_DEFAULTS,
     "expand": {"level": 0.05, "count": 50, "step": 1e-4, "v_max": 0.4,
                "samples_per_curve": 20, "rel_band": 0.1, "refine_epochs": 50},
@@ -100,13 +98,16 @@ class DependencyError(RuntimeError):
 
 def _deep_merge(base, override, where=""):
     """``override`` merged into a copy of ``base``.  A key ``base`` lacks is
-    an error, except under benchmark.params, which make_benchmark checks."""
+    an error, except under benchmark.params, which make_benchmark checks;
+    so is a value that is not a dict or a list where ``base`` holds one."""
     out = copy.deepcopy(base)
     for key, val in override.items():
         name = where + key
         if key not in out:
             raise ValueError(f"unknown config key {name!r}")
-        if isinstance(out[key], dict) and isinstance(val, dict) and name != "benchmark.params":
+        if isinstance(out[key], (dict, list)) and not isinstance(val, type(out[key])):
+            raise ValueError(f"config key {name!r} must be a {type(out[key]).__name__}")
+        if isinstance(out[key], dict) and name != "benchmark.params":
             out[key] = _deep_merge(out[key], val, name + ".")
         else:
             out[key] = copy.deepcopy(val)
@@ -117,6 +118,8 @@ class RunConfig:
     """Normalized run configuration (user dict deep-merged into defaults)."""
 
     def __init__(self, data):
+        if not isinstance(data, dict):
+            raise ValueError("a config must be a dict")
         if data.get("version", CONFIG_VERSION) != CONFIG_VERSION:
             raise ValueError(f"unsupported config version {data.get('version')}")
         self.data = _deep_merge(DEFAULT_CONFIG, data)
@@ -136,9 +139,7 @@ class RunConfig:
                 any(b >= a for b, a in zip(ladder, ladder[1:])):
             raise ValueError("ladder must be > 3 strictly increasing positive levels")
         att = self.data["attractor"]
-        # the states sample_attractor draws from
-        pool = (round((att["burn_in"] + att["collect_time"]) / att["dt"])
-                - round(att["burn_in"] / att["dt"]))
+        pool = _attractor_pool_size(att["burn_in"], att["collect_time"], att["dt"])
         if att["count"] > pool:
             raise ValueError(f"attractor count {att['count']} exceeds the {pool} available "
                              "after the burn-in")
@@ -306,9 +307,7 @@ def _stage_regress(cfg: RunConfig, outdir: Path):
 def _stage_validate(cfg: RunConfig, outdir: Path):
     table = np.load(outdir / "regression.npy")
     # validate_wkb reads the rows' reliable, dof and rss_rescaled as attributes
-    report = validate_wkb(table.view(np.recarray),
-                          significance=cfg.data["validate"]["significance"],
-                          dof=len(cfg.data["ladder"]) - 3)
+    report = validate_wkb(table.view(np.recarray), dof=len(cfg.data["ladder"]) - 3)
     report.write(outdir / "validation.txt")
     reliable = table[table["reliable"] == 1]
     _write_csv(outdir / "rss.csv", _coord_names(table["point"].shape[1]) + ["rss"],
@@ -564,7 +563,7 @@ _STAGE_TABLE = {
     "simulate": (None, ("seed", "benchmark", "ladder", "grid", "sim", "attractor"),
                  _stage_simulate),
     "regress": ("simulate", ("collocation",), _stage_regress),
-    "validate": ("regress", ("validate",), _stage_validate),
+    "validate": ("regress", (), _stage_validate),
     "train-v": ("regress", ("train_v",), _stage_train_v),
     "expand": ("train-v", ("expand",), _stage_expand),
     "train-z": ("expand", ("train_z",), _stage_train_z),

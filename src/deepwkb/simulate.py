@@ -38,6 +38,8 @@ from multiprocessing import connection, get_context
 
 import numpy as np
 
+from .models import _philox
+
 __all__ = [
     "SimConfig",
     "SimSummary",
@@ -389,16 +391,21 @@ def integrate_ode(system, x0, dt, total_time):
     return np.concatenate(out)
 
 
+def _attractor_pool_size(burn_in, collect_time, dt):
+    """How many states ``sample_attractor`` draws from: those after the burn-in."""
+    return round((burn_in + collect_time) / dt) - round(burn_in / dt)
+
+
 def sample_attractor(system, x0, burn_in, collect_time, count, dt=0.01, seed=0) -> np.ndarray:
     """Integrate past the transient, then draw ``count`` states uniformly
     in time (without replacement) from the next ``collect_time`` units;
     returns them as a (count, n) array in time order."""
+    size = _attractor_pool_size(burn_in, collect_time, dt)
+    if count > size:
+        raise ValueError(f"requested {count} points but only {size} are available")
     traj = integrate_ode(system, x0, dt, burn_in + collect_time)
-    skip = round(burn_in / dt)
-    pool = traj[skip + 1:]
-    if count > pool.shape[0]:
-        raise ValueError(f"requested {count} points but only {pool.shape[0]} are available")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    pool = traj[traj.shape[0] - size:]
+    rng = _philox(seed)
     idx = rng.choice(pool.shape[0], size=count, replace=False)
     return pool[np.sort(idx)]
 

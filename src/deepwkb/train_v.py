@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import net
+from .models import _philox
 from .net import AdamState, MlpParams, MlpSpec
 
 __all__ = [
@@ -49,8 +50,11 @@ __all__ = [
 
 ALPHA_TARGET_FLOOR = 0.05
 ALPHA_MIN_POINTS = 10
-# Loss members (attractor fit, residual) that keep training after the main epochs.
-FINE_TUNE_MEMBERS = (0, 2)
+BATCH_SIZE = 128          # rows per training batch, for V and Z alike
+L2_LAMBDA = 1e-3          # weight penalty of every network trained here
+FAR_FIELD_DENSITY = 1e-6  # top-level density below which an unfit point is far field
+FINE_TUNE_MEMBERS = (0, 2)  # attractor fit and residual train on after the main epochs,
+FINE_TUNE_FACTOR = 0.1      # at this fraction of their learning rates
 
 
 class TrainingDiverged(RuntimeError):
@@ -82,22 +86,17 @@ class QpTrainingSets:
 @dataclass
 class QpTrainConfig:
     epochs: int = 200
-    batch_size: int = 128
     lr1: float = 2e-4
     lr2: float = 5e-4
     lr3: float = 1e-4
-    artificial_value: float | None = None   # None: 1.5 x 95th pct of reliable targets
-    far_field_density: float = 1e-6
     fine_tune_epochs: int = 20
-    fine_tune_factor: float = 0.1
     residual_count: int | None = None       # cap on |X3|; None keeps all
     widths: tuple | None = None             # None: the standard ladder
-    l2_lambda: float = 1e-3
     seed: int = 0
 
     def validate(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be positive")
+        if self.epochs < 1:
+            raise ValueError("epochs must be positive")
         if min(self.lr1, self.lr2, self.lr3) <= 0:
             raise ValueError("learning rates must be positive")
 
@@ -105,7 +104,7 @@ class QpTrainConfig:
 def new_params(cfg: QpTrainConfig, system) -> MlpParams:
     """A freshly initialized network for ``cfg`` on ``system``'s state space."""
     widths = cfg.widths or net.default_widths(system.dim_state)
-    return net.init_params(MlpSpec(widths=widths, l2_lambda=cfg.l2_lambda), seed=cfg.seed)
+    return net.init_params(MlpSpec(widths=widths, l2_lambda=L2_LAMBDA), seed=cfg.seed)
 
 
 @dataclass
@@ -172,11 +171,10 @@ def assemble_qp_sets(attractor_points, table, cfg: QpTrainConfig,
 
     Reliable points enter X2 with their fitted value.  The other
     collocation points whose empirical density at the largest noise
-    level (u_top) is below the far-field threshold receive the artificial
-    value C, so the far field is not left unconstrained.  When
-    characteristic-curve data is supplied through ``expanded`` as a
-    (points, values) pair, its points join X2 and the artificial points
-    are dropped.
+    level (u_top) is below FAR_FIELD_DENSITY receive the artificial value
+    C = 1.5 x the 95th percentile of the reliable targets, so the far field
+    is not left unconstrained.  Curve data supplied through ``expanded``
+    as a (points, values) pair joins X2 in place of the artificial points.
     """
     points = table["point"]
     reliable = table["reliable"] == 1
@@ -184,18 +182,16 @@ def assemble_qp_sets(attractor_points, table, cfg: QpTrainConfig,
         raise ValueError("no reliable regression targets for X2")
     reliable_pts = points[reliable]
     reliable_targets = table["v_hat"][reliable]
-    far = ~reliable & (table["u_top"] < cfg.far_field_density)
+    far = ~reliable & (table["u_top"] < FAR_FIELD_DENSITY)
 
-    c_value = cfg.artificial_value
-    if c_value is None:
-        c_value = 1.5 * float(np.percentile(reliable_targets, 95.0))
+    c_value = 1.5 * float(np.percentile(reliable_targets, 95.0))
     if expanded is None:
         extra_pts, extra_v = points[far], np.full(int(far.sum()), c_value)
     else:
         extra_pts, extra_v = (np.asarray(a) for a in expanded)
     is_extra = np.arange(len(reliable_pts) + len(extra_pts)) >= len(reliable_pts)
 
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed)))
+    rng = _philox(cfg.seed)
     (x3,) = _subsample(rng, cfg.residual_count, points)
 
     sets = QpTrainingSets(
@@ -233,12 +229,12 @@ def qp_loss(kind, params: MlpParams, batch, system):
     return value, net._add_weight_penalty(params, grad)
 
 
-def _epoch_indices(rng, size, n_batches, batch_size):
+def _epoch_indices(rng, size, n_batches):
     # One shuffle per epoch; shorter sets recycle by wrapping the permutation.
     perm = rng.permutation(size)
-    reps = int(np.ceil(n_batches * batch_size / size))
+    reps = int(np.ceil(n_batches * BATCH_SIZE / size))
     stream = np.concatenate([perm] * reps)
-    return [stream[k * batch_size:(k + 1) * batch_size] for k in range(n_batches)]
+    return [stream[k * BATCH_SIZE:(k + 1) * BATCH_SIZE] for k in range(n_batches)]
 
 
 # glibc's mallopt parameter numbers, from malloc.h.
@@ -273,20 +269,20 @@ def alternating_adam(params, members, cfg, seed):
 
     ``members`` is a list of (name, set_size, make_batch, loss_fn, lr).
     Per epoch the largest member defines the number of batch triples;
-    smaller members recycle their shuffled stream.  After the main epochs
-    the FINE_TUNE_MEMBERS (the first and the third) continue alone at a
-    reduced rate.  Returns the per-epoch mean-loss log and the Adam
-    states.  Raises TrainingDiverged on a non-finite loss.
+    smaller members recycle their shuffled stream; a batch has BATCH_SIZE
+    rows.  After the main epochs the FINE_TUNE_MEMBERS (the first and the
+    third) continue alone at FINE_TUNE_FACTOR times their rate.  Returns
+    the per-epoch mean-loss log and the Adam states.  Raises
+    TrainingDiverged on a non-finite loss.
     """
     _keep_freed_memory()
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = _philox(seed)
     states = [AdamState.fresh(params, lr) for (_, _, _, _, lr) in members]
     log = []
 
     def sweep(epoch, active):
-        n_batches = max(int(np.ceil(members[i][1] / cfg.batch_size)) for i in active)
-        idx_streams = {i: _epoch_indices(rng, members[i][1], n_batches, cfg.batch_size)
-                       for i in active}
+        n_batches = max(int(np.ceil(members[i][1] / BATCH_SIZE)) for i in active)
+        idx_streams = {i: _epoch_indices(rng, members[i][1], n_batches) for i in active}
         sums = {i: 0.0 for i in range(len(members))}
         for k in range(n_batches):
             for i in active:
@@ -302,7 +298,7 @@ def alternating_adam(params, members, cfg, seed):
     for epoch in range(cfg.epochs):
         sweep(epoch, tuple(range(len(members))))
     for i in FINE_TUNE_MEMBERS:
-        states[i].lr *= cfg.fine_tune_factor
+        states[i].lr *= FINE_TUNE_FACTOR
     for epoch in range(cfg.epochs, cfg.epochs + cfg.fine_tune_epochs):
         sweep(epoch, FINE_TUNE_MEMBERS)
     return log, states

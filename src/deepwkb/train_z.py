@@ -10,7 +10,7 @@ where A = (a^ij) is the system's constant diffusion matrix.  The
 coefficients are evaluated with the trained, alpha-corrected
 quasi-potential, which stays frozen while Z0 trains: ``train_z``
 computes them once per Y3 point before the first epoch, in full batches
-of the training batch size, and the residual batches slice them.
+of BATCH_SIZE rows, and the residual batches slice them.
 Targets come from two sources: linear extrapolation of the rescaled
 densities to eps = 0 on the attractor (Y1), and the exponential of the
 regression intercept near the attractor together with
@@ -28,8 +28,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import net
+from .models import _philox
 from .net import MlpParams
-from .train_v import QpTrainConfig, _subsample, alternating_adam, fit_loss, new_params
+from .train_v import (BATCH_SIZE, QpTrainConfig, _subsample, alternating_adam, fit_loss,
+                      new_params)
 
 __all__ = [
     "ZTrainingSets",
@@ -84,34 +86,23 @@ def assemble_z_sets(attractor, table, curves, counts, seed) -> ZTrainingSets:
     ``attractor`` is a (points, z0_targets) pair from the eps -> 0
     extrapolation.  Y2 merges the reliable prefactors of the regression
     table (see ``regression``) with characteristic-transported values
-    (``curves`` as a (points, z0) pair or None).  Y3 reuses the
-    coordinates of the table's fitted points, which are already partly
-    trajectory-weighted, partly uniform.
+    (``curves``, a (points, z0) pair of arrays, like ``attractor``).  Y3
+    reuses the coordinates of the table's fitted points, which are already
+    partly trajectory-weighted, partly uniform.
     """
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = _philox(seed)
     attr_pts, attr_z0 = attractor
-    attr_pts = np.asarray(attr_pts)
-    attr_z0 = np.asarray(attr_z0, dtype=float)
-
     usable = table[table["reliable"] == 1]
     reg_pts, reg_z0 = _subsample(rng, counts.get("y2_regression"),
                                  usable["point"], np.exp(usable["log_z0_hat"]))
-
-    y2_parts, t2_parts = [reg_pts], [reg_z0]
-    if curves is not None:
-        cur_pts, cur_z0 = _subsample(rng, counts.get("y2_transport"),
-                                     *(np.asarray(a) for a in curves))
-        if len(cur_pts):
-            y2_parts.append(cur_pts)
-            t2_parts.append(cur_z0)
-
+    cur_pts, cur_z0 = _subsample(rng, counts.get("y2_transport"), *curves)
     (y3,) = _subsample(rng, counts.get("y3"), table["point"][table["used_rows"] > 0])
 
     sets = ZTrainingSets(
         y1=attr_pts,
         y1_targets=attr_z0,
-        y2=np.concatenate(y2_parts, axis=0),
-        y2_targets=np.concatenate(t2_parts),
+        y2=np.concatenate([reg_pts, cur_pts]),
+        y2_targets=np.concatenate([reg_z0, cur_z0]),
         y3=y3,
     )
     sets.validate()
@@ -150,22 +141,22 @@ def z_loss(kind, params_z: MlpParams, batch, system, trained_v):
     return value, net._add_weight_penalty(params_z, grad)
 
 
-def _frozen_coefficients(system, trained_v, points, batch_size):
+def _frozen_coefficients(system, trained_v, points):
     """Transport coefficients (b, c) at every row of ``points``, computed in
-    chunks of exactly ``batch_size`` rows, the last chunk wrapping around
-    the set as the epoch streams do.
+    chunks of exactly BATCH_SIZE rows, the last chunk wrapping around the
+    set as the epoch streams do.
 
-    Every training batch has ``batch_size`` rows, and a row's last bits
+    Every training batch has BATCH_SIZE rows, and a row's last bits
     depend on the row count of the matrix products it passes through, so
     equal chunks give the coefficients a batch would compute itself.  The
     chunks also bound the Hessian's per-layer tangent arrays.
     """
     m = points.shape[0]
     b, c = np.empty((m, points.shape[1])), np.empty(m)
-    for start in range(0, m, batch_size):
-        rows = np.arange(start, start + batch_size) % m
+    for start in range(0, m, BATCH_SIZE):
+        rows = np.arange(start, start + BATCH_SIZE) % m
         chunk_b, chunk_c = transport_coefficients(system, trained_v, points[rows])
-        keep = min(batch_size, m - start)
+        keep = min(BATCH_SIZE, m - start)
         b[start:start + keep], c[start:start + keep] = chunk_b[:keep], chunk_c[:keep]
     return b, c
 
@@ -177,7 +168,7 @@ def train_z(sets: ZTrainingSets, cfg: QpTrainConfig, system, trained_v) -> Train
     cfg.validate()
     sets.validate()
     params = new_params(cfg, system)
-    b3, c3 = _frozen_coefficients(system, trained_v, sets.y3, cfg.batch_size)
+    b3, c3 = _frozen_coefficients(system, trained_v, sets.y3)
     members = [
         ("L1z", sets.y1.shape[0], lambda idx: (sets.y1[idx], sets.y1_targets[idx]),
          lambda p, b: z_loss("L1", p, b, system, trained_v), cfg.lr1),

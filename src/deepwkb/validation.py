@@ -40,7 +40,6 @@ class ValidationReport:
     ks_statistic: float
     p_value: float
     tail_fraction: float
-    significance: float
     passed: bool
     n_tested: int
     n_excluded: int
@@ -56,7 +55,7 @@ class ValidationReport:
             f"ks_statistic: {self.ks_statistic:.6g}",
             f"p_value: {self.p_value:.6g}",
             f"tail_fraction: {self.tail_fraction:.6g}",
-            f"significance: {self.significance:g}",
+            f"significance: {DEFAULT_SIGNIFICANCE:g}",
             f"wkb: {verdict}",
         ]
 
@@ -156,20 +155,20 @@ def ks_test(sample, k):
     return d, _kolmogorov_sf(np.sqrt(n) * d)
 
 
-def validate_wkb(results, dof, significance=DEFAULT_SIGNIFICANCE) -> ValidationReport:
+def validate_wkb(results, dof) -> ValidationReport:
     """Pool rescaled RSS over reliable points and test against chi^2(dof).
 
     ``results`` holds one record per point, read through its ``reliable``,
-    ``dof`` and ``rss_rescaled`` attributes: RegressionResult objects (None
-    for an excluded point), or the rows of the regression table viewed as
-    a ``np.recarray``.  ``dof`` is K - 3 for the K-level ladder.  Points
+    ``dof`` and ``rss_rescaled`` attributes: RegressionResult objects, or
+    the rows of the regression table viewed as a ``np.recarray``; no entry
+    may be None.  ``dof`` is K - 3 for the K-level ladder.  Points
     flagged unreliable or with a row count different from the ladder's
     (mismatched dof) are excluded.  The hypothesis holds when the pooled
-    KS p-value reaches the significance level and so does the chance that
-    a correct model puts at least as many of the n points beyond the
-    chi^2 0.999 quantile, P(Binom(n, 0.001) >= k).
+    KS p-value reaches the level DEFAULT_SIGNIFICANCE and so does the
+    chance that a correct model puts at least as many of the n points
+    beyond the chi^2 0.999 quantile, P(Binom(n, 0.001) >= k).
     """
-    kept = [r for r in results if r is not None and r.reliable and r.dof == dof]
+    kept = [r for r in results if r.reliable and r.dof == dof]
     n_excluded = len(results) - len(kept)
     if not kept:
         raise ValueError("no reliable points to validate")
@@ -177,9 +176,8 @@ def validate_wkb(results, dof, significance=DEFAULT_SIGNIFICANCE) -> ValidationR
     d, p = ks_test(rss, dof)
     n_tail = int(np.sum(rss > chi2_quantile(TAIL_QUANTILE, dof)))
     tail_p = _binom_tail(n_tail, len(kept), 1.0 - TAIL_QUANTILE)
-    passed = p >= significance and tail_p >= significance
+    passed = p >= DEFAULT_SIGNIFICANCE and tail_p >= DEFAULT_SIGNIFICANCE
     return ValidationReport(
         rss=rss, dof=dof, ks_statistic=d, p_value=p, tail_fraction=n_tail / len(kept),
-        significance=significance, passed=passed,
-        n_tested=len(kept), n_excluded=n_excluded,
+        passed=passed, n_tested=len(kept), n_excluded=n_excluded,
     )

@@ -169,7 +169,7 @@ def test_seed_characteristics_rejects_bad_gradients(ou1d):
         hess_fn=lambda x: np.broadcast_to(5.0 * np.eye(1), (np.atleast_2d(x).shape[0], 1, 1)),
     )
     with pytest.raises(SolverFailure, match="seeds"):
-        seed_characteristics(ou1d, bad, 0.04, 10, seed=3, domain=OU_DOMAIN, max_tries=20000)
+        seed_characteristics(ou1d, bad, 0.04, 10, seed=3, domain=OU_DOMAIN)
 
 
 def test_figure8_curves_track_exact_quasipotential(figure8):

@@ -69,6 +69,50 @@ def test_config_rejects_unknown_keys():
         ou_mini_config(benchmark={"name": "ou1d", "params": {"mu": 0.5}})
 
 
+# Every settable value of a run config, as a dotted path; benchmark.params
+# is one value, which make_benchmark checks.
+CONFIG_KEYS = """version seed ladder benchmark.name benchmark.params grid.lower grid.upper grid.bins
+    sim.dt sim.total_time sim.n_traj sim.sample_interval sim.escape_policy sim.burn_in_fraction
+    sim.x0 attractor.x0 attractor.burn_in attractor.collect_time attractor.count attractor.dt
+    collocation.m_points collocation.traj_fraction collocation.min_count
+    collocation.far_field_percentile train_v.epochs train_v.lr1 train_v.lr2 train_v.lr3
+    train_v.fine_tune_epochs train_v.residual_count train_v.widths expand.level expand.count
+    expand.step expand.v_max expand.samples_per_curve expand.rel_band expand.refine_epochs
+    train_z.epochs train_z.lr1 train_z.lr2 train_z.lr3 train_z.fine_tune_epochs train_z.widths
+    train_z.y2_regression train_z.y2_transport train_z.y3 evaluate.eps""".split()
+
+# Former keys, now constants of validation and train_v, with their values.
+CONSTANT_KEYS = {"validate.significance": 0.01, "train_v.batch_size": 128,
+                 "train_v.fine_tune_factor": 0.1, "train_v.l2_lambda": 1e-3,
+                 "train_v.far_field_density": 1e-6, "train_v.artificial_value": None,
+                 "train_z.batch_size": 128, "train_z.fine_tune_factor": 0.1,
+                 "train_z.l2_lambda": 1e-3}
+
+
+def _leaf_keys(section, where=""):
+    keys = []
+    for key, val in section.items():
+        if isinstance(val, dict) and val:
+            keys += _leaf_keys(val, where + key + ".")
+        else:
+            keys.append(where + key)
+    return keys
+
+
+def test_config_keys_are_pinned():
+    # A new key is a new option, to be set by some caller other than a test.
+    keys = _leaf_keys(pipeline.DEFAULT_CONFIG)
+    assert len(keys) == len(CONFIG_KEYS) == 48
+    assert set(keys) == set(CONFIG_KEYS)
+    for name, value in CONSTANT_KEYS.items():
+        section, key = name.split(".")
+        with pytest.raises(ValueError, match="unknown config key") as err:
+            ou_mini_config(**{section: {key: value}})
+        # a section that is gone is named by itself
+        assert str(err.value) in (f"unknown config key {name!r}",
+                                  f"unknown config key {section!r}")
+
+
 def test_train_sections_default_to_the_train_config():
     cfg = RunConfig({"ladder": [0.1, 0.2, 0.3, 0.4], "grid": {"lower": [-1.0], "upper": [1.0],
                                                                "bins": [8]}})
@@ -488,7 +532,12 @@ def test_cli_end_to_end(tmp_path):
     assert code == 1
 
 
-def test_cli_bad_config(tmp_path):
+def test_cli_bad_config(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert cli_main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 1
+    grid = {"lower": [-1.0], "upper": [1.0], "bins": [8]}
+    # unparsable JSON, a list for the whole config, a mistyped ladder and grid
+    for text in ("{not json", "[1, 2]", json.dumps({"grid": grid, "ladder": 5}),
+                 json.dumps({"grid": 5, "ladder": [0.1, 0.2, 0.3, 0.4]})):
+        bad.write_text(text)
+        assert cli_main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot load config: ")

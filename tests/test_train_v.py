@@ -6,9 +6,9 @@ import pytest
 from deepwkb import net
 from deepwkb.net import AdamState, MlpParams, MlpSpec
 from deepwkb.regression import _empty_table
-from deepwkb.train_v import (QpTrainConfig, QpTrainingSets, TrainingDiverged,
-                             alternating_adam, assemble_qp_sets, estimate_alpha,
-                             hj_residual, qp_loss, train_qp)
+from deepwkb.train_v import (BATCH_SIZE, FAR_FIELD_DENSITY, QpTrainConfig, QpTrainingSets,
+                             TrainingDiverged, alternating_adam, assemble_qp_sets,
+                             estimate_alpha, hj_residual, qp_loss, train_qp)
 
 from conftest import figure8_quasipotential, fresh_interpreter, weight_penalty
 
@@ -139,13 +139,14 @@ def test_assemble_sets_composition(rng):
     if not reliable[3]:
         _exclude(table, [3])
     attractor = np.zeros((5, 1))
-    cfg = QpTrainConfig(artificial_value=2.5)
-    sets = assemble_qp_sets(attractor, table, cfg)
+    sets = assemble_qp_sets(attractor, table, QpTrainConfig())
     n_rel = int(reliable.sum())
     assert sets.x1.shape == (5, 1)
     assert sets.x2.shape[0] == 50  # reliable with targets + artificial rest
     assert int(sets.x2_artificial.sum()) == 50 - n_rel
-    assert np.all(sets.x2_targets[sets.x2_artificial] == 2.5)
+    # the artificial value is 1.5 x the 95th percentile of the reliable targets
+    artificial = 1.5 * np.percentile(pts[reliable, 0] ** 2, 95.0)
+    assert np.all(sets.x2_targets[sets.x2_artificial] == artificial)
     assert np.all(sets.x2_is_reference == ~sets.x2_artificial)
     assert sets.x3.shape[0] == 50
 
@@ -157,13 +158,13 @@ def test_assemble_sets_match_per_point_rule(rng):
     u_top = rng.uniform(0.0, 2e-6, size=60)
     table = _make_table(pts, lambda p: p[0] ** 2, np.abs(pts[:, 0]) < 1.0, u_top=u_top)
     _exclude(table, np.arange(0, 60, 7))
-    cfg = QpTrainConfig(artificial_value=4.0)
-    sets = assemble_qp_sets(np.zeros((3, 1)), table, cfg)
+    sets = assemble_qp_sets(np.zeros((3, 1)), table, QpTrainConfig())
     rel = [i for i in range(60) if table["reliable"][i] == 1]
-    far = [i for i in range(60) if i not in rel and u_top[i] < cfg.far_field_density]
+    far = [i for i in range(60) if i not in rel and u_top[i] < FAR_FIELD_DENSITY]
     assert 0 < len(far) < 60 - len(rel)
     assert np.array_equal(sets.x2, pts[rel + far])
-    assert np.array_equal(sets.x2_targets, list(table["v_hat"][rel]) + [4.0] * len(far))
+    artificial = 1.5 * np.percentile(pts[rel, 0] ** 2, 95.0)
+    assert np.array_equal(sets.x2_targets, list(table["v_hat"][rel]) + [artificial] * len(far))
     assert np.array_equal(sets.x2_artificial, np.arange(len(rel) + len(far)) >= len(rel))
     assert np.array_equal(sets.x2_is_reference, ~sets.x2_artificial)
 
@@ -203,7 +204,7 @@ def test_assemble_requires_reliable_targets():
 def test_alternating_schedule_state_isolation(ou1d, rng):
     spec = MlpSpec(widths=(1, 4, 1), l2_lambda=0.0)
     params = net.init_params(spec, seed=1)
-    sizes = (40, 25, 70)
+    sizes = (320, 200, 560)  # 5 batches of 128 per epoch; the smaller sets recycle
     data = [rng.uniform(-1, 1, size=(s, 1)) for s in sizes]
 
     def loss(p, b):
@@ -213,9 +214,9 @@ def test_alternating_schedule_state_isolation(ou1d, rng):
 
     members = [(f"m{i}", sizes[i], lambda idx, i=i: data[i][idx], loss, 1e-3)
                for i in range(3)]
-    cfg = QpTrainConfig(epochs=1, batch_size=16, fine_tune_epochs=0)
+    cfg = QpTrainConfig(epochs=1, fine_tune_epochs=0)
     log, states = alternating_adam(params, members, cfg, seed=3)
-    n_batches = int(np.ceil(max(sizes) / 16))
+    n_batches = int(np.ceil(max(sizes) / BATCH_SIZE))
     assert [s.t for s in states] == [n_batches] * 3  # one step per drawn batch
     assert len(log) == 1
 

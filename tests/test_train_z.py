@@ -170,7 +170,7 @@ def test_train_z_computes_coefficients_once_in_full_batches(ou1d, rng, monkeypat
     sets = ZTrainingSets(y1=np.zeros((10, 1)), y1_targets=np.full(10, np.pi**-0.5),
                          y2=rng.uniform(-1, 1, size=(40, 1)), y2_targets=np.full(40, np.pi**-0.5),
                          y3=rng.uniform(-1, 1, size=(200, 1)))
-    cfg = QpTrainConfig(epochs=3, fine_tune_epochs=2, batch_size=128, widths=(1, 4, 1), seed=2)
+    cfg = QpTrainConfig(epochs=3, fine_tune_epochs=2, widths=(1, 4, 1), seed=2)
     train_z(sets, cfg, ou1d, ou_oracle())
     assert rows == [128] * int(np.ceil(200 / 128))
 
@@ -186,6 +186,9 @@ def _regressions(rng, n=40):
     return table
 
 
+NO_CURVES = (np.zeros((0, 1)), np.zeros(0))
+
+
 def test_assemble_z_sets(rng):
     regs = _regressions(rng)
     attr = (np.zeros((6, 1)), np.full(6, np.pi**-0.5))
@@ -196,15 +199,15 @@ def test_assemble_z_sets(rng):
     assert sets.y2.shape[0] == 45
     assert sets.y3.shape[0] == 35
     assert np.allclose(sets.y2_targets, np.pi**-0.5)
-    # no curves: regression points only
-    sets2 = assemble_z_sets(attr, regs, None, {"y2_regression": 25, "y3": 35}, seed=1)
+    # no curve samples: regression points only
+    sets2 = assemble_z_sets(attr, regs, NO_CURVES, {"y2_regression": 25, "y3": 35}, seed=1)
     assert sets2.y2.shape[0] == 25
 
 
 def test_assemble_z_sets_requires_attractor(rng):
     regs = _regressions(rng)
     with pytest.raises(ValueError, match="Y1"):
-        assemble_z_sets((np.zeros((0, 1)), np.zeros(0)), regs, None, {}, seed=0)
+        assemble_z_sets((np.zeros((0, 1)), np.zeros(0)), regs, NO_CURVES, {}, seed=0)
 
 
 def test_train_z_smoke_constant_prefactor(ou1d, rng):
@@ -212,7 +215,7 @@ def test_train_z_smoke_constant_prefactor(ou1d, rng):
     # net should sit near the constant after a short run.
     regs = _regressions(rng, n=60)
     attr = (np.zeros((10, 1)), np.full(10, np.pi**-0.5))
-    sets = assemble_z_sets(attr, regs, None, {"y2_regression": 60, "y3": 60}, seed=2)
+    sets = assemble_z_sets(attr, regs, NO_CURVES, {"y2_regression": 60, "y3": 60}, seed=2)
     cfg = QpTrainConfig(epochs=300, fine_tune_epochs=10, widths=(1, 16, 1),
                         lr1=5e-3, lr2=5e-3, lr3=1e-3, seed=5)
     trained = train_z(sets, cfg, ou1d, ou_oracle())

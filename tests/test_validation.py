@@ -6,7 +6,8 @@ import pytest
 from scipy.special import bdtrc, gammainc, gammaincinv
 
 from deepwkb.regression import RegressionResult
-from deepwkb.validation import _binom_tail, chi2_cdf, chi2_quantile, ks_test, validate_wkb
+from deepwkb.validation import (DEFAULT_SIGNIFICANCE, _binom_tail, chi2_cdf, chi2_quantile,
+                                ks_test, validate_wkb)
 
 from conftest import fresh_interpreter
 
@@ -174,10 +175,9 @@ def test_validate_wkb_exclusion_bookkeeping():
     results = [_result(r) for r in rss]
     results += [_result(5.0, reliable=False) for _ in range(7)]
     results += [_result(5.0, dof=5) for _ in range(9)]
-    results += [None] * 3
     report = validate_wkb(results, dof=7)
     assert report.n_tested == 300
-    assert report.n_excluded == 19
+    assert report.n_excluded == 16
 
 
 def test_validate_wkb_no_reliable_points():
@@ -216,5 +216,5 @@ def test_tail_rule_allows_one_exceedance_among_few_points():
 
 def test_tail_rule_rejects_many_exceedances():
     report = validate_wkb([_result(r) for r in _stratified_chi2_with_tail(88, 5)], dof=7)
-    assert report.p_value >= report.significance  # the KS test alone would pass
+    assert report.p_value >= DEFAULT_SIGNIFICANCE  # the KS test alone would pass
     assert not report.passed

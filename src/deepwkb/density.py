@@ -11,12 +11,11 @@ dimensions use a sparse map keyed by the C-order flat index.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .models import _as_batch, _philox
+from .models import _as_batch, _load_npz, _philox
 
 __all__ = [
     "GridSpec",
@@ -24,8 +23,7 @@ __all__ = [
     "select_collocation",
 ]
 
-_HIST_MAGIC = b"DWKBHIST"
-_HIST_VERSION = 1
+_HIST_FORMAT = "deepwkb-histogram-1"
 DEFAULT_MIN_COUNT = 20
 _DENSE_CELL_CAP = 1 << 26
 
@@ -81,8 +79,10 @@ class GridSpec:
         pts = _as_batch(points, self.dim)
         lo, hi = self.lower_arr, self.upper_arr
         t = (pts - lo) / self.widths
-        # Clipped before the cast, so a point far off the grid cannot overflow int64.
-        idx = np.clip(np.ceil(t), 1, np.asarray(self.bins_per_dim)).astype(np.int64) - 1
+        # Bounded before the cast, so a point far off the grid cannot overflow
+        # int64; fmax and fmin, unlike clip, also take NaN to a bound.
+        bins = np.asarray(self.bins_per_dim)
+        idx = np.fmin(np.fmax(np.ceil(t), 1), bins).astype(np.int64) - 1
         inside = np.all((pts >= lo) & (pts <= hi), axis=1)
         idx[~inside] = -1
         return idx, inside
@@ -152,10 +152,6 @@ class DensityHistogram:
             out[ok] = [self._sparse.get(int(i), 0) for i in flat[ok]]
         return out
 
-    def counts_at(self, points):
-        flat, _ = self.grid.flat_indices(points)
-        return self.counts_at_flat(flat)
-
     def occupied(self):
         """(flat indices, counts) of all non-empty bins."""
         if self._dense is not None:
@@ -169,42 +165,26 @@ class DensityHistogram:
     # -- persistence ------------------------------------------------------
 
     def to_file(self, path):
-        flat, cnt = self.occupied()
+        """Write a ``.npz`` container (under ``path`` as given) of the grid,
+        epsilon, total and the occupied bins' flat indices and counts."""
+        flat, counts = self.occupied()
         g = self.grid
         with open(path, "wb") as fh:
-            fh.write(_HIST_MAGIC)
-            fh.write(struct.pack("<II", _HIST_VERSION, g.dim))
-            fh.write(np.asarray(g.bins_per_dim, dtype="<u8").tobytes())
-            fh.write(g.lower_arr.astype("<f8").tobytes())
-            fh.write(g.upper_arr.astype("<f8").tobytes())
-            fh.write(struct.pack("<d", self.epsilon))
-            fh.write(struct.pack("<QQ", self.total, flat.shape[0]))
-            rec = np.empty((flat.shape[0], 2), dtype="<u8")
-            rec[:, 0] = flat
-            rec[:, 1] = cnt
-            fh.write(rec.tobytes())
+            np.savez(fh, format=_HIST_FORMAT, lower=g.lower_arr, upper=g.upper_arr,
+                     bins=np.asarray(g.bins_per_dim), epsilon=self.epsilon, total=self.total,
+                     flat=flat, counts=counts)
 
     @classmethod
     def from_file(cls, path):
-        with open(path, "rb") as fh:
-            if fh.read(8) != _HIST_MAGIC:
-                raise ValueError("bad histogram magic")
-            version, dim = struct.unpack("<II", fh.read(8))
-            if version != _HIST_VERSION:
-                raise ValueError(f"unsupported histogram version {version}")
-            bins = np.frombuffer(fh.read(8 * dim), dtype="<u8").astype(int)
-            lo = np.frombuffer(fh.read(8 * dim), dtype="<f8")
-            hi = np.frombuffer(fh.read(8 * dim), dtype="<f8")
-            (eps,) = struct.unpack("<d", fh.read(8))
-            total, nrec = struct.unpack("<QQ", fh.read(16))
-            rec = np.frombuffer(fh.read(16 * nrec), dtype="<u8").reshape(nrec, 2)
-        grid = GridSpec(tuple(lo), tuple(hi), tuple(bins))
-        hist = cls(grid, eps)
-        hist.total = int(total)
+        z = _load_npz(path, _HIST_FORMAT)
+        grid = GridSpec(tuple(z["lower"].tolist()), tuple(z["upper"].tolist()),
+                        tuple(z["bins"].tolist()))
+        hist = cls(grid, z["epsilon"].item())
+        hist.total = z["total"].item()
         if hist._dense is not None:
-            hist._dense[rec[:, 0].astype(np.int64)] = rec[:, 1].astype(np.int64)
+            hist._dense[z["flat"]] = z["counts"]
         else:
-            hist._sparse = {int(i): int(c) for i, c in rec}
+            hist._sparse = dict(zip(z["flat"].tolist(), z["counts"].tolist()))
         return hist
 
 

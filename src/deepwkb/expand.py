@@ -144,7 +144,7 @@ def seed_characteristics(system, trained, level, count, seed, domain, rel_band=0
 
 
 def trace_curves(system, seeds, h, v_max, domain, samples_per_curve,
-                 transport=None, transport_every=1):
+                 transport, transport_every=1):
     """Integrate a batch of characteristics, each until its v reaches
     v_max, it leaves the domain box, or MAX_CURVE_STEPS steps pass.
 
@@ -163,9 +163,9 @@ def trace_curves(system, seeds, h, v_max, domain, samples_per_curve,
     flow and would afterwards coast along plain trajectories while its
     accumulated v is stale).
 
-    When a transport coefficient callable is supplied, log_z accumulates
-    -h c(x_k); it receives an (alive, n) block.  With transport_every = k
-    the coefficient is refreshed every k steps and held over the
+    log_z accumulates -h c(x_k), with c the transport coefficient callable
+    ``transport``; it receives an (alive, n) block.  With transport_every
+    = k the coefficient is refreshed every k steps and held over the
     subinterval; c varies on the curve scale, not the step scale, so k
     steps spanning a small fraction of unit s-length leave the accumulated
     integral essentially unchanged while removing the dominant cost (the
@@ -202,10 +202,9 @@ def trace_curves(system, seeds, h, v_max, domain, samples_per_curve,
         idx = np.nonzero(alive)[0]
         xk = x[idx]
         xi, p_next, dv, converged = char_step(system, xk, p[idx], h)
-        if transport is not None:
-            if step_no % transport_every == 0:
-                c_cache[idx] = np.asarray(transport(xk), dtype=float)
-            logz[idx] -= h * c_cache[idx]
+        if step_no % transport_every == 0:
+            c_cache[idx] = np.asarray(transport(xk), dtype=float)
+        logz[idx] -= h * c_cache[idx]
         x[idx], p[idx] = xi, p_next
         v[idx] += dv
         s_par[idx] += h

@@ -18,6 +18,8 @@ CPU dispatches to, where IEEE products do not.  A drift fills one
 
 from __future__ import annotations
 
+import numbers
+import zipfile
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -37,6 +39,18 @@ def _as_batch(x, dim):
 def _philox(seed):
     """The package's one way from a seed to a random stream."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+
+
+def _load_npz(path, fmt):
+    """The named arrays of the ``.npz`` file at ``path``, whose ``format``
+    entry must read ``fmt``; any other file raises ValueError."""
+    try:
+        with np.load(path) as arrays:
+            if arrays["format"] == fmt:
+                return dict(arrays)
+    except (ValueError, KeyError, zipfile.BadZipFile):
+        pass
+    raise ValueError(f"{path} is not a {fmt} file")
 
 
 @dataclass
@@ -253,11 +267,11 @@ BENCHMARKS = {
 def make_benchmark(name, **params) -> SdeSystem:
     """Build a registered benchmark system from its name and parameters.
 
-    Unknown names and non-finite parameters raise ValueError.
+    Unknown names and parameters that are not finite numbers raise ValueError.
     """
     if name not in BENCHMARKS:
         raise ValueError(f"unknown benchmark {name!r}; known: {sorted(BENCHMARKS)}")
     for key, val in params.items():
-        if not np.isfinite(val):
-            raise ValueError(f"benchmark parameter {key} is not finite")
+        if not (isinstance(val, numbers.Real) and np.isfinite(val)):
+            raise ValueError(f"benchmark parameter {key} is not a number or not finite")
     return BENCHMARKS[name](**params)

@@ -64,17 +64,16 @@ for one thread.
 from __future__ import annotations
 
 import os
-import struct
 import time
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .models import _as_batch, _philox
+from .models import _as_batch, _load_npz, _philox
 
 __all__ = [
     "MlpSpec",
@@ -93,8 +92,7 @@ __all__ = [
     "load_checkpoint",
 ]
 
-_NET_MAGIC = b"DWKBNET\x00"
-_NET_VERSION = 1
+_NET_FORMAT = "deepwkb-checkpoint-1"
 
 
 def default_widths(dim_in):
@@ -603,8 +601,9 @@ def adam_step(state: AdamState, params: MlpParams, grads):
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints: header (magic, version, layer count, widths), per-layer
-# row-major f64 weights and biases, then any optimizer states.
+# Checkpoints: a .npz container of the widths, l2_lambda, the flat parameter
+# vector, the caller's extra bytes and any optimizer states, one array per
+# AdamState field with one row per state.
 # ---------------------------------------------------------------------------
 
 
@@ -624,49 +623,19 @@ def write_atomically(path):
 
 def save_checkpoint(path, params: MlpParams, adam_states=None, extra=None):
     states = list(adam_states or [])
+    spec = params.spec
     with write_atomically(path) as fh:
-        fh.write(_NET_MAGIC)
-        fh.write(struct.pack("<II", _NET_VERSION, params.spec.n_layers))
-        fh.write(np.asarray(params.spec.widths, dtype="<u4").tobytes())
-        fh.write(struct.pack("<d", params.spec.l2_lambda))
-        for w, b in params.layers:
-            fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
-        fh.write(struct.pack("<I", len(states)))
-        for s in states:
-            fh.write(struct.pack("<Qdddd", s.t, s.lr, s.beta1, s.beta2, s.floor))
-            fh.write(struct.pack("<Q", s.rejected))
-            fh.write(s.m.astype("<f8").tobytes())
-            fh.write(s.v.astype("<f8").tobytes())
-        blob = b"" if extra is None else extra
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
+        np.savez(fh, format=_NET_FORMAT, widths=np.asarray(spec.widths),
+                 l2_lambda=spec.l2_lambda, flat=params.flat,
+                 extra=np.frombuffer(extra or b"", dtype=np.uint8),
+                 **{f"adam_{f.name}": np.array([getattr(s, f.name) for s in states])
+                    for f in fields(AdamState)})
 
 
 def load_checkpoint(path):
     """Returns (params, adam_states, extra_bytes)."""
-    with open(path, "rb") as fh:
-        if fh.read(8) != _NET_MAGIC:
-            raise ValueError("bad checkpoint magic")
-        version, n_layers = struct.unpack("<II", fh.read(8))
-        if version != _NET_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        widths = tuple(np.frombuffer(fh.read(4 * (n_layers + 1)), dtype="<u4").astype(int))
-        (lam,) = struct.unpack("<d", fh.read(8))
-        spec = MlpSpec(widths=widths, l2_lambda=lam)
-        params = MlpParams(spec)
-        for w, b in params.layers:
-            w[...] = np.frombuffer(fh.read(8 * w.size), dtype="<f8").reshape(w.shape)
-            b[...] = np.frombuffer(fh.read(8 * b.size), dtype="<f8")
-        (n_states,) = struct.unpack("<I", fh.read(4))
-        states = []
-        for _ in range(n_states):
-            t, lr, b1, b2, floor = struct.unpack("<Qdddd", fh.read(40))
-            (rej,) = struct.unpack("<Q", fh.read(8))
-            m = np.frombuffer(fh.read(8 * params.size), dtype="<f8").copy()
-            v = np.frombuffer(fh.read(8 * params.size), dtype="<f8").copy()
-            states.append(AdamState(lr=lr, m=m, v=v, t=t, beta1=b1, beta2=b2,
-                                    floor=floor, rejected=rej))
-        (nblob,) = struct.unpack("<I", fh.read(4))
-        extra = fh.read(nblob)
-    return params, states, extra
+    z = _load_npz(path, _NET_FORMAT)
+    spec = MlpSpec(widths=tuple(z["widths"].tolist()), l2_lambda=z["l2_lambda"].item())
+    columns = [z[f"adam_{f.name}"] for f in fields(AdamState)]
+    states = [AdamState(*(c.item() if c.ndim == 0 else c for c in row)) for row in zip(*columns)]
+    return MlpParams(spec, z["flat"]), states, z["extra"].tobytes()

@@ -35,6 +35,7 @@ import copy
 import dataclasses
 import hashlib
 import json
+import numbers
 import time
 import zlib
 from pathlib import Path
@@ -135,8 +136,8 @@ class RunConfig:
         if not (len(g["lower"]) == len(g["upper"]) == len(g["bins"]) == n):
             raise ValueError("grid dimensions do not match the benchmark")
         ladder = self.data["ladder"]
-        if len(ladder) <= 3 or any(e <= 0 for e in ladder) or \
-                any(b >= a for b, a in zip(ladder, ladder[1:])):
+        if len(ladder) <= 3 or not all(isinstance(e, numbers.Real) and e > 0 for e in ladder) \
+                or any(b >= a for b, a in zip(ladder, ladder[1:])):
             raise ValueError("ladder must be > 3 strictly increasing positive levels")
         att = self.data["attractor"]
         pool = _attractor_pool_size(att["burn_in"], att["collect_time"], att["dt"])

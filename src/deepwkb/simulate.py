@@ -21,7 +21,8 @@ its level's batches in the order they were drawn, but the levels' calls
 may interleave in any order.  Each worker draws normals ``_CHUNK_STEPS``
 steps at a time into a step-major buffer of ``_CHUNK_STEPS * levels *
 n_traj * m`` float64 values for its own levels (2 KiB per trajectory and
-noise dimension); the streams do not depend on the chunk size.
+noise dimension), ``_FILL_BLOCK`` trajectories at a time through a
+trajectory-major block; the streams depend on neither size.
 
 The zero-noise flow that ``sample_attractor`` integrates does not depend
 on the ensemble, so the simulate stage runs it through
@@ -50,6 +51,7 @@ __all__ = [
 ]
 
 _CHUNK_STEPS = 256
+_FILL_BLOCK = 64
 
 
 @dataclass
@@ -213,13 +215,21 @@ def _advance(system, cfgs, lo, hi):
     escapes = np.zeros(n_levels, dtype=np.int64)
     emitted = np.zeros(n_levels, dtype=np.int64)
     noise = np.empty((min(_CHUNK_STEPS, n_steps), rows, m))  # step-major: noise[k] is one step
+    # Trajectory-major staging: a draw straight into noise[:chunk, j] would
+    # scatter its values rows * m apart, so each stream fills a contiguous
+    # row here and each block of _FILL_BLOCK rows goes in by one transposed copy.
+    block = np.empty((min(_FILL_BLOCK, rows), noise.shape[0], m))
 
     step = 0
     while step < n_steps:
         chunk = min(_CHUNK_STEPS, n_steps - step)
         retained = [[] for _ in levels]
-        for j, g in enumerate(gens):
-            noise[:chunk, j] = g.standard_normal((chunk, m))
+        for b0 in range(0, rows, _FILL_BLOCK):
+            part = gens[b0:b0 + _FILL_BLOCK]
+            for j, g in enumerate(part):
+                g.standard_normal(out=block[j, :chunk])
+            filled = block[:len(part), :chunk]
+            np.copyto(noise[:chunk, b0:b0 + len(part)], filled.transpose(1, 0, 2))
         for k in range(chunk):
             step += 1
             # np.dot, not @: for m = 1, matmul's (rows, 1) @ (1, 1) costs several times more.

@@ -217,7 +217,8 @@ def test_criterion_5_symplectic_characteristics():
     seeds = [CharState(x=np.array([x0]), p=np.array([2 * x0]), v=x0**2)
              for x0 in (0.1, 0.2, -0.15)]
     for h in (1e-4, 5e-5):
-        for x0, curve in zip((0.1, 0.2, -0.15), trace_curves(ou, seeds, h, 0.4, domain, 20)):
+        curves = trace_curves(ou, seeds, h, 0.4, domain, 20, lambda x: np.zeros(len(x)))
+        for x0, curve in zip((0.1, 0.2, -0.15), curves):
             assert curve.reason == "reached_v_max"
             xs, vs = curve_arrays(curve)
             xs = xs.ravel()

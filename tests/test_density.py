@@ -16,9 +16,14 @@ def test_grid_invariants():
     assert g.n_cells == 200
 
 
+def counts_at(hist, points):
+    """The counts of the bins holding ``points`` (0 off the grid)."""
+    return hist.counts_at_flat(hist.grid.flat_indices(points)[0])
+
+
 def u_hat(hist, point):
     """Empirical density N0 / (h N) at the bin holding ``point``."""
-    return hist.counts_at(np.atleast_2d(point))[0] / (hist.grid.bin_volume * hist.total)
+    return counts_at(hist, np.atleast_2d(point))[0] / (hist.grid.bin_volume * hist.total)
 
 
 def test_density_definition():
@@ -28,7 +33,7 @@ def test_density_definition():
     hist.add_batch(np.full((100, 1), 0.135))       # bin 13
     hist.add_batch(np.full((900, 1), 55.0))        # off grid: total only
     assert hist.total == 1000
-    assert hist.counts_at(np.array([[0.135]]))[0] == 100
+    assert counts_at(hist, np.array([[0.135]]))[0] == 100
     assert u_hat(hist, [0.135]) == pytest.approx(10.0)
 
 
@@ -48,18 +53,19 @@ def test_upper_edge_where_the_bin_count_rounds_up():
     g = GridSpec((-2.9,), (1.4,), (7,))
     assert (1.4 - g.lower_arr[0]) / g.widths[0] > 7
     hist = DensityHistogram(g, epsilon=0.1)
-    assert hist.counts_at(np.array([[1.4]])).tolist() == [0]
+    assert counts_at(hist, np.array([[1.4]])).tolist() == [0]
     hist.add_batch(np.array([[1.4], [1.3], [-2.9]]))
     flat, cnt = hist.occupied()
     assert dict(zip(flat.tolist(), cnt.tolist())) == {0: 1, 6: 2}
-    assert hist.counts_at(np.array([[1.4], [1.3], [1.5]])).tolist() == [2, 2, 0]
+    assert counts_at(hist, np.array([[1.4], [1.3], [1.5]])).tolist() == [2, 2, 0]
 
 
 def test_points_far_off_the_grid_count_in_the_total_only():
-    # (1e300 - 0) / 0.25 lies far beyond int64: no bin, and no overflow.
+    # (1e300 - 0) / 0.25 lies far beyond int64: no bin, and no overflow;
+    # NaN and +-inf rows have no bin either, and cast without a warning.
     hist = DensityHistogram(GridSpec((0.0,), (1.0,), (4,)), epsilon=0.1)
-    hist.add_batch(np.array([[1e300], [-3e154], [0.1]]))
-    assert hist.total == 3
+    hist.add_batch(np.array([[1e300], [-3e154], [0.1], [np.nan], [np.inf], [-np.inf]]))
+    assert hist.total == 6
     flat, cnt = hist.occupied()
     assert flat.tolist() == [0] and cnt.tolist() == [1]
 
@@ -67,7 +73,7 @@ def test_points_far_off_the_grid_count_in_the_total_only():
 def test_empty_histogram():
     g = GridSpec((0.0,), (1.0,), (4,))
     hist = DensityHistogram(g, epsilon=0.1)
-    assert hist.counts_at(np.array([[0.5]]))[0] == 0 and hist.total == 0
+    assert counts_at(hist, np.array([[0.5]]))[0] == 0 and hist.total == 0
     flat, cnt = hist.occupied()
     assert flat.size == 0 and cnt.size == 0
 
@@ -77,12 +83,12 @@ def test_insufficient_flag_and_outside_error():
     g = GridSpec((0.0,), (1.0,), (10,))
     hist = DensityHistogram(g, epsilon=0.1)
     hist.add_batch(np.full((19, 1), 0.35))
-    assert hist.counts_at(np.array([[0.35]]))[0] < DEFAULT_MIN_COUNT
+    assert counts_at(hist, np.array([[0.35]]))[0] < DEFAULT_MIN_COUNT
     hist.add_batch(np.array([[0.35]]))
-    assert hist.counts_at(np.array([[0.35]]))[0] >= DEFAULT_MIN_COUNT
+    assert counts_at(hist, np.array([[0.35]]))[0] >= DEFAULT_MIN_COUNT
     flat, inside = g.flat_indices(np.array([[1.5]]))
     assert not inside[0] and flat[0] == -1
-    assert hist.counts_at(np.array([[1.5]]))[0] == 0
+    assert counts_at(hist, np.array([[1.5]]))[0] == 0
 
 
 def test_unit_density_example():
@@ -119,7 +125,7 @@ def test_sparse_storage_for_high_dimensions(rng):
     hist.add_batch(pts)
     inside = np.all(np.abs(pts) <= 1.0, axis=1).sum()
     assert hist.binned_count == inside
-    assert hist.counts_at(pts[:5]).min() >= 1
+    assert counts_at(hist, pts[:5]).min() >= 1
 
 
 def test_histogram_file_round_trip(tmp_path, rng):

@@ -20,8 +20,12 @@ def ou_oracle():
     )
 
 
-def trace_one(system, init, *args, **kwargs):
-    (curve,) = trace_curves(system, [init], *args, **kwargs)
+def no_transport(x):
+    return np.zeros(x.shape[0])
+
+
+def trace_one(system, init, *args, transport=no_transport, **kwargs):
+    (curve,) = trace_curves(system, [init], *args, transport=transport, **kwargs)
     return curve
 
 
@@ -104,7 +108,8 @@ def test_seed_energy_is_the_hj_residual():
     x = rng.uniform(-3.0, 3.0, size=(64, 4))
     p = rng.uniform(-1.0, 1.0, size=(64, 4)) * np.logspace(-3, np.log10(50.0), 64)[:, None]
     seeds = [CharState(x=xi, p=pi, v=1.0) for xi, pi in zip(x, p)]
-    curves = trace_curves(sys_, seeds, 1e-3, 0.5, (np.full(4, -5.0), np.full(4, 5.0)), 4)
+    curves = trace_curves(sys_, seeds, 1e-3, 0.5, (np.full(4, -5.0), np.full(4, 5.0)), 4,
+                          no_transport)
     assert [c.reason for c in curves] == ["reached_v_max"] * 64
     assert np.array_equal([c.h0 for c in curves], hj_residual(sys_, p, x)[0])
 
@@ -178,7 +183,7 @@ def test_figure8_curves_track_exact_quasipotential(figure8):
     domain = (np.array([-3.0, -3.0]), np.array([3.0, 3.0]))
     seeds = seed_characteristics(figure8, oracle, 0.06, 10, seed=9, domain=domain,
                                  rel_band=0.02)
-    for curve in trace_curves(figure8, seeds, 1e-4, 0.3, domain, 10):
+    for curve in trace_curves(figure8, seeds, 1e-4, 0.3, domain, 10, no_transport):
         # The energy guard may cut a curve short out in the stiff corner
         # region; whatever samples it recorded must track the exact V.
         assert curve.states, curve.reason

@@ -5,6 +5,7 @@ import pytest
 from scipy.special import expit
 
 from deepwkb import net
+from deepwkb.density import DensityHistogram, GridSpec
 from deepwkb.net import AdamState, MlpParams, MlpSpec
 
 from conftest import grad_input_at
@@ -324,3 +325,19 @@ def test_checkpoint_round_trip(tmp_path, rng):
     assert np.array_equal(states[0].m, state.m)
     assert np.array_equal(states[0].v, state.v)
     assert extra == b'{"alpha": 0.93}'
+
+
+def test_readers_reject_a_file_of_another_format(tmp_path):
+    # The earlier hand-packed layouts, and each reader given the other's
+    # file, raise ValueError naming the path.
+    hist_path, net_path = tmp_path / "new.dwkbhist", tmp_path / "new.dwkbnet"
+    DensityHistogram(GridSpec((0.0,), (1.0,), (4,)), epsilon=0.1).to_file(hist_path)
+    net.save_checkpoint(net_path, net.init_params(small_spec(), seed=0))
+    old_hist, old_net = tmp_path / "old.dwkbhist", tmp_path / "old.dwkbnet"
+    old_hist.write_bytes(b"DWKBHIST" + bytes(48))
+    old_net.write_bytes(b"DWKBNET\x00" + bytes(48))
+    for read, paths in ((net.load_checkpoint, (hist_path, old_net)),
+                        (DensityHistogram.from_file, (net_path, old_hist))):
+        for path in paths:
+            with pytest.raises(ValueError, match=path.name):
+                read(path)

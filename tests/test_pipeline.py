@@ -121,8 +121,9 @@ def test_train_sections_default_to_the_train_config():
 
 
 def test_config_validation_errors():
-    with pytest.raises(ValueError, match="ladder"):
-        ou_mini_config(ladder=[0.1, 0.2, 0.3])
+    for ladder in ([0.1, 0.2, 0.3], [float("nan"), 0.2, 0.3, 0.4]):
+        with pytest.raises(ValueError, match="ladder"):
+            ou_mini_config(ladder=ladder)
     with pytest.raises(ValueError, match="grid"):
         ou_mini_config(grid={"lower": [-2.0, -2.0], "upper": [2.0, 2.0],
                              "bins": [16, 16]})
@@ -396,6 +397,35 @@ def test_pipeline_rejects_stale_upstream(mini_run, tmp_path):
         run_stage("regress", changed, manifest)
 
 
+def test_binary_outputs_open_with_plain_numpy(mini_run):
+    # Histograms and checkpoints are .npz containers under their own names,
+    # and their named arrays rebuild what the package's readers return.
+    _, _, outdir = mini_run
+    hist_paths = sorted(outdir.glob("hist_*.dwkbhist"))
+    assert len(hist_paths) == len(ou_mini_config().data["ladder"])
+    for path in hist_paths:
+        hist = DensityHistogram.from_file(path)
+        with np.load(path) as z:
+            assert sorted(z) == ["bins", "counts", "epsilon", "flat", "format", "lower",
+                                 "total", "upper"]
+            assert hist.grid == GridSpec(tuple(z["lower"]), tuple(z["upper"]),
+                                         tuple(z["bins"]))
+            assert hist.epsilon == z["epsilon"] and hist.total == z["total"]
+            flat, counts = hist.occupied()
+            assert np.array_equal(flat, z["flat"]) and np.array_equal(counts, z["counts"])
+    ckpt_paths = sorted(outdir.glob("checkpoint_*.dwkbnet"))
+    assert {"checkpoint_v.dwkbnet", "checkpoint_z.dwkbnet"} <= {p.name for p in ckpt_paths}
+    for path in ckpt_paths:
+        params, states, extra = net.load_checkpoint(path)
+        with np.load(path) as z:
+            assert sorted(z) == sorted(["format", "widths", "l2_lambda", "flat", "extra"] + [
+                f"adam_{name}" for name in ("lr", "m", "v", "t", "beta1", "beta2", "floor",
+                                            "rejected")])
+            assert params.spec == net.MlpSpec(tuple(z["widths"]), z["l2_lambda"].item())
+            assert np.array_equal(params.flat, z["flat"])
+            assert extra == z["extra"].tobytes() and states == [] and z["adam_t"].size == 0
+
+
 def test_density_outputs_shape(mini_run):
     cfg, manifest, outdir = mini_run
     values = np.load(outdir / "density.npy")
@@ -482,13 +512,15 @@ def test_regression_table_layout(mini_run):
     hists = [DensityHistogram.from_file(outdir / f"hist_{i:02d}.dwkbhist")
              for i in range(len(ladder))]
     assert [hist.epsilon for hist in hists] == ladder  # increasing: the top level is last
-    h = cfg.grid().bin_volume
+    grid = cfg.grid()
+    h = grid.bin_volume
     totals = np.array([hist.total for hist in hists], dtype=float)
     info = manifest.data["stages"]["regress"]["info"]
     min_count = cfg.data["collocation"]["min_count"]
     excluded = 0
     for row in table:
-        n0 = np.array([hist.counts_at(row["point"][None])[0] for hist in hists], dtype=float)
+        flat, _ = grid.flat_indices(row["point"][None])
+        n0 = np.array([hist.counts_at_flat(flat)[0] for hist in hists], dtype=float)
         assert row["u_top"] == n0[-1] / (h * totals[-1])
         r = regress_point(PointData(eps=np.array(ladder), u_hat=n0 / (h * totals), n0=n0,
                                     n=totals), (1, 0), row["point"], min_count=min_count)
@@ -535,9 +567,12 @@ def test_cli_end_to_end(tmp_path):
 def test_cli_bad_config(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     grid = {"lower": [-1.0], "upper": [1.0], "bins": [8]}
-    # unparsable JSON, a list for the whole config, a mistyped ladder and grid
+    # unparsable JSON, a list for the whole config, a mistyped ladder and grid,
+    # ladder entries and a benchmark parameter that are not numbers
     for text in ("{not json", "[1, 2]", json.dumps({"grid": grid, "ladder": 5}),
-                 json.dumps({"grid": 5, "ladder": [0.1, 0.2, 0.3, 0.4]})):
+                 json.dumps({"grid": 5, "ladder": [0.1, 0.2, 0.3, 0.4]}),
+                 json.dumps({"grid": grid, "ladder": ["a", "b", "c", "d"]}),
+                 json.dumps({"benchmark": {"name": "vdp", "params": {"mu": "x"}}})):
         bad.write_text(text)
         assert cli_main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith("error: cannot load config: ")

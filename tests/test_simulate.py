@@ -233,20 +233,45 @@ def test_ladder_matches_single_levels_one_face():
         assert samples[:, 0].max() > 0.25 and samples[:, 1].max() > 0.3
 
 
+@pytest.mark.parametrize("block", [1, 3, simulate._FILL_BLOCK])
 @pytest.mark.parametrize("chunk", [1, 7, simulate._CHUNK_STEPS])
 @pytest.mark.parametrize("name, ladder", [("ou1d", ou_restart_ladder),
                                           ("figure8", figure8_ladder),
                                           ("ou2d", one_face_ladder)])
-def test_results_do_not_depend_on_chunk_size(monkeypatch, chunk, name, ladder):
+def test_results_do_not_depend_on_chunk_size(monkeypatch, chunk, block, name, ladder):
     # 2000 and 1000 steps: neither 7 nor the default divides them, so the
-    # last chunk is short.
+    # last chunk is short; a fill block of 3 splits each worker's rows into
+    # several blocks, and the default takes them in one.
     sys_ = make_benchmark(name)
     reference, ref_sinks = run_ladder(sys_, ladder())
     monkeypatch.setattr(simulate, "_CHUNK_STEPS", chunk)
+    monkeypatch.setattr(simulate, "_FILL_BLOCK", block)
     summary, sinks = run_ladder(sys_, ladder())
     assert summary == reference
     for got, want in zip(sinks, ref_sinks):
         assert np.array_equal(got.stacked(), want.stacked())
+
+
+def test_each_trajectory_sums_its_own_stream():
+    # Zero drift and sigma = I: every retained state is x0 plus
+    # sqrt(eps dt) times the running sum of its trajectory's own normals,
+    # drawn from Philox on the SeedSequence(seed).spawn(n_traj) children;
+    # 70 trajectories span two fill blocks and 300 steps two chunks.
+    n_traj, n_steps, eps, dt, seed = 70, 300, 0.3, 0.01, 5
+    x0 = np.array([0.25, -1.0])
+    system = SdeSystem(dim_state=2, dim_noise=2, drift=np.zeros_like,
+                       drift_jacobian=lambda x: np.zeros((x.shape[0], 2, 2)),
+                       attractor_dim=0, sigma_constant=np.eye(2))
+    sink = Collector()
+    simulate_ensemble(system, SimConfig(epsilon=eps, dt=dt, total_time=n_steps * dt,
+                                        n_traj=n_traj, sample_interval=dt, seed=seed,
+                                        domain=(np.full(2, -1e9), np.full(2, 1e9)), x0=x0,
+                                        burn_in_fraction=0.0), sink)
+    states = sink.stacked().reshape(n_steps, n_traj, 2)
+    for j, child in enumerate(np.random.SeedSequence(seed).spawn(n_traj)):
+        normals = np.random.Generator(np.random.Philox(child)).standard_normal((n_steps, 2))
+        steps = np.concatenate([x0[None], np.sqrt(eps * dt) * normals])
+        assert np.array_equal(states[:, j], np.cumsum(steps, axis=0)[1:])
 
 
 def test_a_sink_gets_one_batch_per_chunk(monkeypatch, ou1d):

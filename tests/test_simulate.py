@@ -233,23 +233,35 @@ def test_ladder_matches_single_levels_one_face():
         assert samples[:, 0].max() > 0.25 and samples[:, 1].max() > 0.3
 
 
-@pytest.mark.parametrize("block", [1, 3, simulate._FILL_BLOCK])
-@pytest.mark.parametrize("chunk", [1, 7, simulate._CHUNK_STEPS])
-@pytest.mark.parametrize("name, ladder", [("ou1d", ou_restart_ladder),
-                                          ("figure8", figure8_ladder),
-                                          ("ou2d", one_face_ladder)])
-def test_results_do_not_depend_on_chunk_size(monkeypatch, chunk, block, name, ladder):
-    # 2000 and 1000 steps: neither 7 nor the default divides them, so the
-    # last chunk is short; a fill block of 3 splits each worker's rows into
-    # several blocks, and the default takes them in one.
+LADDERS = [("ou1d", ou_restart_ladder), ("figure8", figure8_ladder),
+           ("ou2d", one_face_ladder)]
+
+
+def assert_ladder_unchanged(monkeypatch, name, ladder, **settings):
     sys_ = make_benchmark(name)
     reference, ref_sinks = run_ladder(sys_, ladder())
-    monkeypatch.setattr(simulate, "_CHUNK_STEPS", chunk)
-    monkeypatch.setattr(simulate, "_FILL_BLOCK", block)
+    for attr, value in settings.items():
+        monkeypatch.setattr(simulate, attr, value)
     summary, sinks = run_ladder(sys_, ladder())
     assert summary == reference
     for got, want in zip(sinks, ref_sinks):
         assert np.array_equal(got.stacked(), want.stacked())
+
+
+@pytest.mark.parametrize("chunk", [1, 7, simulate._CHUNK_STEPS])
+@pytest.mark.parametrize("name, ladder", LADDERS)
+def test_results_do_not_depend_on_chunk_size(monkeypatch, chunk, name, ladder):
+    # 2000 and 1000 steps: neither 7 nor the default divides them, so the
+    # last chunk is short.
+    assert_ladder_unchanged(monkeypatch, name, ladder, _CHUNK_STEPS=chunk)
+
+
+@pytest.mark.parametrize("block", [1, 3])
+@pytest.mark.parametrize("name, ladder", LADDERS)
+def test_results_do_not_depend_on_fill_block(monkeypatch, block, name, ladder):
+    # A fill block of 1 or 3 splits each worker's rows into several blocks,
+    # where the default takes them in one; 7-step chunks leave a short last one.
+    assert_ladder_unchanged(monkeypatch, name, ladder, _CHUNK_STEPS=7, _FILL_BLOCK=block)
 
 
 def test_each_trajectory_sums_its_own_stream():

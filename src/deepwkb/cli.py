@@ -30,7 +30,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = RunConfig.load(args.config)
-    except (OSError, ValueError) as exc:
+    except (OSError, TypeError, ValueError) as exc:  # TypeError: a mistyped value
         print(f"error: cannot load config: {exc}", file=sys.stderr)
         return 1
     outdir = Path(args.out) if args.out else Path(args.config).resolve().parent

@@ -38,20 +38,21 @@ that.  numpy picks its ``exp`` kernel (as BLAS its matrix kernels) by
 the CPU's SIMD extensions at run time, so outputs are deterministic on
 one machine but their last bits may differ between CPUs.
 
-At paper width the two parameter-gradient kernels share their work
-with one helper thread, started on first use.  ``grad_params`` queues
-each layer's weight-gradient product and bias sum while its adjoint chain
+At paper width the three training kernels share their work with one
+helper thread, started on first use.  ``grad_params`` queues each
+layer's weight-gradient product and bias sum while its adjoint chain
 runs on; the directional kernel hands the helper its tangent-adjoint
 chain during the forward tangent pass, then queues each layer's
-gradient products during the adjoint chain.  ``adam_step`` runs on the
-calling thread alone, in chunks of 2^15 elements that stay in cache.  The
-helper takes queued tasks in order, and the calling thread runs what is
-still queued when its own chain ends.  numpy releases the interpreter
-lock inside its products and loops, so the two threads run on two
-cores, and every product and elementwise operation is the serial one,
-so the outputs keep their bits.  The helper engages only for networks
-of at least 2^14 parameters (the paper width has 157,633, the 1-d OU
-net 1,153) with a second usable core and one-threaded BLAS, read once
+gradient products during the adjoint chain; ``adam_step`` checks the
+whole gradient, then queues its update in chunks of 2^15 elements that
+stay in cache.  The helper takes queued tasks in order, and the calling
+thread runs what is still queued when its own chain ends.  numpy
+releases the interpreter lock inside its products and loops, so the two
+threads run on two cores, and every product and elementwise operation
+is the serial one, so the outputs keep their bits.  The helper engages
+only for networks of at least 2^14 parameters (the paper width has
+157,633, the 1-d OU net 1,153) with a second usable core and
+one-threaded BLAS, read once
 from OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS in
 OpenBLAS's order: a multi-threaded BLAS already spreads the products
 over the cores.  A kernel waits for every task it queued before it
@@ -540,8 +541,8 @@ def _directional_weight_grad(z_bar, a, r, adot, gw, gb):
 
 # Elements per pass of the Adam update: a chunk's seven arrays of float64
 # (1.75 MB) stay in cache through its thirteen passes.  At paper width in
-# a training run the update took 2.6 ms over the whole vector at once, 2.0
-# ms in chunks, and no less per call on average with the helper sharing them.
+# a training run, on one thread, the update took 2.6 ms over the whole
+# vector at once and 2.0 ms in chunks.
 _ADAM_CHUNK = 1 << 15
 
 
@@ -578,10 +579,10 @@ def adam_step(state: AdamState, params: MlpParams, grads):
     state.t += 1
     corr1 = 1.0 - state.beta1 ** state.t
     corr2 = 1.0 - state.beta2 ** state.t
-    # Chunk by chunk, in place through three chunk-sized temporaries, in
-    # the operation order of lr * m_hat / (sqrt(v_hat) + floor).
-    for lo in range(0, params.size, _ADAM_CHUNK):
-        part = slice(lo, lo + _ADAM_CHUNK)
+
+    def update(part):
+        # In place through three chunk-sized temporaries, in the operation
+        # order of lr * m_hat / (sqrt(v_hat) + floor).
         m, v, gp = state.m[part], state.v[part], g[part]
         m *= state.beta1
         m += (1.0 - state.beta1) * gp
@@ -597,6 +598,11 @@ def adam_step(state: AdamState, params: MlpParams, grads):
         step /= denom
         flat = params.flat[part]
         flat -= step
+
+    # The update is elementwise: the two threads share its chunks.
+    with _Tasks(params.size) as tasks:
+        for lo in range(0, params.size, _ADAM_CHUNK):
+            tasks.run(update, slice(lo, lo + _ADAM_CHUNK))
     return state, params
 
 

@@ -146,6 +146,19 @@ class RunConfig:
                              "after the burn-in")
         if self.data["evaluate"]["eps"] is None:
             self.data["evaluate"]["eps"] = ladder[0]
+        for section in ("train_v", "train_z"):
+            self.train_cfg(section, seed=0).validate()
+        e = self.data["expand"]
+        for name, value in (("expand.step", e["step"]), ("expand.level", e["level"]),
+                            ("expand.rel_band", e["rel_band"]),
+                            ("evaluate.eps", self.data["evaluate"]["eps"])):
+            if not (isinstance(value, numbers.Real) and value > 0):
+                raise ValueError(f"{name} must be a positive number")
+        if not (isinstance(e["v_max"], numbers.Real) and e["v_max"] > e["level"]):
+            raise ValueError("expand.v_max must exceed expand.level")
+        for name, low in (("count", 1), ("samples_per_curve", 1), ("refine_epochs", 0)):
+            if not (isinstance(e[name], numbers.Integral) and e[name] >= low):
+                raise ValueError(f"expand.{name} must be an integer of at least {low}")
 
     # -- derived objects -------------------------------------------------
 

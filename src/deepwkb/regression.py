@@ -9,9 +9,10 @@ so a K x 3 linear model with rows (-1/eps, 1, eps) recovers V, log Z0
 and the combined first-order coefficient.  Rows are rescaled by
 D_ii = sqrt(N0_i / (1 - N0_i/N)) so the sampling errors become standard
 normal; the rescaled squared residual then follows chi^2(K - 3) when the
-WKB form holds.  The least squares is solved through an orthogonal
-factorization rather than the normal equations: the -1/eps column
-dominates at small eps and conditioning matters.
+WKB form holds.  One routine, _rescaled_ls, solves the least squares
+through an orthogonal factorization rather than the normal equations:
+the -1/eps column dominates at small eps and conditioning matters.  It
+serves the rescaled fit and, with unit weights, the plain one.
 
 Each point also reports standard errors for V and log Z0, the square
 roots of the diagonal of the rescaled covariance ((DA)^T DA)^-1 =
@@ -29,9 +30,10 @@ point, with fewer than 4 usable levels, is a row with used_rows == 0:
 every column but point and u_top holds 0.
 
 The ladder is read once per set of points (each histogram's count, the
-totals, u_hat = N0 / (h N)), for regress_point at the collocation points
-and for extrapolate_z0_attractor, the prefactor's eps -> 0 targets, at
-the attractor's.
+totals, u_hat = N0 / (h N)).  regress_point fits one collocation point's
+row of that read, and extrapolate_z0_attractor, the prefactor's eps -> 0
+target, one attractor point's.  A level is usable where its count is at
+least min_count; both return None for a point with too few usable levels.
 """
 
 from __future__ import annotations
@@ -43,26 +45,12 @@ import numpy as np
 from .density import DEFAULT_MIN_COUNT
 
 __all__ = [
-    "PointData",
     "RegressionResult",
-    "build_design_matrix",
-    "build_response",
-    "solve_rescaled_ls",
     "regress_point",
     "regress_collocation",
     "apply_far_field_threshold",
     "extrapolate_z0_attractor",
 ]
-
-
-@dataclass
-class PointData:
-    """Per-noise-level observations at one collocation point."""
-
-    eps: np.ndarray     # (K,)
-    u_hat: np.ndarray   # (K,) empirical densities N0/(hN)
-    n0: np.ndarray      # (K,) bin counts
-    n: np.ndarray       # (K,) total retained samples
 
 
 # The regression table's columns after ``point``, in their stored order.
@@ -89,77 +77,50 @@ class RegressionResult:
     se_log_z0: float
 
 
-def build_design_matrix(eps) -> np.ndarray:
-    """K x 3 matrix with rows (-1/eps_i, 1, eps_i)."""
-    eps = np.asarray(eps, dtype=float)
-    return np.stack([-1.0 / eps, np.ones_like(eps), eps], axis=1)
+def _rescaled_ls(design, weights, response):
+    """Solve  min_beta ||D A beta - D u||^2  via QR for the ``design`` A,
+    the row ``weights`` D and the ``response`` u; returns (beta,
+    ||D A beta - D u||^2, R) with R the triangular factor of D A.
 
-
-def build_response(data: PointData, dims, min_count=DEFAULT_MIN_COUNT):
-    """Log-density response vector and rescaling weights for one point.
-
-    Rows with fewer than min_count samples are dropped.  Returns
-    (response, d_weights, kept_mask); raises when fewer than 4 rows
-    survive, in which case the point is excluded from regression.
+    Duplicate noise levels make D A rank deficient and raise.
     """
-    n_dim, d_attr = dims
-    keep = data.n0 >= max(min_count, 1)
-    if keep.sum() < 4:
-        raise InsufficientRowsError(int(keep.sum()))
-    eps = data.eps[keep]
-    u = data.u_hat[keep]
-    if np.any(u <= 0):
-        raise ValueError("kept rows must have positive empirical density")
-    response = np.log(u) + 0.5 * (n_dim - d_attr) * np.log(eps)
-    ratio = data.n0[keep] / data.n[keep]
-    d_weights = np.sqrt(data.n0[keep] / (1.0 - ratio))
-    return response, d_weights, keep
-
-
-class InsufficientRowsError(ValueError):
-    def __init__(self, rows):
-        super().__init__(f"only {rows} usable noise levels (need at least 4)")
-        self.rows = rows
-
-
-def solve_rescaled_ls(design, d_weights, response):
-    """Solve  min_beta ||D A beta - D u||^2  via QR; returns
-    (beta, r, ||r||^2, R) with R the triangular factor of D A.
-
-    The residual is  r = D A beta - D u.  Duplicate noise levels make
-    D A rank deficient and raise.
-    """
-    da = d_weights[:, None] * design
-    du = d_weights * response
+    da = weights[:, None] * design
+    du = weights * response
     q, rmat = np.linalg.qr(da)
     diag = np.abs(np.diag(rmat))
     if np.any(diag < 1e-12 * diag.max()):
         raise np.linalg.LinAlgError("design matrix is rank deficient")
     beta = np.linalg.solve(rmat, q.T @ du)
     resid = da @ beta - du
-    return beta, resid, float(resid @ resid), rmat
+    return beta, float(resid @ resid), rmat
 
 
-def regress_point(data: PointData, dims, point,
+def regress_point(eps, n0, n, u_hat, dims, point,
                   min_count=DEFAULT_MIN_COUNT) -> RegressionResult | None:
-    """Full per-point estimate at the collocation point ``point``; returns
-    None when the point is excluded.
+    """Full per-point estimate at the collocation point ``point`` from its
+    ladder read: the (K,) eps, counts N0, totals N and densities u_hat.
+    Levels with fewer than min_count samples are left out of the fit;
+    returns None, the point excluded, when fewer than 4 levels remain.
 
     v_hat is reported as fitted even when slightly negative; clipping is
     left to the training stage.  A fit whose v_hat is not NaN is flagged
     reliable; in the table apply_far_field_threshold sets the flags.
     """
-    try:
-        response, dw, keep = build_response(data, dims, min_count=min_count)
-    except InsufficientRowsError:
+    keep = n0 >= max(min_count, 1)
+    used = int(keep.sum())
+    if used < 4:
         return None
-    design = build_design_matrix(data.eps[keep])
-    beta, _, rss, rmat = solve_rescaled_ls(design, dw, response)
-    _, _, rss_plain, _ = solve_rescaled_ls(design, np.ones_like(dw), response)
+    n_dim, d_attr = dims
+    eps, n0 = eps[keep], n0[keep]
+    # kept rows hold N0 >= 1, so u_hat = N0 / (h N) > 0
+    response = np.log(u_hat[keep]) + 0.5 * (n_dim - d_attr) * np.log(eps)
+    weights = np.sqrt(n0 / (1.0 - n0 / n[keep]))
+    design = np.stack([-1.0 / eps, np.ones_like(eps), eps], axis=1)
+    beta, rss, rmat = _rescaled_ls(design, weights, response)
+    _, rss_plain, _ = _rescaled_ls(design, np.ones_like(weights), response)
     # covariance R^-1 R^-T of the rescaled fit: its diagonal is the row sums of R^-1 squared
     rinv = np.linalg.inv(rmat)
     se = np.sqrt(np.sum(rinv**2, axis=1))
-    used = int(keep.sum())
     v_hat = float(beta[0])
     return RegressionResult(
         point=np.asarray(point, dtype=float),
@@ -170,7 +131,7 @@ def regress_point(data: PointData, dims, point,
         rss_rescaled=rss,
         dof=used - 3,
         used_rows=used,
-        reliable=not np.isnan(v_hat),  # build_response guarantees used > 3
+        reliable=not np.isnan(v_hat),
         se_v=float(se[0]),
         se_log_z0=float(se[1]),
     )
@@ -208,8 +169,7 @@ def regress_collocation(histograms, points, dims, min_count=DEFAULT_MIN_COUNT,
     eps, counts, totals, u_hat = _ladder_read(histograms, points)
     table = _empty_table(points)
     table["u_top"] = u_hat[:, -1]
-    results = [regress_point(PointData(eps=eps, u_hat=u, n0=n0, n=totals),
-                             dims, point, min_count=min_count)
+    results = [regress_point(eps, n0, totals, u, dims, point, min_count=min_count)
                for point, n0, u in zip(table["point"], counts, u_hat)]
     fitted = np.array([r is not None for r in results], dtype=bool)
     for name in _FIT_COLUMNS:
@@ -221,15 +181,13 @@ def _extrapolate_attractor(histograms, points, dims, min_count=DEFAULT_MIN_COUNT
     """extrapolate_z0_attractor on the ladder read at each of the (M, n)
     attractor ``points``; returns (the points with enough usable levels,
     their Z0)."""
-    eps, counts, totals, u_hat = _ladder_read(histograms, points)
+    eps, counts, _, u_hat = _ladder_read(histograms, points)
     kept, z0 = [], []
     for point, n0, u in zip(np.asarray(points), counts, u_hat):
-        try:
-            z0.append(extrapolate_z0_attractor(PointData(eps=eps, u_hat=u, n0=n0, n=totals),
-                                               dims, min_count=min_count))
-        except InsufficientRowsError:
-            continue
-        kept.append(point)
+        z = extrapolate_z0_attractor(eps, n0, u, dims, min_count=min_count)
+        if z is not None:
+            kept.append(point)
+            z0.append(z)
     return np.array(kept), np.array(z0)
 
 
@@ -245,19 +203,20 @@ def apply_far_field_threshold(table, percentile=95.0):
     return threshold
 
 
-def extrapolate_z0_attractor(data: PointData, dims, min_count=DEFAULT_MIN_COUNT) -> float:
-    """Prefactor on the attractor by linear extrapolation to eps = 0.
+def extrapolate_z0_attractor(eps, n0, u_hat, dims, min_count=DEFAULT_MIN_COUNT):
+    """Prefactor on the attractor by linear extrapolation to eps = 0, from
+    an attractor point's (K,) eps, counts N0 and densities u_hat; None when
+    fewer than 2 levels hold at least min_count samples.
 
     With V = 0 the rescaled density  eps^((n-d)/2) u_hat  is linear in eps
     to first order; the OLS intercept over (1, eps) estimates Z0.
     """
     n_dim, d_attr = dims
-    keep = data.n0 >= max(min_count, 1)
+    keep = n0 >= max(min_count, 1)
     if keep.sum() < 2:
-        raise InsufficientRowsError(int(keep.sum()))
-    eps = data.eps[keep]
-    y = eps ** (0.5 * (n_dim - d_attr)) * data.u_hat[keep]
+        return None
+    eps = eps[keep]
+    y = eps ** (0.5 * (n_dim - d_attr)) * u_hat[keep]
     design = np.stack([np.ones_like(eps), eps], axis=1)
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     return float(coef[0])
-

@@ -15,7 +15,7 @@ from deepwkb.models import make_benchmark
 from deepwkb.pipeline import (STAGES, DependencyError, RunConfig, RunManifest,
                               evaluate_wkb_grid, fp_residual_grid, run_all,
                               run_stage)
-from deepwkb.regression import PointData, regress_point
+from deepwkb.regression import regress_point
 from deepwkb.simulate import sample_attractor
 from deepwkb.train_v import QpTrainConfig
 
@@ -129,6 +129,23 @@ def test_config_validation_errors():
                              "bins": [16, 16]})
     with pytest.raises(ValueError, match="version"):
         RunConfig({"version": 99})
+    # Settings the later stages would fail on, after simulate, regress and
+    # train-v have run, fail at load.
+    expand = ou_mini_config().data["expand"]
+    for key, value in [("step", 0.0), ("step", -1e-3), ("level", 0.0), ("rel_band", -1.0),
+                       ("v_max", 0.05), ("count", -3), ("count", 2.5),
+                       ("samples_per_curve", 0), ("refine_epochs", -1), ("step", "x")]:
+        with pytest.raises(ValueError, match=f"expand.{key}"):
+            ou_mini_config(expand=dict(expand, **{key: value}))
+    for eps in (0.0, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="evaluate.eps"):
+            ou_mini_config(evaluate={"eps": eps})
+    for section in ("train_v", "train_z"):
+        with pytest.raises(ValueError, match="epochs"):
+            ou_mini_config(**{section: {"epochs": 0}})
+        with pytest.raises(ValueError, match="learning rates"):
+            ou_mini_config(**{section: {"lr2": -1e-3}})
+    assert ou_mini_config(expand=dict(expand, refine_epochs=0))["expand"]["refine_epochs"] == 0
 
 
 def test_stage_hash_scoping():
@@ -458,11 +475,12 @@ def test_csvs_match_their_arrays(mini_run):
 
 
 def test_expand_without_samples_leaves_no_unrecorded_file(mini_run, tmp_path):
-    # Seeds near level 0.06 lie above v_max 0.05, so no curve records a sample.
+    # A characteristic step of 2 time units is far too coarse: every curve
+    # fails its energy check on its first step, so no curve records a sample.
     cfg, _, outdir = mini_run
     run = tmp_path / "run"
     shutil.copytree(outdir, run)
-    expand = dict(cfg.data["expand"], v_max=0.05, rel_band=0.1)
+    expand = dict(cfg.data["expand"], step=2.0)
     with pytest.raises(ValueError, match="no curve samples"):
         run_stage("expand", ou_mini_config(expand=expand), RunManifest(run))
     stages = RunManifest(run).data["stages"]
@@ -486,7 +504,8 @@ def test_regress_without_results_leaves_no_unrecorded_file(mini_run, tmp_path):
 
 
 def test_train_z_surfaces_extrapolation_errors(mini_run, tmp_path, monkeypatch):
-    # Only a thin attractor point (InsufficientRowsError) is skipped.
+    # A thin attractor point comes back as None and is skipped; an error
+    # the extrapolation raises reaches the stage.
     cfg, _, outdir = mini_run
     run = tmp_path / "run"
     shutil.copytree(outdir, run)
@@ -522,8 +541,8 @@ def test_regression_table_layout(mini_run):
         flat, _ = grid.flat_indices(row["point"][None])
         n0 = np.array([hist.counts_at_flat(flat)[0] for hist in hists], dtype=float)
         assert row["u_top"] == n0[-1] / (h * totals[-1])
-        r = regress_point(PointData(eps=np.array(ladder), u_hat=n0 / (h * totals), n0=n0,
-                                    n=totals), (1, 0), row["point"], min_count=min_count)
+        r = regress_point(np.array(ladder), n0, totals, n0 / (h * totals), (1, 0), row["point"],
+                          min_count=min_count)
         if r is None:
             excluded += 1
             assert all(row[name] == 0 for name in table.dtype.names
@@ -568,11 +587,14 @@ def test_cli_bad_config(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     grid = {"lower": [-1.0], "upper": [1.0], "bins": [8]}
     # unparsable JSON, a list for the whole config, a mistyped ladder and grid,
-    # ladder entries and a benchmark parameter that are not numbers
+    # ladder entries, a benchmark parameter and training values that are not numbers
+    ladder = [0.1, 0.2, 0.3, 0.4]
     for text in ("{not json", "[1, 2]", json.dumps({"grid": grid, "ladder": 5}),
-                 json.dumps({"grid": 5, "ladder": [0.1, 0.2, 0.3, 0.4]}),
+                 json.dumps({"grid": 5, "ladder": ladder}),
                  json.dumps({"grid": grid, "ladder": ["a", "b", "c", "d"]}),
-                 json.dumps({"benchmark": {"name": "vdp", "params": {"mu": "x"}}})):
+                 json.dumps({"benchmark": {"name": "vdp", "params": {"mu": "x"}}}),
+                 json.dumps({"grid": grid, "ladder": ladder, "train_v": {"epochs": "x"}}),
+                 json.dumps({"grid": grid, "ladder": ladder, "train_z": {"widths": 5}})):
         bad.write_text(text)
         assert cli_main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith("error: cannot load config: ")

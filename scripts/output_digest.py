@@ -36,6 +36,10 @@ lines.  These outputs are hashed:
   itself rather than rounding noise;
 * ``fp_residual_grid`` on a 2-d grid with correlated noise, so that both
   difference stencils and the mixed term run (the OU mini run is 1-d).
+* the drift, Jacobian, divergence, ``a`` and dimensions of every system
+  in ``models.BENCHMARKS`` at its default parameters, on a fixed batch of
+  64 states; the script builds them through ``make_benchmark`` alone, so
+  it digests checkouts whose model layer is built differently.
 
 It also prints the trained networks' errors in full precision, so that a
 change that moves outputs can report its accuracy from the same print:
@@ -194,6 +198,26 @@ def fp_residual_lines():
             f"fp-residual-2d/relative_residual {rel!r}"]
 
 
+def system_lines():
+    """Each registered system at its default parameters: its drift,
+    Jacobian and divergence on 64 states drawn uniformly from [-2, 2]^n
+    by ``np.random.default_rng(0)``, its ``a`` and its two dimensions."""
+    from deepwkb.models import BENCHMARKS, make_benchmark
+
+    lines = []
+    for name in sorted(BENCHMARKS):
+        system = make_benchmark(name)
+        x = np.random.default_rng(0).uniform(-2.0, 2.0, size=(64, system.dim_state))
+        parts = {
+            "drift": system.drift(x), "jacobian": system.drift_jacobian(x),
+            "divergence": system.drift_divergence(x), "a": system.a,
+            "dims": np.int64([system.dim_state, system.dim_noise]),
+        }
+        lines += [f"system-{name}/{part} {sha(np.asarray(arr).tobytes())}"
+                  for part, arr in parts.items()]
+    return lines
+
+
 def paper_train_lines(seed, workdir):
     from workloads import PaperTrain
 
@@ -261,6 +285,9 @@ def main(argv=None):
         for seed in PAPER_TRAIN_SEEDS:
             for line in paper_train_lines(seed, base / f"paper-train-{seed}"):
                 print(line, flush=True)
+
+        for line in system_lines():
+            print(line, flush=True)
 
 
 if __name__ == "__main__":

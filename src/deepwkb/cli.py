@@ -15,7 +15,7 @@ from pathlib import Path
 from .pipeline import STAGES, DependencyError, RunConfig, RunManifest, run_stage
 
 
-def build_parser():
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="deepwkb", description=__doc__)
     parser.add_argument("stage", choices=STAGES + ["all"])
     parser.add_argument("--config", required=True, help="path to the run config (JSON)")
@@ -23,20 +23,19 @@ def build_parser():
                         help="run directory (default: directory of the config file)")
     parser.add_argument("--force", action="store_true",
                         help="re-run the stage even when outputs are up to date")
-    return parser
-
-
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parser.parse_args(argv)
     try:
         cfg = RunConfig.load(args.config)
     except (OSError, TypeError, ValueError) as exc:  # TypeError: a mistyped value
         print(f"error: cannot load config: {exc}", file=sys.stderr)
         return 1
     outdir = Path(args.out) if args.out else Path(args.config).resolve().parent
-    manifest = RunManifest(outdir)
-    stages = STAGES if args.stage == "all" else [args.stage]
-    for stage in stages:
+    try:
+        manifest = RunManifest(outdir)
+    except ValueError as exc:
+        print(f"error: cannot read manifest: {exc}", file=sys.stderr)
+        return 1
+    for stage in STAGES if args.stage == "all" else [args.stage]:
         try:
             run_stage(stage, cfg, manifest, force=args.force)
         except DependencyError as exc:
@@ -45,8 +44,7 @@ def main(argv=None) -> int:
         except Exception as exc:  # noqa: BLE001 -- CLI boundary
             print(f"error in stage {stage}: {exc}", file=sys.stderr)
             return 1
-        entry = manifest.data["stages"].get(stage, {})
-        info = entry.get("info", {})
+        info = manifest.data["stages"][stage]["info"]
         extras = ", ".join(f"{k}={v}" for k, v in info.items() if not isinstance(v, (list, dict)))
         print(f"{stage}: done" + (f" ({extras})" if extras else ""))
     verdict = manifest.data["results"].get("wkb")

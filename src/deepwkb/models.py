@@ -9,6 +9,10 @@ shape (B, n), the only input shape they accept, and return (B, n)
 drifts, (B, n, n) Jacobians and (B,) divergences.  They are pure
 functions, safe to call concurrently.
 
+A benchmark is a builder of its (drift, Jacobian) pair, registered in
+``BENCHMARKS`` with its state and attractor dimensions and its default
+parameters; ``make_benchmark`` checks them and adds sigma = I.
+
 Integer powers of the state are written as products (``u * u * u``, not
 ``u**3``): numpy's float ``power`` costs about 90 ns per element, against
 a few ns for a product, and its last bits depend on which SIMD loop the
@@ -60,30 +64,27 @@ class SdeSystem:
     attractor_dim is the dimension d of the attractor of the zero-noise
     flow (0 for an equilibrium, 1 for a limit cycle, ...).  It enters the
     normalization scaling eps^((n-d)/2) and must be supplied by the user.
-    A system is f, grad f and sigma: ``a`` is the diffusion matrix
+    A system is f, grad f and sigma: the state and noise dimensions n and
+    m are read off sigma's shape (n, m), ``a`` is the diffusion matrix
     sigma sigma^T, computed once, and the divergence is the trace of the
     Jacobian.
     """
 
-    dim_state: int
-    dim_noise: int
     drift: Callable[[np.ndarray], np.ndarray]
     drift_jacobian: Callable[[np.ndarray], np.ndarray]
     attractor_dim: int
     sigma_constant: np.ndarray
-    name: str = "custom"
-    params: dict = field(default_factory=dict)
+    dim_state: int = field(init=False)
+    dim_noise: int = field(init=False)
     a: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.dim_state < 1 or self.dim_noise < 1:
-            raise ValueError("dim_state and dim_noise must be >= 1")
         if self.attractor_dim < 0:
             raise ValueError("attractor_dim must be >= 0")
-        shape = (self.dim_state, self.dim_noise)
-        if np.shape(self.sigma_constant) != shape:  # None has shape ()
-            raise ValueError(f"sigma_constant must be a constant {shape} array")
+        if np.ndim(self.sigma_constant) != 2 or np.size(self.sigma_constant) == 0:
+            raise ValueError("sigma_constant must be a non-empty constant (n, m) array")
         self.sigma_constant = np.asarray(self.sigma_constant, dtype=float)
+        self.dim_state, self.dim_noise = self.sigma_constant.shape
         self.a = self.sigma_constant @ self.sigma_constant.T
 
     def drift_divergence(self, x):
@@ -92,12 +93,12 @@ class SdeSystem:
 
 
 # ---------------------------------------------------------------------------
-# Registered benchmarks.  Jacobians are coded analytically, no finite
-# differences.  All use additive noise sigma = I (m = n).
+# Registered benchmarks: builders of (drift, Jacobian) pairs, Jacobians coded
+# analytically, no finite differences.  All use additive noise sigma = I (m = n).
 # ---------------------------------------------------------------------------
 
 
-def _make_ou(dim):
+def _ou(dim):
     def drift(x):
         xb = _as_batch(x, dim)
         return -xb
@@ -106,22 +107,10 @@ def _make_ou(dim):
         xb = _as_batch(x, dim)
         return np.array(np.broadcast_to(-np.eye(dim), (xb.shape[0], dim, dim)))
 
-    def build(**params):
-        if params:
-            raise ValueError(f"ou{dim}d takes no parameters, got {sorted(params)}")
-        return SdeSystem(
-            dim_state=dim, dim_noise=dim, drift=drift, drift_jacobian=jac, attractor_dim=0,
-            sigma_constant=np.eye(dim), name=f"ou{dim}d", params={},
-        )
-
-    return build
+    return drift, jac
 
 
-def _make_vdp(**params):
-    mu = float(params.pop("mu", 1.0))
-    if params:
-        raise ValueError(f"unknown vdp parameters {sorted(params)}")
-
+def _vdp(mu):
     def drift(x):
         xb = _as_batch(x, 2)
         u, v = xb[:, 0], xb[:, 1]
@@ -139,17 +128,10 @@ def _make_vdp(**params):
         j[:, 1, 0] = 1.0 / mu
         return j
 
-    return SdeSystem(
-        dim_state=2, dim_noise=2, drift=drift, drift_jacobian=jac, attractor_dim=1,
-        sigma_constant=np.eye(2), name="vdp", params={"mu": mu},
-    )
+    return drift, jac
 
 
-def _make_figure8(**params):
-    mu = float(params.pop("mu", 0.5))
-    if params:
-        raise ValueError(f"unknown figure8 parameters {sorted(params)}")
-
+def _figure8(mu):
     def _parts(xb):
         """u^2, v, H and H_x; H_y = v and H_xx = u^2 - 1."""
         u, v = xb[:, 0], xb[:, 1]
@@ -178,18 +160,10 @@ def _make_figure8(**params):
         j[:, 1, 1] = -mu * (v * v + h)        # H_yy = 1
         return j
 
-    return SdeSystem(
-        dim_state=2, dim_noise=2, drift=drift, drift_jacobian=jac, attractor_dim=1,
-        sigma_constant=np.eye(2), name="figure8", params={"mu": mu},
-    )
+    return drift, jac
 
 
-def _make_coupled_vdp(**params):
-    mu = float(params.pop("mu", 1.0))
-    delta = float(params.pop("delta", 0.0))
-    if params:
-        raise ValueError(f"unknown coupled_vdp parameters {sorted(params)}")
-
+def _coupled_vdp(mu, delta):
     def drift(x):
         xb = _as_batch(x, 4)
         x1, y1, x2, y2 = xb.T
@@ -214,19 +188,10 @@ def _make_coupled_vdp(**params):
         j[:, 3, 2] = 1.0 / mu
         return j
 
-    return SdeSystem(
-        dim_state=4, dim_noise=4, drift=drift, drift_jacobian=jac, attractor_dim=2,
-        sigma_constant=np.eye(4), name="coupled_vdp", params={"mu": mu, "delta": delta},
-    )
+    return drift, jac
 
 
-def _make_rossler(**params):
-    a = float(params.pop("a", 0.2))
-    b = float(params.pop("b", 0.2))
-    c = float(params.pop("c", 5.7))
-    if params:
-        raise ValueError(f"unknown rossler parameters {sorted(params)}")
-
+def _rossler(a, b, c):
     def drift(x):
         xb = _as_batch(x, 3)
         u, v, w = xb.T
@@ -248,30 +213,32 @@ def _make_rossler(**params):
         j[:, 2, 2] = u - c
         return j
 
-    return SdeSystem(
-        dim_state=3, dim_noise=3, drift=drift, drift_jacobian=jac, attractor_dim=2,
-        sigma_constant=np.eye(3), name="rossler", params={"a": a, "b": b, "c": c},
-    )
+    return drift, jac
 
 
 BENCHMARKS = {
-    "ou1d": _make_ou(1),
-    "ou2d": _make_ou(2),
-    "vdp": _make_vdp,
-    "figure8": _make_figure8,
-    "coupled_vdp": _make_coupled_vdp,
-    "rossler": _make_rossler,
+    "ou1d": (lambda: _ou(1), 1, 0, {}),
+    "ou2d": (lambda: _ou(2), 2, 0, {}),
+    "vdp": (_vdp, 2, 1, {"mu": 1.0}),
+    "figure8": (_figure8, 2, 1, {"mu": 0.5}),
+    "coupled_vdp": (_coupled_vdp, 4, 2, {"mu": 1.0, "delta": 0.0}),
+    "rossler": (_rossler, 3, 2, {"a": 0.2, "b": 0.2, "c": 5.7}),
 }
 
 
 def make_benchmark(name, **params) -> SdeSystem:
     """Build a registered benchmark system from its name and parameters.
 
-    Unknown names and parameters that are not finite numbers raise ValueError.
+    Unknown names and parameters, and values that are not finite numbers,
+    raise ValueError; parameters left out take their defaults.
     """
     if name not in BENCHMARKS:
         raise ValueError(f"unknown benchmark {name!r}; known: {sorted(BENCHMARKS)}")
+    build, dim, attractor_dim, defaults = BENCHMARKS[name]
     for key, val in params.items():
+        if key not in defaults:
+            raise ValueError(f"{name} takes no parameters named {key!r}")
         if not (isinstance(val, numbers.Real) and np.isfinite(val)):
             raise ValueError(f"benchmark parameter {key} is not a number or not finite")
-    return BENCHMARKS[name](**params)
+    drift, jac = build(**{key: float(params.get(key, val)) for key, val in defaults.items()})
+    return SdeSystem(drift, jac, attractor_dim, sigma_constant=np.eye(dim))

@@ -97,17 +97,23 @@ class DependencyError(RuntimeError):
     pass
 
 
+# A value's type must be its default's, or any real number where that is a float.
+_KINDS = {dict: (dict, "a dict"), list: (list, "a list"), str: (str, "a string"),
+          int: (numbers.Integral, "an integer"), float: (numbers.Real, "a real number")}
+
+
 def _deep_merge(base, override, where=""):
     """``override`` merged into a copy of ``base``.  A key ``base`` lacks is
     an error, except under benchmark.params, which make_benchmark checks;
-    so is a value that is not a dict or a list where ``base`` holds one."""
+    so is a value whose type is not its default's (see ``_KINDS``) or a bool."""
     out = copy.deepcopy(base)
     for key, val in override.items():
         name = where + key
         if key not in out:
             raise ValueError(f"unknown config key {name!r}")
-        if isinstance(out[key], (dict, list)) and not isinstance(val, type(out[key])):
-            raise ValueError(f"config key {name!r} must be a {type(out[key]).__name__}")
+        kind = _KINDS.get(type(out[key]))
+        if kind and (isinstance(val, bool) or not isinstance(val, kind[0])):
+            raise ValueError(f"config key {name!r} must be {kind[1]}")
         if isinstance(out[key], dict) and name != "benchmark.params":
             out[key] = _deep_merge(out[key], val, name + ".")
         else:
@@ -130,35 +136,53 @@ class RunConfig:
         return self.data[key]
 
     def validate(self):
-        system = self.system()
-        n = system.dim_state
-        g = self.data["grid"]
-        if not (len(g["lower"]) == len(g["upper"]) == len(g["bins"]) == n):
+        """Reject, before any stage runs, settings that a stage would fail on."""
+        d = self.data
+        n = self.system().dim_state
+        grid = self.grid()
+        if grid.dim != n:
             raise ValueError("grid dimensions do not match the benchmark")
-        ladder = self.data["ladder"]
+        ladder = d["ladder"]
         if len(ladder) <= 3 or not all(isinstance(e, numbers.Real) and e > 0 for e in ladder) \
                 or any(b >= a for b, a in zip(ladder, ladder[1:])):
             raise ValueError("ladder must be > 3 strictly increasing positive levels")
-        att = self.data["attractor"]
+        SimConfig(**d["sim"], epsilon=ladder[0], seed=0,
+                  domain=(grid.lower_arr, grid.upper_arr)).validate(n)
+        if d["evaluate"]["eps"] is None:
+            d["evaluate"]["eps"] = ladder[0]
+        at = {f"{s}.{k}": v for s, part in d.items() if isinstance(part, dict)
+              for k, v in part.items()}  # the values by dotted key
+        for name in ("attractor.dt", "expand.step", "expand.level", "expand.rel_band",
+                     "evaluate.eps"):
+            if not (isinstance(at[name], numbers.Real) and at[name] > 0):
+                raise ValueError(f"{name} must be a positive number")
+        if not at["expand.v_max"] > at["expand.level"]:
+            raise ValueError("expand.v_max must exceed expand.level")
+        for name, low in (("attractor.count", 1), ("collocation.m_points", 1),
+                          ("expand.count", 1), ("expand.samples_per_curve", 1),
+                          ("expand.refine_epochs", 0), ("train_z.y2_regression", 1),
+                          ("train_z.y2_transport", 1), ("train_z.y3", 1)):
+            if at[name] < low:  # an integer, as _deep_merge checked
+                raise ValueError(f"{name} must be an integer of at least {low}")
+        for name, high in (("collocation.traj_fraction", 1.0),
+                           ("collocation.far_field_percentile", 100.0)):
+            if not 0.0 <= at[name] <= high:
+                raise ValueError(f"{name} must lie in [0, {high:g}]")
+        att = d["attractor"]
+        if not (att["x0"] is None or np.shape(att["x0"]) == (n,)):
+            raise ValueError(f"attractor.x0 must be null or of length {n}")
         pool = _attractor_pool_size(att["burn_in"], att["collect_time"], att["dt"])
         if att["count"] > pool:
             raise ValueError(f"attractor count {att['count']} exceeds the {pool} available "
                              "after the burn-in")
-        if self.data["evaluate"]["eps"] is None:
-            self.data["evaluate"]["eps"] = ladder[0]
         for section in ("train_v", "train_z"):
+            w = d[section]["widths"]
+            if not (w is None or isinstance(w, list) and len(w) >= 2 and w[0] == n
+                    and w[-1] == 1 and all(isinstance(k, numbers.Integral)
+                                           and not isinstance(k, bool) and k >= 1 for k in w)):
+                raise ValueError(f"{section}.widths must be null or a list of positive "
+                                 f"integers from the state dimension {n} to 1")
             self.train_cfg(section, seed=0).validate()
-        e = self.data["expand"]
-        for name, value in (("expand.step", e["step"]), ("expand.level", e["level"]),
-                            ("expand.rel_band", e["rel_band"]),
-                            ("evaluate.eps", self.data["evaluate"]["eps"])):
-            if not (isinstance(value, numbers.Real) and value > 0):
-                raise ValueError(f"{name} must be a positive number")
-        if not (isinstance(e["v_max"], numbers.Real) and e["v_max"] > e["level"]):
-            raise ValueError("expand.v_max must exceed expand.level")
-        for name, low in (("count", 1), ("samples_per_curve", 1), ("refine_epochs", 0)):
-            if not (isinstance(e[name], numbers.Integral) and e[name] >= low):
-                raise ValueError(f"expand.{name} must be an integer of at least {low}")
 
     # -- derived objects -------------------------------------------------
 
@@ -190,23 +214,27 @@ class RunConfig:
 
 
 class RunManifest:
-    """Stage completion markers, output hashes and scalar results."""
+    """Stage completion markers, output hashes and scalar results; a
+    ``manifest.json`` that is not a deepwkb manifest raises ValueError."""
 
     def __init__(self, outdir):
         self.outdir = Path(outdir)
         self.path = self.outdir / "manifest.json"
-        if self.path.exists():
+        self.data = {"version": 1, "stages": {}, "results": {}}
+        if not self.path.exists():
+            return
+        try:
             self.data = json.loads(self.path.read_text())
-        else:
-            self.data = {"version": 1, "stages": {}, "results": {}}
+            if all(isinstance(self.data[key], dict) for key in ("stages", "results")):
+                return
+        except (ValueError, KeyError, TypeError):
+            pass
+        raise ValueError(f"{self.path} is not a deepwkb manifest")
 
     def save(self):
         self.outdir.mkdir(parents=True, exist_ok=True)
         with net.write_atomically(self.path) as fh:
             fh.write((json.dumps(self.data, sort_keys=True, indent=2) + "\n").encode())
-
-    def stage_complete(self, stage):
-        return stage in self.data["stages"]
 
     def record_stage(self, stage, cfg_hash, outputs, info=None):
         self.data["stages"][stage] = {
@@ -598,7 +626,7 @@ def run_stage(stage, cfg: RunConfig, manifest: RunManifest, force=False) -> RunM
         raise ValueError(f"unknown stage {stage!r}; stages: {STAGES}")
     parent, _, stage_func = _STAGE_TABLE[stage]
     if parent is not None:
-        if not manifest.stage_complete(parent):
+        if parent not in manifest.data["stages"]:
             raise DependencyError(f"stage {stage!r} requires {parent!r} to be complete")
         parent_hash = cfg.stage_hash(parent)
         recorded = manifest.data["stages"][parent]["config_hash"]

@@ -99,6 +99,10 @@ class QpTrainConfig:
             raise ValueError("epochs must be positive")
         if min(self.lr1, self.lr2, self.lr3) <= 0:
             raise ValueError("learning rates must be positive")
+        if self.fine_tune_epochs < 0:
+            raise ValueError("fine_tune_epochs must be at least 0")
+        if not (self.residual_count is None or self.residual_count >= 1):
+            raise ValueError("residual_count must be None or at least 1")
 
 
 def new_params(cfg: QpTrainConfig, system) -> MlpParams:

@@ -133,7 +133,7 @@ def test_step_crossing_several_levels_records_one_sample(ou1d):
 def test_costate_decay_stalls_the_curve():
     # f = x: the costate decays as p0 e^-s, so p^T A p falls below 1e-4 of
     # its seed value near s = ln(100), long before v reaches v_max.
-    unstable = SdeSystem(dim_state=1, dim_noise=1, drift=lambda x: np.array(x),
+    unstable = SdeSystem(drift=lambda x: np.array(x),
                          drift_jacobian=lambda x: np.ones((x.shape[0], 1, 1)),
                          attractor_dim=0, sigma_constant=np.eye(1))
     init = CharState(x=np.array([0.1]), p=np.array([0.1]), v=0.0)
@@ -236,8 +236,7 @@ def test_transport_state_dependent_coefficient(ou1d, every):
 def test_nonconstant_diffusion_rejected():
     # The noise factor is a required constant (n, m) array.
     with pytest.raises(ValueError, match="sigma_constant"):
-        SdeSystem(dim_state=1, dim_noise=1,
-                  drift=lambda x: -np.atleast_2d(x),
+        SdeSystem(drift=lambda x: -np.atleast_2d(x),
                   drift_jacobian=lambda x: -np.ones((np.atleast_2d(x).shape[0], 1, 1)),
                   attractor_dim=0, sigma_constant=None)
 

@@ -1,9 +1,10 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from deepwkb.models import make_benchmark
+from deepwkb.models import SdeSystem, make_benchmark
 from deepwkb.train_v import hj_residual
 
 from conftest import figure8_quasipotential
@@ -31,6 +32,32 @@ def test_nonfinite_parameter_rejected():
         make_benchmark("vdp", mu=np.inf)
     with pytest.raises(ValueError, match="not finite"):
         make_benchmark("figure8", mu=np.nan)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_unknown_parameter_rejected(name):
+    with pytest.raises(ValueError, match=rf"\b{name}\b.*'bogus'"):
+        make_benchmark(name, bogus=1.0)
+
+
+def _zero_system(sigma):
+    return SdeSystem(drift=np.zeros_like, drift_jacobian=lambda x: np.zeros(x.shape + x.shape[1:]),
+                     attractor_dim=0, sigma_constant=sigma)
+
+
+def test_dimensions_are_read_off_sigma():
+    sys_ = _zero_system([[1.0], [0.5]])
+    assert (sys_.dim_state, sys_.dim_noise) == (2, 1)
+    assert np.array_equal(sys_.a, [[1.0, 0.5], [0.5, 0.25]])
+    for sigma in (np.ones(2), np.zeros((0, 0)), None):
+        with pytest.raises(ValueError, match="sigma_constant"):
+            _zero_system(sigma)
+
+
+def test_replaced_sigma_recomputes_the_derived_fields():
+    sys_ = dataclasses.replace(make_benchmark("ou2d"), sigma_constant=np.array([[1.0], [2.0]]))
+    assert (sys_.dim_state, sys_.dim_noise) == (2, 1)
+    assert np.array_equal(sys_.a, [[1.0, 2.0], [2.0, 4.0]])
 
 
 def test_rossler_drift_at_origin():
@@ -64,9 +91,9 @@ def test_figure8_drift_decomposition(rng):
 
 def test_coupled_vdp_block_jacobian():
     sys_ = make_benchmark("coupled_vdp")  # delta defaults to 0
-    assert sys_.params["delta"] == 0.0
     vdp = make_benchmark("vdp")
     x = np.array([[0.7, -0.2, -1.1, 0.4]])
+    assert np.array_equal(sys_.drift(x), make_benchmark("coupled_vdp", delta=0.0).drift(x))
     jac = sys_.drift_jacobian(x)[0]
     assert np.allclose(jac[:2, :2], vdp.drift_jacobian(x[:, :2])[0])
     assert np.allclose(jac[2:, 2:], vdp.drift_jacobian(x[:, 2:])[0])
@@ -166,7 +193,7 @@ def test_polynomial_drift_is_accurate_to_a_few_ulp(name, params, exact, rng):
     lo, hi = (np.asarray(b, dtype=float) for b in BOXES[name])
     pts = rng.uniform(lo, hi, size=(200, sys_.dim_state))
     f = sys_.drift(pts)
-    exact_params = {k: Fraction(v) for k, v in sys_.params.items()}
+    exact_params = {k: Fraction(v) for k, v in params.items()}
     for row, x in zip(f, pts):
         f_exact, scale = exact([Fraction(c) for c in x], exact_params)
         for got, want, s in zip(row, f_exact, scale):

@@ -62,8 +62,9 @@ def test_config_rejects_unknown_keys():
     with pytest.raises(ValueError, match="train_z.residual_count"):
         ou_mini_config(train_z={"residual_count": 10})
     # benchmark parameters are checked by the benchmark factory itself
-    cfg = ou_mini_config(benchmark={"name": "figure8", "params": {"mu": 0.5}},
-                         grid={"lower": [-3.0, -2.0], "upper": [3.0, 2.0], "bins": [8, 8]})
+    cfg = RunConfig({"benchmark": {"name": "figure8", "params": {"mu": 0.5}},
+                     "ladder": [0.1, 0.2, 0.3, 0.4],
+                     "grid": {"lower": [-3.0, -2.0], "upper": [3.0, 2.0], "bins": [8, 8]}})
     assert cfg["benchmark"]["params"] == {"mu": 0.5}
     with pytest.raises(ValueError, match="no parameters"):
         ou_mini_config(benchmark={"name": "ou1d", "params": {"mu": 0.5}})
@@ -146,6 +147,29 @@ def test_config_validation_errors():
         with pytest.raises(ValueError, match="learning rates"):
             ou_mini_config(**{section: {"lr2": -1e-3}})
     assert ou_mini_config(expand=dict(expand, refine_epochs=0))["expand"]["refine_epochs"] == 0
+    # Settings that would fail only in simulate, regress, train-v or train-z,
+    # or that would be ignored, fail at load too.
+    data = ou_mini_config().data
+    cases = [("collocation", "m_points", 0, "m_points"),
+             ("collocation", "m_points", -5, "m_points"),
+             ("collocation", "traj_fraction", 1.5, "traj_fraction"),
+             ("collocation", "far_field_percentile", 150.0, "far_field_percentile"),
+             ("train_v", "widths", [2, 8, 1], "train_v.widths"),
+             ("train_v", "widths", [1, 8, 2], "train_v.widths"),
+             ("train_v", "residual_count", -1, "residual_count"),
+             ("train_v", "fine_tune_epochs", -1, "fine_tune_epochs"),
+             ("train_z", "widths", 5, "train_z.widths"),
+             ("train_z", "y3", -1, "train_z.y3"),
+             ("train_z", "y2_transport", 2.5, "train_z.y2_transport"),
+             ("attractor", "x0", [0.5, 0.5], "attractor.x0"),
+             ("attractor", "count", 0, "attractor.count"),
+             ("grid", "bins", [0], "bins"), ("grid", "upper", [-3.0], "extent"),
+             ("sim", "dt", 0.0, "dt"), ("sim", "n_traj", 0, "trajectory"),
+             ("sim", "escape_policy", "bad", "escape policy"),
+             ("sim", "sample_interval", 2.01, "multiple of dt")]
+    for section, key, value, match in cases:
+        with pytest.raises(ValueError, match=match):
+            ou_mini_config(**{section: dict(data[section], **{key: value})})
 
 
 def test_stage_hash_scoping():
@@ -192,7 +216,8 @@ def figure8_mini_config():
         grid={"lower": [-3.5, -2.5], "upper": [3.5, 2.5], "bins": [32, 32]},
         sim=dict(TINY_SIM, escape_policy="restart_at_last_inside", x0=[0.0, 1.0]),
         attractor={"x0": [0.0, 1.0], "burn_in": 5.0, "collect_time": 5.0,
-                   "count": 50, "dt": 0.01})
+                   "count": 50, "dt": 0.01},
+        train_v={"widths": None}, train_z={"widths": None})
 
 
 def use_cores(monkeypatch, cores):
@@ -598,3 +623,21 @@ def test_cli_bad_config(tmp_path, capsys):
         bad.write_text(text)
         assert cli_main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith("error: cannot load config: ")
+    # a mistyped value's error names its key
+    for key, value in (("epochs", "x"), ("lr1", True), ("fine_tune_epochs", 2.5)):
+        bad.write_text(json.dumps({"grid": grid, "ladder": ladder, "train_v": {key: value}}))
+        assert cli_main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 1
+        assert f"config key 'train_v.{key}' must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["{not json", json.dumps({"version": 1}),
+                                  json.dumps({"stages": [], "results": {}})])
+def test_cli_rejects_a_manifest_it_did_not_write(tmp_path, capsys, text):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"grid": {"lower": [-1.0], "upper": [1.0], "bins": [8]},
+                                  "ladder": [0.1, 0.2, 0.3, 0.4]}))
+    (tmp_path / "manifest.json").write_text(text)
+    with pytest.raises(ValueError, match="manifest.json is not a deepwkb manifest"):
+        RunManifest(tmp_path)
+    assert cli_main(["validate", "--config", str(config)]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot read manifest: ")

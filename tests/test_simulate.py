@@ -140,7 +140,7 @@ def test_nonfinite_trajectory_aborts():
         x = np.atleast_2d(x)
         return x**3
 
-    bomb = SdeSystem(dim_state=1, dim_noise=1, drift=drift,
+    bomb = SdeSystem(drift=drift,
                      drift_jacobian=lambda x: 3 * np.atleast_2d(x)[:, :, None] ** 2,
                      attractor_dim=0, sigma_constant=np.eye(1))
     cfg = SimConfig(epsilon=0.01, dt=0.5, total_time=50.0, n_traj=3,
@@ -271,7 +271,7 @@ def test_each_trajectory_sums_its_own_stream():
     # 70 trajectories span two fill blocks and 300 steps two chunks.
     n_traj, n_steps, eps, dt, seed = 70, 300, 0.3, 0.01, 5
     x0 = np.array([0.25, -1.0])
-    system = SdeSystem(dim_state=2, dim_noise=2, drift=np.zeros_like,
+    system = SdeSystem(drift=np.zeros_like,
                        drift_jacobian=lambda x: np.zeros((x.shape[0], 2, 2)),
                        attractor_dim=0, sigma_constant=np.eye(2))
     sink = Collector()
@@ -302,7 +302,7 @@ def well_system():
         x = np.atleast_2d(x)
         return x**3 - x
 
-    return SdeSystem(dim_state=1, dim_noise=1, drift=drift,
+    return SdeSystem(drift=drift,
                      drift_jacobian=lambda x: 3 * np.atleast_2d(x)[:, :, None] ** 2 - 1,
                      attractor_dim=0, sigma_constant=np.eye(1))
 
@@ -329,7 +329,7 @@ def test_aborts_stay_within_their_level():
 
 def decay_system(drift):
     # A 1-d system with the given drift, which acts as -x where it does not fail.
-    return SdeSystem(dim_state=1, dim_noise=1, drift=drift,
+    return SdeSystem(drift=drift,
                      drift_jacobian=lambda x: -np.ones((x.shape[0], 1, 1)),
                      attractor_dim=0, sigma_constant=np.eye(1))
 
@@ -440,8 +440,7 @@ def test_one_sink_per_level(ou1d):
 
 
 def test_integrate_ode_fixed_point():
-    still = SdeSystem(dim_state=2, dim_noise=2,
-                      drift=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+    still = SdeSystem(drift=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
                       drift_jacobian=lambda x: np.zeros((np.atleast_2d(x).shape[0], 2, 2)),
                       attractor_dim=0, sigma_constant=np.eye(2))
     traj = integrate_ode(still, np.array([0.3, -0.4]), 0.01, 5.0)
@@ -477,7 +476,7 @@ def test_integrate_ode_divergence_raises():
     def drift(x):
         return np.atleast_2d(x) ** 3
 
-    bomb = SdeSystem(dim_state=1, dim_noise=1, drift=drift,
+    bomb = SdeSystem(drift=drift,
                      drift_jacobian=lambda x: 3 * np.atleast_2d(x)[:, :, None] ** 2,
                      attractor_dim=0, sigma_constant=np.eye(1))
     with pytest.raises(FloatingPointError):

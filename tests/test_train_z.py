@@ -54,7 +54,6 @@ def test_transport_coefficients_figure8_numeric_hessian(figure8, rng):
 def test_transport_trace_term_isolation():
     # Divergence-free rotation with grad V = 0: c reduces to the trace term.
     rotation = SdeSystem(
-        dim_state=2, dim_noise=2,
         drift=lambda x: np.stack([-np.atleast_2d(x)[:, 1], np.atleast_2d(x)[:, 0]], axis=1),
         drift_jacobian=lambda x: np.broadcast_to(np.array([[0.0, -1.0], [1.0, 0.0]]),
                                                  (np.atleast_2d(x).shape[0], 2, 2)),

@@ -121,6 +121,13 @@ def _deep_merge(base, override, where=""):
     return out
 
 
+def _numbers(value, kind=numbers.Real, low=-np.inf):
+    """Whether ``value`` is a list of finite ``kind`` (never bool), each at least ``low``."""
+    return isinstance(value, list) and all(
+        isinstance(v, kind) and not isinstance(v, bool) and abs(v) < np.inf and v >= low
+        for v in value)
+
+
 class RunConfig:
     """Normalized run configuration (user dict deep-merged into defaults)."""
 
@@ -139,27 +146,41 @@ class RunConfig:
         """Reject, before any stage runs, settings that a stage would fail on."""
         d = self.data
         n = self.system().dim_state
+        at = {"seed": d["seed"], **{f"{s}.{k}": v for s, part in d.items()
+                                    if isinstance(part, dict) for k, v in part.items()}}
+        for name in ("grid.lower", "grid.upper"):
+            if not _numbers(at[name]):
+                raise ValueError(f"{name} must be a list of finite real numbers")
+        if not _numbers(at["grid.bins"], numbers.Integral, 1):
+            raise ValueError("grid.bins must be a list of integers of at least 1")
         grid = self.grid()
         if grid.dim != n:
             raise ValueError("grid dimensions do not match the benchmark")
+        for name in ("sim.x0", "attractor.x0"):
+            if not (at[name] is None or _numbers(at[name]) and len(at[name]) == n):
+                raise ValueError(f"{name} must be null or a list of {n} finite real numbers")
         ladder = d["ladder"]
-        if len(ladder) <= 3 or not all(isinstance(e, numbers.Real) and e > 0 for e in ladder) \
+        if len(ladder) <= 3 or not _numbers(ladder) or not ladder[0] > 0 \
                 or any(b >= a for b, a in zip(ladder, ladder[1:])):
             raise ValueError("ladder must be > 3 strictly increasing positive levels")
         SimConfig(**d["sim"], epsilon=ladder[0], seed=0,
                   domain=(grid.lower_arr, grid.upper_arr)).validate(n)
         if d["evaluate"]["eps"] is None:
-            d["evaluate"]["eps"] = ladder[0]
-        at = {f"{s}.{k}": v for s, part in d.items() if isinstance(part, dict)
-              for k, v in part.items()}  # the values by dotted key
-        for name in ("attractor.dt", "expand.step", "expand.level", "expand.rel_band",
-                     "evaluate.eps"):
+            d["evaluate"]["eps"] = at["evaluate.eps"] = ladder[0]
+        for name in ("attractor.dt", "attractor.collect_time", "expand.step", "expand.level",
+                     "expand.rel_band", "evaluate.eps"):
             if not (isinstance(at[name], numbers.Real) and at[name] > 0):
                 raise ValueError(f"{name} must be a positive number")
         if not at["expand.v_max"] > at["expand.level"]:
             raise ValueError("expand.v_max must exceed expand.level")
-        for name, low in (("attractor.count", 1), ("collocation.m_points", 1),
-                          ("expand.count", 1), ("expand.samples_per_curve", 1),
+        if not at["attractor.burn_in"] >= 0:
+            raise ValueError("attractor.burn_in must be at least 0")
+        rc = at["train_v.residual_count"]
+        if not (rc is None or _numbers([rc], numbers.Integral, 1)):
+            raise ValueError("train_v.residual_count must be null or an integer of at least 1")
+        for name, low in (("seed", 0), ("attractor.count", 1), ("collocation.m_points", 1),
+                          ("collocation.min_count", 1), ("expand.count", 1),
+                          ("expand.samples_per_curve", 1),
                           ("expand.refine_epochs", 0), ("train_z.y2_regression", 1),
                           ("train_z.y2_transport", 1), ("train_z.y3", 1)):
             if at[name] < low:  # an integer, as _deep_merge checked
@@ -169,17 +190,14 @@ class RunConfig:
             if not 0.0 <= at[name] <= high:
                 raise ValueError(f"{name} must lie in [0, {high:g}]")
         att = d["attractor"]
-        if not (att["x0"] is None or np.shape(att["x0"]) == (n,)):
-            raise ValueError(f"attractor.x0 must be null or of length {n}")
         pool = _attractor_pool_size(att["burn_in"], att["collect_time"], att["dt"])
         if att["count"] > pool:
             raise ValueError(f"attractor count {att['count']} exceeds the {pool} available "
                              "after the burn-in")
         for section in ("train_v", "train_z"):
             w = d[section]["widths"]
-            if not (w is None or isinstance(w, list) and len(w) >= 2 and w[0] == n
-                    and w[-1] == 1 and all(isinstance(k, numbers.Integral)
-                                           and not isinstance(k, bool) and k >= 1 for k in w)):
+            if not (w is None or _numbers(w, numbers.Integral, 1) and len(w) >= 2
+                    and w[0] == n and w[-1] == 1):
                 raise ValueError(f"{section}.widths must be null or a list of positive "
                                  f"integers from the state dimension {n} to 1")
             self.train_cfg(section, seed=0).validate()

@@ -27,13 +27,15 @@ trajectory-major block; the streams depend on neither size.
 The zero-noise flow that ``sample_attractor`` integrates does not depend
 on the ensemble, so the simulate stage runs it through
 ``call_in_child`` in a forked child of its own beside the level workers.
+One routine, ``_children``, forks both kinds of child and receives
+their messages in one loop.
 """
 
 from __future__ import annotations
 
 import os
 import traceback
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, fields
 from multiprocessing import connection, get_context
 
@@ -150,19 +152,30 @@ def simulate_ensemble(system, cfgs, sinks) -> SimSummary:
     The levels are split into one contiguous group per usable core, and
     each group is advanced in a forked worker with a noise buffer of its
     own (in this process when there is only one group).  Every sink is
-    called in the calling process.  Each sink receives its level's batches
-    in the order the level emitted them; calls to different levels' sinks
-    may interleave in any order.  An exception raised in a worker is
-    re-raised here with its type, and no worker outlives the call.
+    called in the calling process as the messages arrive.  Each sink
+    receives its level's batches in the order the level emitted them;
+    calls to different levels' sinks may interleave in any order.  An
+    exception raised in a worker is re-raised here with its type, a dead
+    worker is reported by its levels and exit code, and no worker outlives
+    the call.
     """
     cfgs, sinks, lo, hi = _ladder(cfgs, sinks, system.dim_state)
     groups = np.array_split(np.arange(len(cfgs)), min(len(cfgs), _usable_cores()))
+    jobs = [_advance(system, [cfgs[i] for i in group], lo, hi) for group in groups]
     if len(groups) == 1:
-        for message in _advance(system, cfgs, lo, hi):
-            counts = _deliver(message, sinks)
+        arrivals = nullcontext((0, tag, payload) for tag, payload in jobs[0])
     else:
-        counts = np.concatenate(_run_workers(system, cfgs, sinks, lo, hi, groups))
-    steps, emitted, escapes, aborted = counts.T
+        arrivals = _children(jobs, [f"simulation worker for levels {group.tolist()}"
+                                    for group in groups])
+    counts = [None] * len(groups)
+    with arrivals as messages:
+        for g, tag, payload in messages:
+            if tag == "batches":
+                for level, batch in payload:
+                    sinks[groups[g][level]](batch)
+            else:
+                counts[g] = payload
+    steps, emitted, escapes, aborted = np.concatenate(counts).T
     return SimSummary(
         steps_taken=int(steps.sum()),
         samples_emitted=int(emitted.sum()),
@@ -260,21 +273,6 @@ def _advance(system, cfgs, lo, hi):
     yield "done", np.stack([steps, emitted, escapes, aborted], axis=1)
 
 
-def _deliver(message, sinks):
-    """Act on one message of a child, whose sinks are ``sinks``: feed
-    batches to the sinks, re-raise the child's exception, or return the
-    payload that ends its messages (None before it)."""
-    tag, payload = message
-    if tag == "batches":
-        for level, batch in payload:
-            sinks[level](batch)
-        return None
-    if tag == "failed":
-        exc, tb = payload
-        raise exc from _WorkerTraceback(tb)
-    return payload
-
-
 def _worker(conn, messages):
     """Body of a forked child: send each message the generator ``messages``
     yields, or a ("failed", (exception, traceback text)) message."""
@@ -294,85 +292,64 @@ class _WorkerTraceback(Exception):
         return self.args[0]
 
 
-def _fork(messages):
-    """Start a forked child that sends ``messages`` (fork, because a
-    system's drift closures cannot be pickled); returns the process and
-    the receiving end of its pipe."""
+@contextmanager
+def _children(jobs, names):
+    """Fork one child per message generator in ``jobs`` (fork, because a
+    system's drift closures cannot be pickled) and yield an iterator of
+    (index, tag, payload) over their messages as they arrive, up to each
+    child's "done".  A child's exception is re-raised here with its type
+    and its traceback as the cause; a child that dies first is reported by
+    its name in ``names`` and exit code.  On exit the children whose "done"
+    has not arrived are terminated, and all are joined."""
     ctx = get_context("fork")
-    recv, send = ctx.Pipe(duplex=False)
-    proc = ctx.Process(target=_worker, args=(send, messages), daemon=True)
-    proc.start()
-    send.close()
-    return proc, recv
-
-
-def _receive(proc, recv, what):
-    """The next message of a child, or RuntimeError if it died first."""
+    children, pending = [], {}
     try:
-        return recv.recv()
-    except EOFError:
-        proc.join()
-        raise RuntimeError(f"{what} exited with code {proc.exitcode}") from None
+        for i, messages in enumerate(jobs):
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_worker, args=(send, messages), daemon=True)
+            proc.start()
+            send.close()
+            children.append((proc, recv))
+            pending[recv] = i
 
+        def arrivals():
+            while pending:
+                for recv in connection.wait(list(pending)):
+                    i = pending[recv]
+                    try:
+                        tag, payload = recv.recv()
+                    except EOFError:
+                        proc = children[i][0]
+                        proc.join()
+                        raise RuntimeError(f"{names[i]} exited with code {proc.exitcode}") from None
+                    if tag == "failed":
+                        exc, tb = payload
+                        raise exc from _WorkerTraceback(tb)
+                    if tag == "done":
+                        del pending[recv]
+                    yield i, tag, payload
 
-def _reap(children, finished):
-    """Join the children, terminating them first unless they finished."""
-    for proc, recv in children:
-        if not finished:
-            proc.terminate()
-        proc.join()
-        recv.close()
-
-
-def _run_workers(system, cfgs, sinks, lo, hi, groups):
-    """Advance each group of levels in a forked worker and call the sinks
-    here as the messages arrive.  Returns the groups' counts, in group
-    order."""
-    workers, ok = [], False
-    try:
-        for group in groups:
-            workers.append(_fork(_advance(system, [cfgs[i] for i in group], lo, hi)))
-        counts = [None] * len(groups)
-        pending = {recv: g for g, (_, recv) in enumerate(workers)}
-        while pending:
-            for recv in connection.wait(list(pending)):
-                g = pending[recv]
-                message = _receive(workers[g][0], recv,
-                                   f"simulation worker for levels {groups[g].tolist()}")
-                counts[g] = _deliver(message, [sinks[i] for i in groups[g]])
-                if counts[g] is not None:
-                    del pending[recv]
-        ok = True
+        yield arrivals()
     finally:
-        _reap(workers, ok)
-    return counts
-
-
-def _returned(fn, args, kwargs):
-    """The one message of a child that calls fn: its result."""
-    yield "done", fn(*args, **kwargs)
+        for proc, recv in children:
+            if recv in pending:
+                proc.terminate()
+            proc.join()
+            recv.close()
 
 
 @contextmanager
 def call_in_child(fn, *args, **kwargs):
-    """Run ``fn(*args, **kwargs)`` in a forked child while the ``with``
-    block runs here.  The block gets a function that waits for fn's result
-    and returns it, re-raising fn's exception with its type.  A child
-    whose result the block did not take is terminated when the block
-    exits, and no child outlives the block."""
-    child = _fork(_returned(fn, args, kwargs))
-    taken = False
+    """Run ``fn(*args, **kwargs)`` in a forked child, ``_children``'s one
+    job, while the ``with`` block runs here.  The block gets a function
+    that waits for fn's result and returns it, re-raising fn's exception
+    with its type.  A child whose result the block did not take is
+    terminated when the block exits, and no child outlives the block."""
+    def returned():
+        yield "done", fn(*args, **kwargs)
 
-    def result():
-        nonlocal taken
-        value = _deliver(_receive(*child, "child process"), ())
-        taken = True
-        return value
-
-    try:
-        yield result
-    finally:
-        _reap([child], taken)
+    with _children([returned()], ["child process"]) as messages:
+        yield lambda: next(messages)[2]
 
 
 def integrate_ode(system, x0, dt, total_time):
@@ -410,6 +387,8 @@ def sample_attractor(system, x0, burn_in, collect_time, count, dt=0.01, seed=0) 
     """Integrate past the transient, then draw ``count`` states uniformly
     in time (without replacement) from the next ``collect_time`` units;
     returns them as a (count, n) array in time order."""
+    if not (burn_in >= 0 and collect_time > 0):
+        raise ValueError("burn_in must be at least 0 and collect_time positive")
     size = _attractor_pool_size(burn_in, collect_time, dt)
     if count > size:
         raise ValueError(f"requested {count} points but only {size} are available")

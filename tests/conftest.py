@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -119,3 +120,10 @@ def figure8_quasipotential(mu=0.5):
         return 2.0 * mu * (outer + h[:, None, None] * hess_h)
 
     return value, grad, hess
+
+
+@pytest.fixture(autouse=True)
+def no_child_outlives_the_test():
+    """Every forked worker or child has been joined when a test ends."""
+    yield
+    assert multiprocessing.active_children() == []

@@ -122,7 +122,8 @@ def test_train_sections_default_to_the_train_config():
 
 
 def test_config_validation_errors():
-    for ladder in ([0.1, 0.2, 0.3], [float("nan"), 0.2, 0.3, 0.4]):
+    for ladder in ([0.1, 0.2, 0.3], [float("nan"), 0.2, 0.3, 0.4], [True, 2.0, 3.0, 4.0],
+                   [0.1, 0.2, 0.3, float("inf")]):
         with pytest.raises(ValueError, match="ladder"):
             ou_mini_config(ladder=ladder)
     with pytest.raises(ValueError, match="grid"):
@@ -130,6 +131,8 @@ def test_config_validation_errors():
                              "bins": [16, 16]})
     with pytest.raises(ValueError, match="version"):
         RunConfig({"version": 99})
+    with pytest.raises(ValueError, match="seed"):
+        ou_mini_config(seed=-1)
     # Settings the later stages would fail on, after simulate, regress and
     # train-v have run, fail at load.
     expand = ou_mini_config().data["expand"]
@@ -166,7 +169,20 @@ def test_config_validation_errors():
              ("grid", "bins", [0], "bins"), ("grid", "upper", [-3.0], "extent"),
              ("sim", "dt", 0.0, "dt"), ("sim", "n_traj", 0, "trajectory"),
              ("sim", "escape_policy", "bad", "escape policy"),
-             ("sim", "sample_interval", 2.01, "multiple of dt")]
+             ("sim", "sample_interval", 2.01, "multiple of dt"),
+             # negative or zero spans and counts that a stage would quietly
+             # misread, and list entries or null-default values of the wrong kind
+             ("attractor", "burn_in", -5.0, "attractor.burn_in"),
+             ("attractor", "collect_time", -1.0, "attractor.collect_time"),
+             ("collocation", "min_count", 0, "collocation.min_count"),
+             ("collocation", "min_count", -3, "collocation.min_count"),
+             ("grid", "bins", [2.5], "grid.bins"), ("grid", "bins", ["a"], "grid.bins"),
+             ("grid", "lower", ["a"], "grid.lower"), ("grid", "upper", [True], "grid.upper"),
+             ("grid", "lower", [-float("inf")], "grid.lower"),
+             ("attractor", "x0", ["a"], "attractor.x0"),
+             ("sim", "x0", ["a"], "sim.x0"), ("sim", "x0", [True], "sim.x0"),
+             ("train_v", "residual_count", 2.5, "train_v.residual_count"),
+             ("train_v", "residual_count", "x", "train_v.residual_count")]
     for section, key, value, match in cases:
         with pytest.raises(ValueError, match=match):
             ou_mini_config(**{section: dict(data[section], **{key: value})})
@@ -628,6 +644,15 @@ def test_cli_bad_config(tmp_path, capsys):
         bad.write_text(json.dumps({"grid": grid, "ladder": ladder, "train_v": {key: value}}))
         assert cli_main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 1
         assert f"config key 'train_v.{key}' must be" in capsys.readouterr().err
+    # so does a list entry or a value whose default is null
+    for key, data in (("grid.bins", {"grid": dict(grid, bins=["a"])}),
+                      ("grid.lower", {"grid": dict(grid, lower=["a"])}),
+                      ("train_v.residual_count", {"train_v": {"residual_count": "x"}}),
+                      ("seed", {"seed": -1})):
+        bad.write_text(json.dumps({"grid": grid, "ladder": ladder, **data}))
+        assert cli_main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot load config: ") and key in err
 
 
 @pytest.mark.parametrize("text", ["{not json", json.dumps({"version": 1}),

@@ -422,6 +422,24 @@ def test_sink_failure_stops_the_workers(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_finished_children_exit_normally(monkeypatch):
+    workers = []
+
+    def collect(batch):
+        workers.extend(multiprocessing.active_children())
+
+    use_cores(monkeypatch, 2)
+    simulate_ensemble(make_benchmark("ou1d"), [ou_config(), ou_config(seed=1)],
+                      [collect, Collector()])
+    assert len(set(workers)) == 2
+    assert all(w.exitcode == 0 for w in workers)
+    with simulate.call_in_child(abs, -3) as result:
+        child, = multiprocessing.active_children()
+        assert result() == 3
+    assert child.exitcode == 0
+    assert multiprocessing.active_children() == []
+
+
 @pytest.mark.parametrize("field, value", [
     ("dt", 0.02), ("n_traj", 5), ("x0", np.array([0.25])),
     ("escape_policy", "restart_at_last_inside"), ("burn_in_fraction", 0.1),
@@ -519,6 +537,14 @@ def test_sample_attractor_coupled_vdp_product_structure():
     cycle = _cycle_polyline(make_benchmark("vdp"), [2.0, 0.0])
     for pair in (points[:, :2], points[:, 2:]):
         assert np.max(_dist_to_polyline(pair, cycle)) < 1e-3
+
+
+@pytest.mark.parametrize("burn_in, collect_time", [(-5.0, 20.0), (1.0, -1.0), (1.0, 0.0)])
+def test_sample_attractor_span_guard(ou1d, burn_in, collect_time):
+    # A negative burn-in would draw from the last states of a shorter run.
+    with pytest.raises(ValueError, match="burn_in must be at least 0 and collect_time positive"):
+        sample_attractor(ou1d, np.array([0.5]), burn_in=burn_in, collect_time=collect_time,
+                         count=10)
 
 
 def test_sample_attractor_count_guard(ou1d):

@@ -206,11 +206,10 @@ class _Trace(list):
 
 
 def _sigmoid_(s):
-    """1 / (1 + exp(-z)) in place; exp overflows to inf, so a very negative
-    z saturates to exactly 0."""
+    """1 / (1 + exp(-z)) in place; exp overflows to inf (the callers ignore
+    it), so a very negative z saturates to exactly 0."""
     np.negative(s, out=s)
-    with np.errstate(over="ignore"):
-        np.exp(s, out=s)
+    np.exp(s, out=s)
     s += 1.0
     np.reciprocal(s, out=s)
 
@@ -221,16 +220,17 @@ def trace(params: MlpParams, x) -> _Trace:
     last = params.spec.n_layers - 1
     acts = _Trace([_as_batch(x, params.spec.dim_in)])
     acts.slopes = [None]
-    for l, (w, b) in enumerate(params.layers):
-        s = np.dot(acts[-1], w.T)
-        s += b
-        sp = None
-        if l < last:
-            _sigmoid_(s)
-            sp = np.subtract(1.0, s)
-            sp *= s
-        acts.append(s)
-        acts.slopes.append(sp)
+    with np.errstate(over="ignore"):
+        for l, (w, b) in enumerate(params.layers):
+            s = np.dot(acts[-1], w.T)
+            s += b
+            sp = None
+            if l < last:
+                _sigmoid_(s)
+                sp = np.subtract(1.0, s)
+                sp *= s
+            acts.append(s)
+            acts.slopes.append(sp)
     return acts
 
 
@@ -239,11 +239,12 @@ def forward(params: MlpParams, x):
     without keeping the activations or computing the slopes."""
     last = params.spec.n_layers - 1
     a = _as_batch(x, params.spec.dim_in)
-    for l, (w, b) in enumerate(params.layers):
-        a = np.dot(a, w.T)
-        a += b
-        if l < last:
-            _sigmoid_(a)
+    with np.errstate(over="ignore"):
+        for l, (w, b) in enumerate(params.layers):
+            a = np.dot(a, w.T)
+            a += b
+            if l < last:
+                _sigmoid_(a)
     return a[:, 0]
 
 

@@ -97,9 +97,9 @@ class DependencyError(RuntimeError):
     pass
 
 
-# A value's type must be its default's, or any real number where that is a float.
+# A value's type must be its default's, or any finite real number where that is a float.
 _KINDS = {dict: (dict, "a dict"), list: (list, "a list"), str: (str, "a string"),
-          int: (numbers.Integral, "an integer"), float: (numbers.Real, "a real number")}
+          int: (numbers.Integral, "an integer"), float: (numbers.Real, "a finite real number")}
 
 
 def _deep_merge(base, override, where=""):
@@ -112,7 +112,8 @@ def _deep_merge(base, override, where=""):
         if key not in out:
             raise ValueError(f"unknown config key {name!r}")
         kind = _KINDS.get(type(out[key]))
-        if kind and (isinstance(val, bool) or not isinstance(val, kind[0])):
+        if kind and (isinstance(val, bool) or not isinstance(val, kind[0])
+                     or kind[0] is numbers.Real and not abs(val) < np.inf):
             raise ValueError(f"config key {name!r} must be {kind[1]}")
         if isinstance(out[key], dict) and name != "benchmark.params":
             out[key] = _deep_merge(out[key], val, name + ".")
@@ -169,8 +170,8 @@ class RunConfig:
             d["evaluate"]["eps"] = at["evaluate.eps"] = ladder[0]
         for name in ("attractor.dt", "attractor.collect_time", "expand.step", "expand.level",
                      "expand.rel_band", "evaluate.eps"):
-            if not (isinstance(at[name], numbers.Real) and at[name] > 0):
-                raise ValueError(f"{name} must be a positive number")
+            if not (isinstance(at[name], numbers.Real) and 0 < at[name] < np.inf):
+                raise ValueError(f"{name} must be a finite positive number")
         if not at["expand.v_max"] > at["expand.level"]:
             raise ValueError("expand.v_max must exceed expand.level")
         if not at["attractor.burn_in"] >= 0:

@@ -75,12 +75,12 @@ class SimConfig:
         # epsilon = 0 is allowed: the scheme degenerates to the Euler flow.
         if not (self.epsilon >= 0 and np.isfinite(self.epsilon)):
             raise ValueError("epsilon must be nonnegative and finite")
-        if self.dt <= 0 or self.total_time <= 0:
-            raise ValueError("dt and total_time must be positive")
+        if not (0 < self.dt < np.inf and 0 < self.total_time < np.inf):
+            raise ValueError("dt and total_time must be positive and finite")
         if self.n_traj < 1:
             raise ValueError("need at least one trajectory")
-        if self.sample_interval < self.dt - 1e-12:
-            raise ValueError("sample_interval must be >= dt")
+        if not self.dt - 1e-12 <= self.sample_interval < np.inf:
+            raise ValueError("sample_interval must be >= dt and finite")
         ratio = self.sample_interval / self.dt
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValueError("sample_interval must be an integer multiple of dt")
@@ -387,8 +387,8 @@ def sample_attractor(system, x0, burn_in, collect_time, count, dt=0.01, seed=0) 
     """Integrate past the transient, then draw ``count`` states uniformly
     in time (without replacement) from the next ``collect_time`` units;
     returns them as a (count, n) array in time order."""
-    if not (burn_in >= 0 and collect_time > 0):
-        raise ValueError("burn_in must be at least 0 and collect_time positive")
+    if not (0 <= burn_in < np.inf and 0 < collect_time < np.inf):
+        raise ValueError("burn_in must be at least 0 and collect_time positive, both finite")
     size = _attractor_pool_size(burn_in, collect_time, dt)
     if count > size:
         raise ValueError(f"requested {count} points but only {size} are available")

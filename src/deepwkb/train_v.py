@@ -1,17 +1,18 @@
 """Training of the quasi-potential network.
 
-Three data sets drive three loss components, each with its own Adam
-instance applied in an alternating fashion (the components differ in
-scale, and Adam's near scale-invariance makes per-component optimizers
-the cheap fix):
+Training is a list of terms, a loss kind on a point set each, run by one
+alternating schedule with an Adam instance per term (the terms differ in
+scale, and Adam's near scale-invariance makes per-term optimizers the
+cheap fix):
 
-* X1, attractor points:   L1 = mean[ V^2 + max(0, -V) ]
-* X2, regression targets: L2 = mean[ (V - V_hat)^2 + max(0, -V) ]
-* X3, residual points:    L3 = mean[ (f . grad V + 1/2 grad V^T A grad V)^2 ]
+* L1 on X1, attractor points:   mean[ V^2 + max(0, -V) ]
+* L2 on X2, regression targets: mean[ (V - V_hat)^2 + max(0, -V) ]
+* L3 on X3, residual points:    mean[ (f . grad V + 1/2 grad V^T A grad V)^2 ]
 
-L1 and L2 are one hinged target fit (``fit_loss``, target 0 on X1) and
-L3 is the squared ``hj_residual``.  The hinges keep V nonnegative, X1
-pins the zero level set and L3 keeps the fit a Hamilton-Jacobi solution.
+L1 and L2 are one hinged target fit (``fit_loss``, target 0 on X1) and L3
+is the squared ``hj_residual`` through ``residual_loss``, which serves
+train_z's transport residual too.  The hinges keep V nonnegative, X1 pins
+the zero level set and L3 keeps the fit a Hamilton-Jacobi solution.
 
 The output is divided by alpha (``estimate_alpha``), which is no symmetry
 of the equation: if V solves it, alpha * V leaves the residual
@@ -41,6 +42,7 @@ __all__ = [
     "TrainingDiverged",
     "hj_residual",
     "fit_loss",
+    "residual_loss",
     "assemble_qp_sets",
     "qp_loss",
     "train_qp",
@@ -53,8 +55,8 @@ ALPHA_MIN_POINTS = 10
 BATCH_SIZE = 128          # rows per training batch, for V and Z alike
 L2_LAMBDA = 1e-3          # weight penalty of every network trained here
 FAR_FIELD_DENSITY = 1e-6  # top-level density below which an unfit point is far field
-FINE_TUNE_MEMBERS = (0, 2)  # attractor fit and residual train on after the main epochs,
-FINE_TUNE_FACTOR = 0.1      # at this fraction of their learning rates
+FINE_TUNE_TERMS = (0, 2)  # attractor fit and residual train on after the main epochs,
+FINE_TUNE_FACTOR = 0.1    # at this fraction of their learning rates
 
 
 class TrainingDiverged(RuntimeError):
@@ -157,6 +159,23 @@ def fit_loss(params: MlpParams, x, targets):
     return value, net.grad_params(params, acts, upstream)
 
 
+def residual_loss(params: MlpParams, x, residual):
+    """mean[ r^2 ] on a (B, n) batch and its flat parameter gradient, without
+    the weight penalty, for a residual r first order in the network.
+
+    ``residual(x, out, grad)`` maps the batch, outputs (B,) and input
+    gradients (B, n) to r (B,), w = dr/d grad (B, n) and e = dr/d out (B,)
+    or None.  One trace, then one sweep of the directional kernel along w
+    with coefficient 2r/B and output seed 2r e/B.
+    """
+    acts = net.trace(params, x)
+    resid, direction, out_coeff = residual(acts[0], acts[-1][:, 0], net.grad_input(params, acts))
+    coeff = 2.0 * resid / resid.shape[0]
+    grad = net.grad_params_of_directional_input_grad(
+        params, acts, direction, coeff, upstream=None if out_coeff is None else coeff * out_coeff)
+    return float(np.mean(resid**2)), grad
+
+
 def _subsample(rng, count, *arrays):
     """The same ``count`` rows of each array, drawn without replacement
     and kept in their order; a ``count`` of None, or not below the row
@@ -222,12 +241,8 @@ def qp_loss(kind, params: MlpParams, batch, system):
     elif kind == "L2":
         value, grad = fit_loss(params, *batch)
     elif kind == "L3":
-        acts = net.trace(params, batch)
-        x = acts[0]
-        resid, direction = hj_residual(system, net.grad_input(params, acts), x)
-        value = float(np.mean(resid**2))
-        grad = net.grad_params_of_directional_input_grad(params, acts, direction,
-                                                         2.0 * resid / x.shape[0])
+        value, grad = residual_loss(params, batch,
+                                    lambda x, _, g: (*hj_residual(system, g, x), None))
     else:
         raise ValueError(f"unknown loss kind {kind!r}")
     return value, net._add_weight_penalty(params, grad)
@@ -235,10 +250,7 @@ def qp_loss(kind, params: MlpParams, batch, system):
 
 def _epoch_indices(rng, size, n_batches):
     # One shuffle per epoch; shorter sets recycle by wrapping the permutation.
-    perm = rng.permutation(size)
-    reps = int(np.ceil(n_batches * BATCH_SIZE / size))
-    stream = np.concatenate([perm] * reps)
-    return [stream[k * BATCH_SIZE:(k + 1) * BATCH_SIZE] for k in range(n_batches)]
+    return np.resize(rng.permutation(size), (n_batches, BATCH_SIZE))
 
 
 # glibc's mallopt parameter numbers, from malloc.h.
@@ -268,43 +280,45 @@ def _keep_freed_memory():
         mallopt(_M_ARENA_MAX, 1)
 
 
-def alternating_adam(params, members, cfg, seed):
-    """Run the alternating-Adam schedule over loss members.
+def alternating_adam(params, terms, loss, cfg, seed):
+    """Run the alternating-Adam schedule over loss terms (kind, arrays, lr).
 
-    ``members`` is a list of (name, set_size, make_batch, loss_fn, lr).
-    Per epoch the largest member defines the number of batch triples;
-    smaller members recycle their shuffled stream; a batch has BATCH_SIZE
-    rows.  After the main epochs the FINE_TUNE_MEMBERS (the first and the
-    third) continue alone at FINE_TUNE_FACTOR times their rate.  Returns
-    the per-epoch mean-loss log and the Adam states.  Raises
-    TrainingDiverged on a non-finite loss.
+    A term's batch is BATCH_SIZE rows of its one array, or the tuple of the
+    same rows of each of its arrays, and ``loss(kind, params, batch)``
+    returns its value and flat gradient.  Per epoch the largest term sets
+    the number of batches; smaller terms recycle their shuffled stream.
+    The FINE_TUNE_TERMS then go on alone at FINE_TUNE_FACTOR times their
+    rate.  Returns the per-epoch mean-loss log and the Adam states.  Raises
+    TrainingDiverged, naming the kind, on a non-finite loss.
     """
     _keep_freed_memory()
     rng = _philox(seed)
-    states = [AdamState.fresh(params, lr) for (_, _, _, _, lr) in members]
+    states = [AdamState.fresh(params, lr) for _, _, lr in terms]
+    sizes = [len(arrays[0]) for _, arrays, _ in terms]
     log = []
 
     def sweep(epoch, active):
-        n_batches = max(int(np.ceil(members[i][1] / BATCH_SIZE)) for i in active)
-        idx_streams = {i: _epoch_indices(rng, members[i][1], n_batches) for i in active}
-        sums = {i: 0.0 for i in range(len(members))}
+        n_batches = max(int(np.ceil(sizes[i] / BATCH_SIZE)) for i in active)
+        idx_streams = {i: _epoch_indices(rng, sizes[i], n_batches) for i in active}
+        sums = [0.0] * len(terms)
         for k in range(n_batches):
             for i in active:
-                name, _, make_batch, loss_fn, _ = members[i]
-                value, grad = loss_fn(params, make_batch(idx_streams[i][k]))
+                kind, arrays, _ = terms[i]
+                batch = tuple(a[idx_streams[i][k]] for a in arrays)
+                value, grad = loss(kind, params, batch if len(batch) > 1 else batch[0])
                 if not np.isfinite(value):
-                    raise TrainingDiverged(f"{name} became non-finite at epoch {epoch}")
+                    raise TrainingDiverged(f"{kind} became non-finite at epoch {epoch}")
                 net.adam_step(states[i], params, grad)
                 sums[i] += value
         log.append((epoch,) + tuple(sums[i] / n_batches if i in active else np.nan
-                                    for i in range(len(members))))
+                                    for i in range(len(terms))))
 
     for epoch in range(cfg.epochs):
-        sweep(epoch, tuple(range(len(members))))
-    for i in FINE_TUNE_MEMBERS:
+        sweep(epoch, tuple(range(len(terms))))
+    for i in FINE_TUNE_TERMS:
         states[i].lr *= FINE_TUNE_FACTOR
     for epoch in range(cfg.epochs, cfg.epochs + cfg.fine_tune_epochs):
-        sweep(epoch, FINE_TUNE_MEMBERS)
+        sweep(epoch, FINE_TUNE_TERMS)
     return log, states
 
 
@@ -321,15 +335,12 @@ def train_qp(sets: QpTrainingSets, cfg: QpTrainConfig, system,
     sets.validate()
     params = new_params(cfg, system) if initial is None else initial.copy()
 
-    members = [
-        ("L1", sets.x1.shape[0], lambda idx: sets.x1[idx],
-         lambda p, b: qp_loss("L1", p, b, system), cfg.lr1),
-        ("L2", sets.x2.shape[0], lambda idx: (sets.x2[idx], sets.x2_targets[idx]),
-         lambda p, b: qp_loss("L2", p, b, system), cfg.lr2),
-        ("L3", sets.x3.shape[0], lambda idx: sets.x3[idx],
-         lambda p, b: qp_loss("L3", p, b, system), cfg.lr3),
-    ]
-    log, _ = alternating_adam(params, members, cfg, cfg.seed)
+    def loss(kind, p, batch):  # looks qp_loss up at each call, so a wrapper sees every batch
+        return qp_loss(kind, p, batch, system)
+
+    terms = [("L1", (sets.x1,), cfg.lr1), ("L2", (sets.x2, sets.x2_targets), cfg.lr2),
+             ("L3", (sets.x3,), cfg.lr3)]
+    log, _ = alternating_adam(params, terms, loss, cfg, cfg.seed)
 
     # Scale against the regression references only: curve-derived targets
     # inherit the previous network's scale and would bias the ratio.

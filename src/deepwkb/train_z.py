@@ -10,15 +10,16 @@ where A = (a^ij) is the system's constant diffusion matrix.  The
 coefficients are evaluated with the trained, alpha-corrected
 quasi-potential, which stays frozen while Z0 trains: ``train_z``
 computes them once per Y3 point before the first epoch, in full batches
-of BATCH_SIZE rows, and the residual batches slice them.
+of BATCH_SIZE rows, and the residual term's batches take their rows.
 Targets come from two sources: linear extrapolation of the rescaled
 densities to eps = 0 on the attractor (Y1), and the exponential of the
 regression intercept near the attractor together with
 characteristic-transported values (Y2).  Y3 drives the transport
-residual.  Accuracy far from the attractor is deliberately not chased:
-exp(-V/eps) suppresses whatever error lives there.  Point sets are
-(B, n) batches, and the coefficients and losses are evaluated a batch at
-a time.
+residual, ``train_v.residual_loss`` with direction b and output
+coefficient c.  The three terms run on the quasi-potential's schedule.
+Accuracy far from the attractor is deliberately not chased: exp(-V/eps)
+suppresses whatever error lives there.  Point sets are (B, n) batches,
+and the coefficients and losses are evaluated a batch at a time.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from . import net
 from .models import _philox
 from .net import MlpParams
 from .train_v import (BATCH_SIZE, QpTrainConfig, _subsample, alternating_adam, fit_loss,
-                      new_params)
+                      new_params, residual_loss)
 
 __all__ = [
     "ZTrainingSets",
@@ -114,28 +115,18 @@ def z_loss(kind, params_z: MlpParams, batch, system, trained_v):
 
     L1 and L2 are the hinged target fit of ``fit_loss``; L3 is the squared
     transport residual (b . grad Z + c Z)^2 with coefficients frozen at
-    the trained V, whose gradient is one sweep of the directional kernel
-    with the c Z term as its output seed.  The L3 batch is a (points, b,
-    c) triple, or bare points whose coefficients are then computed here.
-    Each kind traces the network once, and each gradient carries the
-    weight penalty once.
+    the trained V, through ``residual_loss`` with direction b and output
+    coefficient c.  The L3 batch is a (points, b, c) triple, or bare
+    points whose coefficients are then computed here.  Each kind traces
+    the network once, and each gradient carries the weight penalty once.
     """
     if kind in ("L1", "L2"):
         value, grad = fit_loss(params_z, *batch)
     elif kind == "L3":
-        if isinstance(batch, tuple):
-            x, b, c = batch
-        else:
-            x = batch
-            b, c = transport_coefficients(system, trained_v, x)
-        acts = net.trace(params_z, x)
-        z = acts[-1][:, 0]
-        gz = net.grad_input(params_z, acts)
-        resid = np.einsum("bi,bi->b", b, gz) + c * z
-        value = float(np.mean(resid**2))
-        coeff = 2.0 * resid / z.shape[0]
-        grad = net.grad_params_of_directional_input_grad(params_z, acts, b, coeff,
-                                                         upstream=coeff * c)
+        x, b, c = batch if isinstance(batch, tuple) else \
+            (batch, *transport_coefficients(system, trained_v, batch))
+        value, grad = residual_loss(
+            params_z, x, lambda _, z, gz: (np.einsum("bi,bi->b", b, gz) + c * z, b, c))
     else:
         raise ValueError(f"unknown loss kind {kind!r}")
     return value, net._add_weight_penalty(params_z, grad)
@@ -152,30 +143,24 @@ def _frozen_coefficients(system, trained_v, points):
     chunks also bound the Hessian's per-layer tangent arrays.
     """
     m = points.shape[0]
-    b, c = np.empty((m, points.shape[1])), np.empty(m)
-    for start in range(0, m, BATCH_SIZE):
-        rows = np.arange(start, start + BATCH_SIZE) % m
-        chunk_b, chunk_c = transport_coefficients(system, trained_v, points[rows])
-        keep = min(BATCH_SIZE, m - start)
-        b[start:start + keep], c[start:start + keep] = chunk_b[:keep], chunk_c[:keep]
-    return b, c
+    chunks = np.resize(np.arange(m), (-(-m // BATCH_SIZE), BATCH_SIZE))
+    parts = [transport_coefficients(system, trained_v, points[rows]) for rows in chunks]
+    return tuple(np.concatenate(arrays)[:m] for arrays in zip(*parts))
 
 
 def train_z(sets: ZTrainingSets, cfg: QpTrainConfig, system, trained_v) -> TrainedZ:
-    """Same alternating schedule as the quasi-potential; fine-tuning keeps
-    the attractor targets and the transport residual.  The transport
-    coefficients on Y3 are computed once, before the first epoch."""
+    """The three terms on the quasi-potential's schedule, fine-tuning on the
+    attractor targets and the transport residual; the coefficients on Y3
+    are computed once, before the first epoch."""
     cfg.validate()
     sets.validate()
     params = new_params(cfg, system)
     b3, c3 = _frozen_coefficients(system, trained_v, sets.y3)
-    members = [
-        ("L1z", sets.y1.shape[0], lambda idx: (sets.y1[idx], sets.y1_targets[idx]),
-         lambda p, b: z_loss("L1", p, b, system, trained_v), cfg.lr1),
-        ("L2z", sets.y2.shape[0], lambda idx: (sets.y2[idx], sets.y2_targets[idx]),
-         lambda p, b: z_loss("L2", p, b, system, trained_v), cfg.lr2),
-        ("L3z", sets.y3.shape[0], lambda idx: (sets.y3[idx], b3[idx], c3[idx]),
-         lambda p, b: z_loss("L3", p, b, system, trained_v), cfg.lr3),
-    ]
-    log, _ = alternating_adam(params, members, cfg, cfg.seed)
+
+    def loss(kind, p, batch):  # looks z_loss up at each call, so a wrapper sees every batch
+        return z_loss(kind, p, batch, system, trained_v)
+
+    terms = [("L1", (sets.y1, sets.y1_targets), cfg.lr1),
+             ("L2", (sets.y2, sets.y2_targets), cfg.lr2), ("L3", (sets.y3, b3, c3), cfg.lr3)]
+    log, _ = alternating_adam(params, terms, loss, cfg, cfg.seed)
     return TrainedZ(params=params, log=log)

@@ -2,6 +2,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -58,16 +59,16 @@ def curve_arrays(curve):
 
 
 @pytest.fixture
-def trace_calls(monkeypatch):
-    """The parameters of every ``net.trace`` call made during the test."""
-    calls = []
-    real = net.trace
+def net_calls(monkeypatch):
+    """The parameters of every ``net.trace``, ``net.grad_input`` and
+    directional-kernel call made during the test, by kernel name."""
+    calls = defaultdict(list)
+    for name in ("trace", "grad_input", "grad_params_of_directional_input_grad"):
+        def counting(params, *args, _real=getattr(net, name), _name=name, **kwargs):
+            calls[_name].append(params)
+            return _real(params, *args, **kwargs)
 
-    def counting(params, x):
-        calls.append(params)
-        return real(params, x)
-
-    monkeypatch.setattr(net, "trace", counting)
+        monkeypatch.setattr(net, name, counting)
     return calls
 
 

@@ -138,10 +138,11 @@ def test_config_validation_errors():
     expand = ou_mini_config().data["expand"]
     for key, value in [("step", 0.0), ("step", -1e-3), ("level", 0.0), ("rel_band", -1.0),
                        ("v_max", 0.05), ("count", -3), ("count", 2.5),
-                       ("samples_per_curve", 0), ("refine_epochs", -1), ("step", "x")]:
+                       ("samples_per_curve", 0), ("refine_epochs", -1), ("step", "x"),
+                       ("step", float("inf")), ("v_max", float("inf"))]:
         with pytest.raises(ValueError, match=f"expand.{key}"):
             ou_mini_config(expand=dict(expand, **{key: value}))
-    for eps in (0.0, -0.1, float("nan")):
+    for eps in (0.0, -0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="evaluate.eps"):
             ou_mini_config(evaluate={"eps": eps})
     for section in ("train_v", "train_z"):
@@ -182,7 +183,12 @@ def test_config_validation_errors():
              ("attractor", "x0", ["a"], "attractor.x0"),
              ("sim", "x0", ["a"], "sim.x0"), ("sim", "x0", [True], "sim.x0"),
              ("train_v", "residual_count", 2.5, "train_v.residual_count"),
-             ("train_v", "residual_count", "x", "train_v.residual_count")]
+             ("train_v", "residual_count", "x", "train_v.residual_count"),
+             # numbers that are not finite
+             ("attractor", "collect_time", float("inf"), "attractor.collect_time"),
+             ("attractor", "burn_in", float("inf"), "attractor.burn_in"),
+             ("sim", "total_time", float("inf"), "sim.total_time"),
+             ("sim", "dt", float("nan"), "sim.dt")]
     for section, key, value, match in cases:
         with pytest.raises(ValueError, match=match):
             ou_mini_config(**{section: dict(data[section], **{key: value})})
@@ -644,11 +650,13 @@ def test_cli_bad_config(tmp_path, capsys):
         bad.write_text(json.dumps({"grid": grid, "ladder": ladder, "train_v": {key: value}}))
         assert cli_main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 1
         assert f"config key 'train_v.{key}' must be" in capsys.readouterr().err
-    # so does a list entry or a value whose default is null
+    # so does a list entry, a value whose default is null or a number that is not finite
     for key, data in (("grid.bins", {"grid": dict(grid, bins=["a"])}),
                       ("grid.lower", {"grid": dict(grid, lower=["a"])}),
                       ("train_v.residual_count", {"train_v": {"residual_count": "x"}}),
-                      ("seed", {"seed": -1})):
+                      ("seed", {"seed": -1}),
+                      ("expand.step", {"expand": {"step": float("inf")}}),
+                      ("evaluate.eps", {"evaluate": {"eps": float("inf")}})):
         bad.write_text(json.dumps({"grid": grid, "ladder": ladder, **data}))
         assert cli_main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err

@@ -44,6 +44,12 @@ def test_config_invariants():
         ou_config(escape_policy="bounce").validate(1)
     with pytest.raises(ValueError):
         ou_config(n_traj=0).validate(1)
+    # non-finite spans fail with a message, not in round()
+    for kw, match in ((dict(dt=float("nan")), "dt and total_time"),
+                      (dict(total_time=float("inf")), "dt and total_time"),
+                      (dict(sample_interval=float("inf")), "sample_interval")):
+        with pytest.raises(ValueError, match=match):
+            ou_config(**kw).validate(1)
 
 
 def test_determinism_bitwise(ou1d):
@@ -539,7 +545,8 @@ def test_sample_attractor_coupled_vdp_product_structure():
         assert np.max(_dist_to_polyline(pair, cycle)) < 1e-3
 
 
-@pytest.mark.parametrize("burn_in, collect_time", [(-5.0, 20.0), (1.0, -1.0), (1.0, 0.0)])
+@pytest.mark.parametrize("burn_in, collect_time", [(-5.0, 20.0), (1.0, -1.0), (1.0, 0.0),
+                                                    (float("inf"), 20.0), (1.0, float("inf"))])
 def test_sample_attractor_span_guard(ou1d, burn_in, collect_time):
     # A negative burn-in would draw from the last states of a shorter run.
     with pytest.raises(ValueError, match="burn_in must be at least 0 and collect_time positive"):

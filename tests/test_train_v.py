@@ -104,13 +104,16 @@ def test_qp_loss_gradients_match_finite_differences(ou1d, rng):
     full("L3", x)
 
 
-def test_qp_loss_traces_the_network_once(ou1d, rng, trace_calls):
+def test_qp_loss_traces_the_network_once(ou1d, rng, net_calls):
     params = net.init_params(MlpSpec(widths=(1, 6, 4, 1)), seed=5)
     x = rng.uniform(-1, 1, size=(7, 1))
     for kind, batch in (("L1", x), ("L2", (x, rng.uniform(size=7))), ("L3", x)):
-        trace_calls.clear()
+        net_calls.clear()
         qp_loss(kind, params, batch, ou1d)
-        assert trace_calls == [params], kind
+        sweep = [params] if kind == "L3" else []  # one input gradient, one directional sweep
+        assert [net_calls[k] for k in ("trace", "grad_input",
+                                       "grad_params_of_directional_input_grad")] \
+            == [[params], sweep, sweep], kind
 
 
 def _make_table(points, v_fn, reliable_mask, u_top=0.0):
@@ -205,32 +208,57 @@ def test_alternating_schedule_state_isolation(ou1d, rng):
     spec = MlpSpec(widths=(1, 4, 1), l2_lambda=0.0)
     params = net.init_params(spec, seed=1)
     sizes = (320, 200, 560)  # 5 batches of 128 per epoch; the smaller sets recycle
-    data = [rng.uniform(-1, 1, size=(s, 1)) for s in sizes]
+    terms = [(f"m{i}", (rng.uniform(-1, 1, size=(s, 1)),), 1e-3) for i, s in enumerate(sizes)]
 
-    def loss(p, b):
+    def loss(kind, p, b):
         acts = net.trace(p, b)
         v = acts[-1][:, 0]
         return float(np.mean(v**2)), net.grad_params(p, acts, 2.0 * v / b.shape[0])
 
-    members = [(f"m{i}", sizes[i], lambda idx, i=i: data[i][idx], loss, 1e-3)
-               for i in range(3)]
     cfg = QpTrainConfig(epochs=1, fine_tune_epochs=0)
-    log, states = alternating_adam(params, members, cfg, seed=3)
+    log, states = alternating_adam(params, terms, loss, cfg, seed=3)
     n_batches = int(np.ceil(max(sizes) / BATCH_SIZE))
     assert [s.t for s in states] == [n_batches] * 3  # one step per drawn batch
     assert len(log) == 1
+
+
+def test_alternating_adam_batches_take_the_same_rows_of_each_array():
+    params = net.init_params(MlpSpec(widths=(1, 3, 1)), seed=2)
+    rows = np.arange(300.0)
+    terms = [("L1", (rows[:50, None],), 1e-3), ("L2", (rows[:70, None], rows[:70] + 0.5), 1e-3),
+             ("L3", (rows[:, None], rows + 0.5, -rows), 1e-3)]
+    seen = []
+
+    def loss(kind, p, batch):
+        seen.append((kind, batch))
+        return 0.0, np.zeros(p.size)
+
+    alternating_adam(params, terms, loss, QpTrainConfig(epochs=2, fine_tune_epochs=1), seed=0)
+    # 3 batches of each term in each of the 2 epochs, then 3 of L1 and L3
+    assert [kind for kind, _ in seen] == ["L1", "L2", "L3"] * 6 + ["L1", "L3"] * 3
+    for kind, batch in seen:
+        x = batch if kind == "L1" else batch[0]
+        assert x.shape == (BATCH_SIZE, 1)
+        if kind != "L1":
+            assert np.array_equal(batch[1], x[:, 0] + 0.5)
+        if kind == "L3":
+            assert len(batch) == 3 and np.array_equal(batch[2], -x[:, 0])
+    # the first epoch's L3 stream begins with every row once
+    first = np.concatenate([b[0][:, 0] for kind, b in seen[:9] if kind == "L3"])
+    assert np.array_equal(np.sort(first[:300]), rows)
 
 
 def test_alternating_adam_detects_divergence(rng):
     spec = MlpSpec(widths=(1, 3, 1))
     params = net.init_params(spec, seed=2)
 
-    def bad_loss(p, b):
-        return float("inf"), np.zeros(p.size)
+    def loss(kind, p, b):
+        return float("inf") if kind == "L2" else 0.0, np.zeros(p.size)
 
-    members = [("bad", 10, lambda idx: np.zeros((len(idx), 1)), bad_loss, 1e-3)]
-    with pytest.raises(TrainingDiverged):
-        alternating_adam(params, members, QpTrainConfig(epochs=1, fine_tune_epochs=0), seed=0)
+    terms = [(kind, (np.zeros((10, 1)),), 1e-3) for kind in ("L1", "L2", "L3")]
+    with pytest.raises(TrainingDiverged, match="^L2 became non-finite at epoch 0$"):
+        alternating_adam(params, terms, loss, QpTrainConfig(epochs=1, fine_tune_epochs=0),
+                         seed=0)
 
 
 def test_estimate_alpha_examples(rng):

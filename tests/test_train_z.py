@@ -129,19 +129,22 @@ def _v_and_z_nets(seed):
         net.init_params(spec, seed=seed + 1)
 
 
-def test_z_loss_traces_the_network_once(rng, trace_calls):
+def test_z_loss_traces_the_network_once(rng, net_calls):
     ou2d = make_benchmark("ou2d")
     trained_v, params = _v_and_z_nets(seed=3)
     x = rng.uniform(-1, 1, size=(16, 2))
     targets = np.full(16, np.pi**-0.5)
     b, c = transport_coefficients(ou2d, trained_v, x)
     for kind, batch in (("L1", (x, targets)), ("L2", (x, targets)), ("L3", (x, b, c)), ("L3", x)):
-        trace_calls.clear()
+        net_calls.clear()
         z_loss(kind, params, batch, ou2d, trained_v)
-        assert [p for p in trace_calls if p is params] == [params], kind
-    trace_calls.clear()
+        sweep = [params] if kind == "L3" else []  # one input gradient, one directional sweep
+        assert [[p for p in net_calls[k] if p is params]
+                for k in ("trace", "grad_input", "grad_params_of_directional_input_grad")] \
+            == [[params], sweep, sweep], kind
+    net_calls.clear()
     z_loss("L3", params, (x, b, c), ou2d, trained_v)
-    assert trace_calls == [params]  # frozen coefficients: V is not traced
+    assert net_calls["trace"] == [params]  # frozen coefficients: V is not traced
 
 
 def test_z_loss_l3_frozen_coefficients_bitwise(rng):

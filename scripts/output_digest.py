@@ -26,7 +26,11 @@ lines.  These outputs are hashed:
   through the attractor, so that every level escapes and the rollback
   path runs, and the digest of its per-level escape counts;
 * the trained V and Z parameters, ``alpha`` and both loss logs of the
-  ``paper-train`` workload on seeds 1-3;
+  ``paper-train`` workload on seeds 1-3; the script trains seed 1 a
+  second time with one usable core, so that one process evaluates both
+  row blocks of every batch, and stops unless its parameters and logs
+  equal those of the first training, which ran on two ranks on a
+  machine with two or more cores;
 * figure-eight characteristics seeded and traced on the exact
   ``V = mu H^2`` with its transport coefficient, once in a box that holds
   them and once in a box that cuts them: the seeds, the sample states,
@@ -218,13 +222,35 @@ def system_lines():
     return lines
 
 
-def paper_train_lines(seed, workdir):
+def train_paper(seed, workdir):
+    """The trained V and Z of the ``paper-train`` workload on ``seed``."""
     from workloads import PaperTrain
 
     work = PaperTrain(seed, workdir)
     for _, _, op in work.ops():
         op()
-    tv, tz = work.trained_v, work.trained_z
+    return work.trained_v, work.trained_z
+
+
+def one_core_check(seed, workdir, trained):
+    """Train ``paper-train`` on ``seed`` again with ``simulate._usable_cores``
+    pinned to 1; the parameters and loss logs must equal ``trained``'s."""
+    from deepwkb import simulate
+
+    cores = simulate._usable_cores
+    simulate._usable_cores = lambda: 1
+    try:
+        again = train_paper(seed, workdir)
+    finally:
+        simulate._usable_cores = cores
+    for net_name, first, second in zip("VZ", trained, again):
+        if not (np.array_equal(first.params.flat, second.params.flat) and np.array_equal(
+                np.asarray(first.log, dtype=float), np.asarray(second.log, dtype=float),
+                equal_nan=True)):
+            raise SystemExit(f"paper-train-{seed} {net_name} trained on one core differs")
+
+
+def paper_train_lines(seed, tv, tz):
     parts = {
         "v_params": tv.params.flat.tobytes(),
         "alpha": np.float64(tv.alpha).tobytes(),
@@ -283,8 +309,11 @@ def main(argv=None):
             print(line, flush=True)
 
         for seed in PAPER_TRAIN_SEEDS:
-            for line in paper_train_lines(seed, base / f"paper-train-{seed}"):
+            trained = train_paper(seed, base / f"paper-train-{seed}")
+            for line in paper_train_lines(seed, *trained):
                 print(line, flush=True)
+            if seed == PAPER_TRAIN_SEEDS[0]:
+                one_core_check(seed, base / f"paper-train-{seed}-one-core", trained)
 
         for line in system_lines():
             print(line, flush=True)

@@ -38,38 +38,18 @@ that.  numpy picks its ``exp`` kernel (as BLAS its matrix kernels) by
 the CPU's SIMD extensions at run time, so outputs are deterministic on
 one machine but their last bits may differ between CPUs.
 
-At paper width the three training kernels share their work with one
-helper thread, started on first use.  ``grad_params`` queues each
-layer's weight-gradient product and bias sum while its adjoint chain
-runs on; the directional kernel hands the helper its tangent-adjoint
-chain during the forward tangent pass, then queues each layer's
-gradient products during the adjoint chain; ``adam_step`` checks the
-whole gradient, then queues its update in chunks of 2^15 elements that
-stay in cache.  The helper takes queued tasks in order, and the calling
-thread runs what is still queued when its own chain ends.  numpy
-releases the interpreter lock inside its products and loops, so the two
-threads run on two cores, and every product and elementwise operation
-is the serial one, so the outputs keep their bits.  The helper engages
-only for networks of at least 2^14 parameters (the paper width has
-157,633, the 1-d OU net 1,153) with a second usable core and
-one-threaded BLAS, read once
-from OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS in
-OpenBLAS's order: a multi-threaded BLAS already spreads the products
-over the cores.  A kernel waits for every task it queued before it
-returns or raises, and a forked child drops the helper, whose thread it
-does not inherit.  The tasks call numpy only, never this module's
-public functions, which perfbench's tracer wraps with one span stack
-for one thread.
+Training at paper width splits each batch into row blocks, evaluated by
+two processes that share the parameters (see ``train_v``); ``adam_step``
+updates a slice of the flat vector, so that each process updates its own
+part.
 """
 
 from __future__ import annotations
 
 import os
-import time
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from functools import cache, cached_property
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -248,159 +228,12 @@ def forward(params: MlpParams, x):
     return a[:, 0]
 
 
-# ---------------------------------------------------------------------------
-# The helper thread of the parameter-gradient kernels (see the module
-# docstring).
-# ---------------------------------------------------------------------------
-
-# Below this many parameters a handoff costs more than the work handed off.
-_HELPER_MIN_PARAMS = 1 << 14
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-_helper = None
-
-
-def _blas_threads():
-    """BLAS's thread count as OpenBLAS reads it at load: the first positive
-    value of its three variables, or 0 (every core) when none is set."""
-    for name in _BLAS_THREAD_VARS:
-        try:
-            n = int(os.environ.get(name, ""))
-        except ValueError:
-            continue
-        if n > 0:
-            return n
-    return 0
-
-
-@cache
-def _spare_core():
-    """Whether a second usable core sits idle beside one-threaded BLAS.
-    A multi-threaded BLAS already spreads the products over the cores, and
-    the helper only contends with it."""
-    from .simulate import _usable_cores
-
-    return _usable_cores() >= 2 and _blas_threads() == 1
-
-
-def _helper_for(size):
-    """The helper's executor for a network of ``size`` parameters, started
-    on first use; None where handing it work does not pay."""
-    global _helper
-    if size < _HELPER_MIN_PARAMS or not _spare_core():
-        return None
-    if _helper is None:
-        from concurrent.futures import ThreadPoolExecutor
-
-        _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="deepwkb-net")
-    return _helper
-
-
-def _drop_helper():
-    # A forked child inherits the executor but not its thread: work handed
-    # to it would wait forever.
-    global _helper
-    _helper = None
-
-
-os.register_at_fork(after_in_child=_drop_helper)
-
-
-class _Tasks:
-    """The tasks one kernel call hands to the helper, or runs at once in
-    the calling thread where the helper does not engage.
-
-    The helper takes the call's tasks from a queue in the order handed
-    over.  When the call joins, its own thread runs the tasks the helper
-    has not taken yet, then waits for the one it runs (or cancels its turn
-    if it has not started), so neither thread idles while work is queued.
-    The two threads poll rather than sleep: on a 2-vCPU virtual machine a
-    task handed to a sleeping thread started 0.14 ms later in the median
-    and 0.87 ms at the 90th percentile, against 0.04 and 0.06 ms for a
-    polling one, while a 256 x 256 layer's product takes about 0.4 ms.
-    Leaving the ``with`` block waits for every task, so none outlives the
-    call, and raises the first task's exception unless the block raised
-    its own.  A task calls numpy only: perfbench's tracer wraps this
-    module's public functions and keeps one span stack, for one thread.
-    """
-
-    __slots__ = ("pool", "queue", "serving")
-
-    def __init__(self, size):
-        self.pool = _helper_for(size)
-        self.queue = None
-        self.serving = None
-
-    def run(self, fn, *args):
-        if self.pool is None:
-            fn(*args)
-            return
-        if self.serving is None:
-            self.queue = deque()
-            self.serving = self.pool.submit(_take_tasks, self.queue, True)
-        self.queue.append((fn, args))
-
-    def join(self):
-        """Run every task handed over so far, here or on the helper; raise
-        the first exception."""
-        if self.serving is None:
-            return
-        serving, self.serving = self.serving, None
-        error = _take_tasks(self.queue, False)
-        if not serving.cancel():  # the helper has started: wait for its task
-            self.queue.append(None)
-            while not serving.done():
-                time.sleep(0)  # polls, releasing the interpreter lock
-            if error is None:
-                error = serving.result()
-        if error is not None:
-            raise error
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc_type is None:
-            self.join()
-        elif self.serving is not None:  # the block's own exception wins
-            self.queue.append(None)
-            self.serving.result()
-
-
-def _take_tasks(queue, until_stopped):
-    """Take tasks from ``queue`` and run them, until it yields None or, if
-    not ``until_stopped``, until it is empty; return the first task's
-    exception, or None.  A task after a failed one still runs."""
-    error = None
-    while True:
-        try:
-            task = queue.popleft()
-        except IndexError:
-            if not until_stopped:
-                return error
-            time.sleep(0)  # polls, releasing the interpreter lock
-            continue
-        if task is None:
-            return error
-        fn, args = task
-        try:
-            fn(*args)
-        except Exception as exc:  # the kernel re-raises it
-            if error is None:
-                error = exc
-
-
-def _weight_grad(delta, a, gw, gb):
-    np.dot(delta.T, a, out=gw)
-    delta.sum(axis=0, out=gb)
-
-
 def grad_params(params: MlpParams, acts, upstream) -> np.ndarray:
     """Flat gradient of  sum_b upstream_b * NN(x_b)  over the parameters,
     from the trace ``acts`` of the batch.
 
     ``upstream`` holds one coefficient per batch row.  No weight penalty
-    is added here: the losses add it once.  Each layer's weight and bias
-    gradient is queued for the helper while the adjoint chain runs on.
+    is added here: the losses add it once.
     """
     ups = np.asarray(upstream, dtype=float)
     if ups.shape != (acts[0].shape[0],):
@@ -409,12 +242,13 @@ def grad_params(params: MlpParams, acts, upstream) -> np.ndarray:
     grad = np.empty(params.size)
     views = _layer_views(params.spec, grad)
     delta = ups[:, None]  # d(sum ups*y)/d z_L
-    with _Tasks(params.size) as tasks:
-        for l in range(params.spec.n_layers - 1, -1, -1):
-            tasks.run(_weight_grad, delta, acts[l], *views[l])
-            if l > 0:
-                delta = np.dot(delta, params.layers[l][0])
-                delta *= acts.slopes[l]
+    for l in range(params.spec.n_layers - 1, -1, -1):
+        gw, gb = views[l]
+        np.dot(delta.T, acts[l], out=gw)
+        delta.sum(axis=0, out=gb)
+        if l > 0:
+            delta = np.dot(delta, params.layers[l][0])
+            delta *= acts.slopes[l]
     return grad
 
 
@@ -490,54 +324,42 @@ def grad_params_of_directional_input_grad(params: MlpParams, acts, w_dir, coeff,
     n_layers = params.spec.n_layers
     weights = [w for w, _ in params.layers]
     # Adjoints of the augmented graph; objective is sum_b c_b * zdot_L
-    # plus sum_b upstream_b * z_L.  The tangent adjoints q (and r = s' q)
-    # never read the forward tangents, so the helper runs their chain
-    # while this thread runs the forward tangent pass.
+    # plus sum_b upstream_b * z_L.  The tangent adjoints q_l, and
+    # r_l = s'_l q_l, run from q = c at the linear output down to the first
+    # layer; they never read the forward tangents.
     qs, rs = [None] * n_layers, [None] * n_layers
-    with _Tasks(params.size) as tasks:
-        tasks.run(_tangent_adjoints, weights, acts.slopes, c[:, None], qs, rs)
-        # Forward tangent pass in direction w: zdot_l, adot_l.
-        zdots, adots = [], [wb]
-        adot = wb
-        for l, wmat in enumerate(weights):
-            zdot = np.dot(adot, wmat.T)
-            zdots.append(zdot)
-            adot = zdot if l == n_layers - 1 else acts.slopes[l + 1] * zdot
-            adots.append(adot)
-        tasks.join()
-
-        grad = np.empty(params.size)
-        views = _layer_views(params.spec, grad)
-        a_bar = ups[:, None]
-        for l in range(n_layers - 1, -1, -1):
-            if l == n_layers - 1:  # linear output: act' = 1, act'' = 0
-                z_bar = a_bar
-            else:
-                sp = acts.slopes[l + 1]
-                spp = sp * (1.0 - 2.0 * acts[l + 1])
-                z_bar = sp * a_bar + spp * zdots[l] * qs[l]
-            tasks.run(_directional_weight_grad, z_bar, acts[l], rs[l], adots[l], *views[l])
-            if l > 0:
-                a_bar = np.dot(z_bar, weights[l])
-    return grad
-
-
-def _tangent_adjoints(weights, slopes, q, qs, rs):
-    """The chain q_l (into ``qs``) and r_l = s'_l q_l (into ``rs``), from
-    q = c at the linear output down to the first layer."""
-    last = len(weights) - 1
-    for l in range(last, -1, -1):
+    q = c[:, None]
+    for l in range(n_layers - 1, -1, -1):
         qs[l] = q
-        r = q if l == last else slopes[l + 1] * q
-        rs[l] = r
+        rs[l] = q if l == n_layers - 1 else acts.slopes[l + 1] * q
         if l > 0:
-            q = np.dot(r, weights[l])
+            q = np.dot(rs[l], weights[l])
+    # Forward tangent pass in direction w: zdot_l, adot_l.
+    zdots, adots = [], [wb]
+    adot = wb
+    for l, wmat in enumerate(weights):
+        zdot = np.dot(adot, wmat.T)
+        zdots.append(zdot)
+        adot = zdot if l == n_layers - 1 else acts.slopes[l + 1] * zdot
+        adots.append(adot)
 
-
-def _directional_weight_grad(z_bar, a, r, adot, gw, gb):
-    np.dot(z_bar.T, a, out=gw)
-    gw += np.dot(r.T, adot)
-    z_bar.sum(axis=0, out=gb)
+    grad = np.empty(params.size)
+    views = _layer_views(params.spec, grad)
+    a_bar = ups[:, None]
+    for l in range(n_layers - 1, -1, -1):
+        if l == n_layers - 1:  # linear output: act' = 1, act'' = 0
+            z_bar = a_bar
+        else:
+            sp = acts.slopes[l + 1]
+            spp = sp * (1.0 - 2.0 * acts[l + 1])
+            z_bar = sp * a_bar + spp * zdots[l] * qs[l]
+        gw, gb = views[l]
+        np.dot(z_bar.T, acts[l], out=gw)
+        gw += np.dot(rs[l].T, adots[l])
+        z_bar.sum(axis=0, out=gb)
+        if l > 0:
+            a_bar = np.dot(z_bar, weights[l])
+    return grad
 
 
 # Elements per pass of the Adam update: a chunk's seven arrays of float64
@@ -565,14 +387,18 @@ class AdamState:
         return cls(lr=lr, m=np.zeros(params.size), v=np.zeros(params.size))
 
 
-def adam_step(state: AdamState, params: MlpParams, grads):
-    """One bias-corrected Adam update, in place.
+def adam_step(state: AdamState, params: MlpParams, grads, part=slice(None)):
+    """One bias-corrected Adam update, in place, of the parameters and
+    moments in ``part``, a slice of the flat vector (all of it by
+    default), from ``grads``, their gradient.
 
     Non-finite gradient entries reject the step: the counter is bumped and
-    neither the moments nor the parameters move.
+    neither the moments nor the parameters move.  ``t`` counts steps, so
+    processes that update disjoint parts of one step each count it once.
     """
+    lo, hi, _ = part.indices(params.size)
     g = np.asarray(grads, dtype=float)
-    if g.shape != (params.size,):
+    if g.shape != (hi - lo,):
         raise ValueError("gradient length does not match parameters")
     if not np.all(np.isfinite(g)):
         state.rejected += 1
@@ -580,11 +406,11 @@ def adam_step(state: AdamState, params: MlpParams, grads):
     state.t += 1
     corr1 = 1.0 - state.beta1 ** state.t
     corr2 = 1.0 - state.beta2 ** state.t
-
-    def update(part):
+    for start in range(lo, hi, _ADAM_CHUNK):
         # In place through three chunk-sized temporaries, in the operation
         # order of lr * m_hat / (sqrt(v_hat) + floor).
-        m, v, gp = state.m[part], state.v[part], g[part]
+        chunk = slice(start, min(start + _ADAM_CHUNK, hi))
+        m, v, gp = state.m[chunk], state.v[chunk], g[chunk.start - lo:chunk.stop - lo]
         m *= state.beta1
         m += (1.0 - state.beta1) * gp
         g2 = (1.0 - state.beta2) * gp
@@ -597,13 +423,8 @@ def adam_step(state: AdamState, params: MlpParams, grads):
         denom += state.floor
         step *= state.lr
         step /= denom
-        flat = params.flat[part]
+        flat = params.flat[chunk]
         flat -= step
-
-    # The update is elementwise: the two threads share its chunks.
-    with _Tasks(params.size) as tasks:
-        for lo in range(0, params.size, _ADAM_CHUNK):
-            tasks.run(update, slice(lo, lo + _ADAM_CHUNK))
     return state, params
 
 

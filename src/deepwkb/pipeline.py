@@ -386,7 +386,8 @@ def _fit_v(cfg: RunConfig, outdir: Path, system, label, name, expanded=None, ini
     """Train V on the run's sets (plus the ``expanded`` (points, v) pair)
     from ``initial`` or fresh parameters, by train_v seeded from ``label``
     with ``changes``; save checkpoint_<name>.dwkbnet, with alpha, and
-    trainlog_<name>.csv.  Returns (those names, alpha)."""
+    trainlog_<name>.csv.  Returns (those names, the manifest info: alpha
+    and the rejected Adam steps per loss kind)."""
     tcfg = dataclasses.replace(cfg.train_cfg("train_v", _derive_seed(cfg["seed"], label)),
                                **changes)
     sets = assemble_qp_sets(np.load(outdir / "attractor.npy"),
@@ -396,12 +397,11 @@ def _fit_v(cfg: RunConfig, outdir: Path, system, label, name, expanded=None, ini
     net.save_checkpoint(outdir / outputs[0], trained.params,
                         extra=json.dumps({"alpha": trained.alpha}).encode())
     _write_train_log(outdir / outputs[1], trained.log)
-    return outputs, trained.alpha
+    return outputs, {"alpha": trained.alpha, "rejected_steps": trained.rejected}
 
 
 def _stage_train_v(cfg: RunConfig, outdir: Path):
-    outputs, alpha = _fit_v(cfg, outdir, cfg.system(), "train_v", "v")
-    return outputs, {"alpha": alpha}
+    return _fit_v(cfg, outdir, cfg.system(), "train_v", "v")
 
 
 def _write_train_log(path, log):
@@ -462,11 +462,12 @@ def _stage_expand(cfg: RunConfig, outdir: Path):
     # Continue training V on the expanded set (curriculum: start from the
     # learned parameters, artificial targets drop out in favor of curves).
     if e["refine_epochs"] > 0:
-        names, info["alpha"] = _fit_v(
+        names, refined = _fit_v(
             cfg, outdir, system, "refine_v", "v_refined", expanded=(arr["point"], arr["v"]),
             initial=trained.params, epochs=e["refine_epochs"],
             fine_tune_epochs=max(1, e["refine_epochs"] // 5))
         outputs += names
+        info.update(refined)
     return outputs, info
 
 
@@ -500,6 +501,7 @@ def _stage_train_z(cfg: RunConfig, outdir: Path):
     return ["checkpoint_z.dwkbnet", "trainlog_z.csv"], {
         "attractor_targets": attr_z0.size,
         "transported_points": int(curves.shape[0]),
+        "rejected_steps": trained_z.rejected,
     }
 
 

@@ -26,9 +26,10 @@ trajectory-major block; the streams depend on neither size.
 
 The zero-noise flow that ``sample_attractor`` integrates does not depend
 on the ensemble, so the simulate stage runs it through
-``call_in_child`` in a forked child of its own beside the level workers.
-One routine, ``_children``, forks both kinds of child and receives
-their messages in one loop.
+``call_in_child`` in a forked child of its own beside the level workers;
+paper-width training forks its second rank the same way (see
+``train_v``).  One routine, ``_children``, forks every kind of child and
+receives their messages in one loop.
 """
 
 from __future__ import annotations
@@ -163,13 +164,13 @@ def simulate_ensemble(system, cfgs, sinks) -> SimSummary:
     groups = np.array_split(np.arange(len(cfgs)), min(len(cfgs), _usable_cores()))
     jobs = [_advance(system, [cfgs[i] for i in group], lo, hi) for group in groups]
     if len(groups) == 1:
-        arrivals = nullcontext((0, tag, payload) for tag, payload in jobs[0])
+        arrivals = nullcontext(lambda: ((0, tag, payload) for tag, payload in jobs[0]))
     else:
         arrivals = _children(jobs, [f"simulation worker for levels {group.tolist()}"
                                     for group in groups])
     counts = [None] * len(groups)
     with arrivals as messages:
-        for g, tag, payload in messages:
+        for g, tag, payload in messages():
             if tag == "batches":
                 for level, batch in payload:
                     sinks[groups[g][level]](batch)
@@ -295,12 +296,14 @@ class _WorkerTraceback(Exception):
 @contextmanager
 def _children(jobs, names):
     """Fork one child per message generator in ``jobs`` (fork, because a
-    system's drift closures cannot be pickled) and yield an iterator of
-    (index, tag, payload) over their messages as they arrive, up to each
-    child's "done".  A child's exception is re-raised here with its type
-    and its traceback as the cause; a child that dies first is reported by
-    its name in ``names`` and exit code.  On exit the children whose "done"
-    has not arrived are terminated, and all are joined."""
+    system's drift closures cannot be pickled) and yield a function
+    ``arrivals(timeout=None)``, whose iterator of (index, tag, payload)
+    runs over their messages as they arrive, up to each child's "done",
+    and raises TimeoutError when none comes within ``timeout`` seconds.  A
+    child's exception is re-raised here with its type and its traceback as
+    the cause; a child that dies first is reported by its name in
+    ``names`` and exit code.  On exit the children whose "done" has not
+    arrived are terminated, and all are joined."""
     ctx = get_context("fork")
     children, pending = [], {}
     try:
@@ -312,9 +315,12 @@ def _children(jobs, names):
             children.append((proc, recv))
             pending[recv] = i
 
-        def arrivals():
+        def arrivals(timeout=None):
             while pending:
-                for recv in connection.wait(list(pending)):
+                ready = connection.wait(list(pending), timeout)
+                if not ready:
+                    raise TimeoutError
+                for recv in ready:
                     i = pending[recv]
                     try:
                         tag, payload = recv.recv()
@@ -329,7 +335,7 @@ def _children(jobs, names):
                         del pending[recv]
                     yield i, tag, payload
 
-        yield arrivals()
+        yield arrivals
     finally:
         for proc, recv in children:
             if recv in pending:
@@ -342,14 +348,16 @@ def _children(jobs, names):
 def call_in_child(fn, *args, **kwargs):
     """Run ``fn(*args, **kwargs)`` in a forked child, ``_children``'s one
     job, while the ``with`` block runs here.  The block gets a function
-    that waits for fn's result and returns it, re-raising fn's exception
-    with its type.  A child whose result the block did not take is
-    terminated when the block exits, and no child outlives the block."""
+    ``result(timeout=None)`` that waits for fn's result, at most
+    ``timeout`` seconds, and returns it, re-raising fn's exception with its
+    type, or raises TimeoutError if the child is still running.  A child
+    whose result the block did not take is terminated when the block
+    exits, and no child outlives the block."""
     def returned():
         yield "done", fn(*args, **kwargs)
 
-    with _children([returned()], ["child process"]) as messages:
-        yield lambda: next(messages)[2]
+    with _children([returned()], ["child process"]) as arrivals:
+        yield lambda timeout=None: next(arrivals(timeout))[2]
 
 
 def integrate_ode(system, x0, dt, total_time):

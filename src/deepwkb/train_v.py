@@ -22,16 +22,41 @@ and V / alpha with alpha != 1 solves no Hamilton-Jacobi equation.
 Every point set is a (B, n) batch, and the accessors of TrainedQp take
 and return batches: V as (B,), grad V as (B, n), its Hessian as
 (B, n, n).
+
+A network of at least 2^14 parameters (the paper width has 157,633, the
+1-d OU net 1,153) evaluates every batch as two fixed blocks of 64 rows,
+and a step's loss and gradient are the blocks', weighted by their row
+share and added block 0 first.  Given a second usable core and
+one-threaded BLAS, the schedule then runs as two ranks (Goyal et al.,
+2017, synchronous data parallelism): rank 1 is a forked child (fork,
+because the loss callables cannot be pickled) that replays the same
+seeded schedule, and the parameters, every term's Adam moments and one
+gradient row per block live in one anonymous shared mapping.  In each
+step each rank evaluates its block; after a barrier, each adds the two
+block gradients over its own half of the elements and applies Adam to
+that half, rank 0 through ``net.adam_step``, and a second barrier ends
+the step.  The barriers poll with ``time.sleep(0)``: a waiter that
+blocks wakes 0.14 ms late in the median on a virtual machine.
+Otherwise this process evaluates both blocks in turn, with the same
+bits, so the outputs depend neither on the core count nor on timing.
+An exception in rank 1 is re-raised on rank 0 with its type and the
+child's traceback as its cause, a dead rank 1 is reported by its exit
+code, and rank 1 exits by itself once its parent is gone.  A wrapper
+installed around the loss or the network kernels sees rank 0's calls
+only.
 """
 
 from __future__ import annotations
 
 import ctypes
+import mmap
+import os
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import net
+from . import net, simulate
 from .models import _philox
 from .net import AdamState, MlpParams, MlpSpec
 
@@ -57,6 +82,8 @@ L2_LAMBDA = 1e-3          # weight penalty of every network trained here
 FAR_FIELD_DENSITY = 1e-6  # top-level density below which an unfit point is far field
 FINE_TUNE_TERMS = (0, 2)  # attractor fit and residual train on after the main epochs,
 FINE_TUNE_FACTOR = 0.1    # at this fraction of their learning rates
+_BLOCKS = 2               # row blocks of a batch at paper width, one per rank
+_BLOCK_MIN_PARAMS = 1 << 14  # smaller networks train on whole batches
 
 
 class TrainingDiverged(RuntimeError):
@@ -120,6 +147,7 @@ class TrainedQp:
     params: MlpParams
     alpha: float
     log: list = field(default_factory=list)  # (epoch, L1, L2, L3) rows
+    rejected: dict = field(default_factory=dict)  # rejected Adam steps per loss kind
 
     def v(self, x):
         return net.forward(self.params, x) / self.alpha
@@ -254,7 +282,7 @@ def _epoch_indices(rng, size, n_batches):
 
 
 # glibc's mallopt parameter numbers, from malloc.h.
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 
 
 def _keep_freed_memory():
@@ -266,18 +294,55 @@ def _keep_freed_memory():
     step faults its activations and temporaries in again depends on what
     the process allocated before: 200 K minor faults in one 1-d train-v
     of 7,280 steps, 300 in another.  Fixed thresholds of 4 MB and 64 MB
-    keep the memory in the heap; they move no bit of any output.  One
-    arena makes the network kernels' helper thread (see ``net``) allocate
-    from the heap the main thread frees, rather than keep a heap of its
-    own: 1.5-1.8 MB less peak memory at paper width.  This sets
-    process-wide allocator state, and does nothing where the C library
-    has no ``mallopt``.
+    keep the memory in the heap; they move no bit of any output.  This
+    sets process-wide allocator state, and does nothing where the C
+    library has no ``mallopt``.
     """
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if mallopt is not None:
         mallopt(_M_MMAP_THRESHOLD, 4 << 20)
         mallopt(_M_TRIM_THRESHOLD, 64 << 20)
-        mallopt(_M_ARENA_MAX, 1)
+
+
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _blas_threads():
+    """BLAS's thread count as OpenBLAS reads it at load: the first positive
+    value of its three variables, or 0 (every core) when none is set."""
+    for name in _BLAS_THREAD_VARS:
+        try:
+            n = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if n > 0:
+            return n
+    return 0
+
+
+def _spare_core():
+    """Whether a second rank gets a core of its own: a second usable core
+    beside one-threaded BLAS (a multi-threaded BLAS already spreads the
+    products over the cores), on x86-64, whose stores reach the other core
+    in program order, as the ranks' barriers need."""
+    return (os.uname().machine == "x86_64" and simulate._usable_cores() >= 2
+            and _blas_threads() == 1)
+
+
+def _shared_state(params, lrs, blocks):
+    """The parameters, one Adam state per learning rate in ``lrs`` and one
+    gradient per block, as rows of one anonymous shared mapping, which a
+    forked child shares; then per block its loss value and finiteness, and
+    per rank its barrier count.  Rows start on 64-byte lines."""
+    size = params.size
+    stride = -(-size // 8) * 8
+    n_rows = 1 + 2 * len(lrs) + blocks
+    buf = np.frombuffer(mmap.mmap(-1, 8 * (n_rows * stride + 3 * blocks)))
+    rows = buf[:n_rows * stride].reshape(n_rows, stride)[:, :size]
+    shared = MlpParams(params.spec, rows[0])
+    shared.flat[...] = params.flat
+    states = [AdamState(lr=lr, m=rows[1 + 2 * i], v=rows[2 + 2 * i]) for i, lr in enumerate(lrs)]
+    return shared, states, rows[1 + 2 * len(lrs):], buf[n_rows * stride:].reshape(3, blocks)
 
 
 def alternating_adam(params, terms, loss, cfg, seed):
@@ -290,12 +355,100 @@ def alternating_adam(params, terms, loss, cfg, seed):
     The FINE_TUNE_TERMS then go on alone at FINE_TUNE_FACTOR times their
     rate.  Returns the per-epoch mean-loss log and the Adam states.  Raises
     TrainingDiverged, naming the kind, on a non-finite loss.
+
+    A network of at least _BLOCK_MIN_PARAMS parameters evaluates each batch
+    as _BLOCKS row blocks, and a step's value and gradient are the blocks',
+    weighted by their row share and added block 0 first.  Where
+    ``_spare_core`` allows, the blocks run on two ranks (see the module
+    docstring); otherwise this process evaluates them in turn, with the
+    same bits.
     """
     _keep_freed_memory()
+    blocks = _BLOCKS if params.size >= _BLOCK_MIN_PARAMS else 1
+    ranks = blocks if blocks > 1 and _spare_core() else 1
+    shared = _shared_state(params, [lr for _, _, lr in terms], blocks)
+    if ranks == 1:
+        log = _schedule(0, 1, shared, terms, loss, cfg, seed, None)
+    else:
+        parent = os.getpid()
+
+        def orphaned():  # rank 1 ends with its parent
+            if os.getppid() != parent:
+                os._exit(1)
+
+        with simulate.call_in_child(_schedule, 1, ranks, shared, terms, loss, cfg, seed,
+                                    orphaned) as child:
+            def child_failed():
+                try:
+                    child(0)
+                except TimeoutError:
+                    return
+                raise RuntimeError("training rank 1 ended before rank 0 did")
+
+            log = _schedule(0, ranks, shared, terms, loss, cfg, seed, child_failed)
+            child()
+    trained, states, _, _ = shared
+    params.flat[...] = trained.flat
+    return log, states
+
+
+def _schedule(rank, ranks, shared, terms, loss, cfg, seed, poll):
+    """The schedule as rank ``rank`` of ``ranks`` runs it, returning the log.
+
+    Every rank draws the same batches from the seed.  Per step a rank
+    evaluates its blocks, and copies each block's gradient into the shared
+    row as far as the other ranks update it; after a barrier it adds the
+    blocks' weighted gradients over its own part of the elements and takes
+    its part of the Adam step; a second barrier ends the step.  A
+    non-finite block gradient, flagged beside it, makes every rank reject
+    the step.  A waiting rank calls ``poll``.
+    """
+    params, states, grads, (values, finite, arrived) = shared
+    blocks = len(grads)
+    rows = BATCH_SIZE // blocks
+    share = rows / BATCH_SIZE
+    size = params.size
+    parts = [slice(r * size // ranks, (r + 1) * size // ranks) for r in range(ranks)]
+    part = parts[rank]
     rng = _philox(seed)
-    states = [AdamState.fresh(params, lr) for _, _, lr in terms]
     sizes = [len(arrays[0]) for _, arrays, _ in terms]
     log = []
+    barriers = 0
+
+    def sync():
+        nonlocal barriers
+        barriers += 1
+        arrived[rank] = barriers
+        for r in range(ranks):
+            while arrived[r] < barriers:
+                poll()
+                time.sleep(0)  # yields the core between polls
+
+    def step(epoch, i, idx):
+        kind, arrays, _ = terms[i]
+        local = {}
+        for b in range(rank, blocks, ranks):
+            batch = tuple(a[idx[b * rows:(b + 1) * rows]] for a in arrays)
+            values[b], local[b] = loss(kind, params, batch if len(batch) > 1 else batch[0])
+            if ranks > 1:
+                finite[b] = np.all(np.isfinite(local[b]))
+                for r in range(ranks):
+                    if r != rank:
+                        grads[b, parts[r]] = local[b][parts[r]]
+        if ranks > 1:
+            sync()
+        value = sum(share * v for v in values.tolist())
+        if not np.isfinite(value):
+            raise TrainingDiverged(f"{kind} became non-finite at epoch {epoch}")
+        g = share * local.get(0, grads[0])[part]
+        for b in range(1, blocks):
+            g += share * local.get(b, grads[b])[part]
+        if ranks > 1 and not finite.all():  # a non-finite block rejects the step on every rank
+            g[...] = np.nan
+        net.adam_step(states[i], params, g, part)
+        if ranks > 1:
+            sync()
+        return value
 
     def sweep(epoch, active):
         n_batches = max(int(np.ceil(sizes[i] / BATCH_SIZE)) for i in active)
@@ -303,13 +456,7 @@ def alternating_adam(params, terms, loss, cfg, seed):
         sums = [0.0] * len(terms)
         for k in range(n_batches):
             for i in active:
-                kind, arrays, _ = terms[i]
-                batch = tuple(a[idx_streams[i][k]] for a in arrays)
-                value, grad = loss(kind, params, batch if len(batch) > 1 else batch[0])
-                if not np.isfinite(value):
-                    raise TrainingDiverged(f"{kind} became non-finite at epoch {epoch}")
-                net.adam_step(states[i], params, grad)
-                sums[i] += value
+                sums[i] += step(epoch, i, idx_streams[i][k])
         log.append((epoch,) + tuple(sums[i] / n_batches if i in active else np.nan
                                     for i in range(len(terms))))
 
@@ -319,7 +466,7 @@ def alternating_adam(params, terms, loss, cfg, seed):
         states[i].lr *= FINE_TUNE_FACTOR
     for epoch in range(cfg.epochs, cfg.epochs + cfg.fine_tune_epochs):
         sweep(epoch, FINE_TUNE_TERMS)
-    return log, states
+    return log
 
 
 def train_qp(sets: QpTrainingSets, cfg: QpTrainConfig, system,
@@ -340,13 +487,14 @@ def train_qp(sets: QpTrainingSets, cfg: QpTrainConfig, system,
 
     terms = [("L1", (sets.x1,), cfg.lr1), ("L2", (sets.x2, sets.x2_targets), cfg.lr2),
              ("L3", (sets.x3,), cfg.lr3)]
-    log, _ = alternating_adam(params, terms, loss, cfg, cfg.seed)
+    log, states = alternating_adam(params, terms, loss, cfg, cfg.seed)
 
     # Scale against the regression references only: curve-derived targets
     # inherit the previous network's scale and would bias the ratio.
     ref = sets.x2_is_reference
     alpha = estimate_alpha(params, sets.x2[ref], sets.x2_targets[ref])
-    return TrainedQp(params=params, alpha=alpha, log=log)
+    rejected = {kind: state.rejected for (kind, _, _), state in zip(terms, states)}
+    return TrainedQp(params=params, alpha=alpha, log=log, rejected=rejected)
 
 
 def estimate_alpha(params: MlpParams, points, targets) -> float:

@@ -63,6 +63,7 @@ class ZTrainingSets:
 class TrainedZ:
     params: MlpParams
     log: list = field(default_factory=list)
+    rejected: dict = field(default_factory=dict)  # rejected Adam steps per loss kind
 
     def z(self, x):
         return net.forward(self.params, x)
@@ -162,5 +163,6 @@ def train_z(sets: ZTrainingSets, cfg: QpTrainConfig, system, trained_v) -> Train
 
     terms = [("L1", (sets.y1, sets.y1_targets), cfg.lr1),
              ("L2", (sets.y2, sets.y2_targets), cfg.lr2), ("L3", (sets.y3, b3, c3), cfg.lr3)]
-    log, _ = alternating_adam(params, terms, loss, cfg, cfg.seed)
-    return TrainedZ(params=params, log=log)
+    log, states = alternating_adam(params, terms, loss, cfg, cfg.seed)
+    rejected = {kind: state.rejected for (kind, _, _), state in zip(terms, states)}
+    return TrainedZ(params=params, log=log, rejected=rejected)

@@ -1,6 +1,7 @@
 import multiprocessing
 import os
 import signal
+import time
 
 import numpy as np
 import pytest
@@ -443,6 +444,14 @@ def test_finished_children_exit_normally(monkeypatch):
         child, = multiprocessing.active_children()
         assert result() == 3
     assert child.exitcode == 0
+    assert multiprocessing.active_children() == []
+
+
+def test_call_in_child_result_times_out_while_the_child_runs():
+    with simulate.call_in_child(time.sleep, 0.3) as result:
+        with pytest.raises(TimeoutError):
+            result(0)
+        assert result(10.0) is None
     assert multiprocessing.active_children() == []
 
 

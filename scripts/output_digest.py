@@ -17,9 +17,9 @@ lines.  These outputs are hashed:
   ``tests/test_pipeline.py`` (``timing.log`` holds wall times and is left
   out);
 * every file of that config's simulate stage run with one usable core,
-  so that its ladder is simulated and binned in this process rather than
-  in forked workers; the script stops unless its histograms and
-  attractor points equal those of the ``run_all`` above;
+  so that its whole ladder is one group in one forked worker; the script
+  stops unless its histograms and attractor points equal those of the
+  ``run_all`` above, whose ladder ran as one group per core;
 * every file of simulate -> regress -> validate on
   ``perfbench/workloads.figure8_config(1)``;
 * every file of simulate on a shrunken copy of that config whose box cuts
@@ -73,6 +73,7 @@ import json  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
+from unittest import mock  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -105,24 +106,27 @@ def ou_v_err_line(cfg, outdir):
     return f"ou_mini/train_v.v_err {float(np.sqrt(np.mean((v - xs[:, 0] ** 2) ** 2)))!r}"
 
 
-def in_process_lines(outdir, forked_dir):
-    """Run the OU mini simulate stage with ``simulate._usable_cores``
-    pinned to 1.  On two or more cores ``forked_dir`` was simulated in
-    forked workers; its histograms and attractor points must be equal."""
+def one_core():
+    """A context in which ``simulate._usable_cores`` reports one core, so
+    the ladder runs as one group and training on one rank."""
     from deepwkb import simulate
+
+    return mock.patch.object(simulate, "_usable_cores", lambda: 1)
+
+
+def one_group_lines(outdir, grouped_dir):
+    """Run the OU mini simulate stage on one core, as one group of levels.
+    On two or more cores ``grouped_dir`` was simulated as one group per
+    core; its histograms and attractor points must be equal."""
     from deepwkb.pipeline import RunManifest, run_stage
     from test_pipeline import ou_mini_config
 
-    cores = simulate._usable_cores
-    simulate._usable_cores = lambda: 1
-    try:
+    with one_core():
         manifest = run_stage("simulate", ou_mini_config(), RunManifest(outdir))
-    finally:
-        simulate._usable_cores = cores
     for name in manifest.data["stages"]["simulate"]["outputs"]:
-        if (Path(outdir) / name).read_bytes() != (Path(forked_dir) / name).read_bytes():
-            raise SystemExit(f"{name} of the in-process simulate differs from the forked one")
-    return run_dir_lines("ou_mini-in-process", outdir)
+        if (Path(outdir) / name).read_bytes() != (Path(grouped_dir) / name).read_bytes():
+            raise SystemExit(f"{name} of the one-group simulate differs from the grouped one")
+    return run_dir_lines("ou_mini-one-group", outdir)
 
 
 def escaping_lines(outdir):
@@ -233,16 +237,10 @@ def train_paper(seed, workdir):
 
 
 def one_core_check(seed, workdir, trained):
-    """Train ``paper-train`` on ``seed`` again with ``simulate._usable_cores``
-    pinned to 1; the parameters and loss logs must equal ``trained``'s."""
-    from deepwkb import simulate
-
-    cores = simulate._usable_cores
-    simulate._usable_cores = lambda: 1
-    try:
+    """Train ``paper-train`` on ``seed`` again on one core; the parameters
+    and loss logs must equal ``trained``'s."""
+    with one_core():
         again = train_paper(seed, workdir)
-    finally:
-        simulate._usable_cores = cores
     for net_name, first, second in zip("VZ", trained, again):
         if not (np.array_equal(first.params.flat, second.params.flat) and np.array_equal(
                 np.asarray(first.log, dtype=float), np.asarray(second.log, dtype=float),
@@ -292,7 +290,7 @@ def main(argv=None):
         run_all(ou_cfg, ou_dir)
         for line in run_dir_lines("ou_mini", ou_dir) + [ou_v_err_line(ou_cfg, ou_dir)]:
             print(line, flush=True)
-        for line in in_process_lines(base / "ou_mini-in-process", ou_dir):
+        for line in one_group_lines(base / "ou_mini-one-group", ou_dir):
             print(line, flush=True)
 
         f8_dir = base / "figure8"

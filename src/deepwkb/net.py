@@ -40,8 +40,8 @@ one machine but their last bits may differ between CPUs.
 
 Training at paper width splits each batch into row blocks, evaluated by
 two processes that share the parameters (see ``train_v``); ``adam_step``
-updates a slice of the flat vector, so that each process updates its own
-part.
+updates a plain vector, so each process passes its own part of the flat
+vector with moments of that length.
 """
 
 from __future__ import annotations
@@ -383,34 +383,31 @@ class AdamState:
     rejected: int = 0
 
     @classmethod
-    def fresh(cls, params: MlpParams, lr):
-        return cls(lr=lr, m=np.zeros(params.size), v=np.zeros(params.size))
+    def fresh(cls, length, lr):
+        return cls(lr=lr, m=np.zeros(length), v=np.zeros(length))
 
 
-def adam_step(state: AdamState, params: MlpParams, grads, part=slice(None)):
-    """One bias-corrected Adam update, in place, of the parameters and
-    moments in ``part``, a slice of the flat vector (all of it by
-    default), from ``grads``, their gradient.
+def adam_step(state: AdamState, flat, grads):
+    """One bias-corrected Adam update, in place, of the vector ``flat`` and
+    the moments, from ``grads``, its gradient; all three have one length.
 
     Non-finite gradient entries reject the step: the counter is bumped and
-    neither the moments nor the parameters move.  ``t`` counts steps, so
-    processes that update disjoint parts of one step each count it once.
+    neither the moments nor ``flat`` move.
     """
-    lo, hi, _ = part.indices(params.size)
     g = np.asarray(grads, dtype=float)
-    if g.shape != (hi - lo,):
-        raise ValueError("gradient length does not match parameters")
+    if g.shape != flat.shape:
+        raise ValueError("gradient length does not match the vector")
     if not np.all(np.isfinite(g)):
         state.rejected += 1
-        return state, params
+        return
     state.t += 1
     corr1 = 1.0 - state.beta1 ** state.t
     corr2 = 1.0 - state.beta2 ** state.t
-    for start in range(lo, hi, _ADAM_CHUNK):
+    for start in range(0, flat.shape[0], _ADAM_CHUNK):
         # In place through three chunk-sized temporaries, in the operation
         # order of lr * m_hat / (sqrt(v_hat) + floor).
-        chunk = slice(start, min(start + _ADAM_CHUNK, hi))
-        m, v, gp = state.m[chunk], state.v[chunk], g[chunk.start - lo:chunk.stop - lo]
+        chunk = slice(start, start + _ADAM_CHUNK)
+        m, v, gp = state.m[chunk], state.v[chunk], g[chunk]
         m *= state.beta1
         m += (1.0 - state.beta1) * gp
         g2 = (1.0 - state.beta2) * gp
@@ -423,9 +420,8 @@ def adam_step(state: AdamState, params: MlpParams, grads, part=slice(None)):
         denom += state.floor
         step *= state.lr
         step /= denom
-        flat = params.flat[chunk]
-        flat -= step
-    return state, params
+        part = flat[chunk]
+        part -= step
 
 
 # ---------------------------------------------------------------------------

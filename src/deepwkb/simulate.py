@@ -5,12 +5,12 @@ Trajectories advance with the explicit scheme
     x <- x + f(x) dt + sqrt(eps * dt) * sigma xi,   xi ~ N(0, I_m),
 
 and retain their states every ``sample_interval`` time units for a
-caller-supplied sink.  One call advances a whole noise ladder.
-Its K levels are split into one contiguous group per usable core (at
-most K groups), and each group runs in a forked worker process; with a
-single group the call runs in-process.  Within a group one step loop
-moves the levels' trajectories as one (levels * n_traj, n) state array,
-each row scaled by its own level's sqrt(eps * dt).  Each trajectory owns
+caller-supplied sink.  One call advances a whole noise ladder.  Its K
+levels are split into one contiguous group per usable core (at most K
+groups), and each group, a single one too, runs in a forked worker
+process.  Within a group one step loop moves the levels' trajectories
+as one (levels * n_traj, n) state array, each row scaled by its own
+level's sqrt(eps * dt).  Each trajectory owns
 an independent counter-based RNG substream, the
 ``SeedSequence(seed).spawn(n_traj)`` children of its level's seed, so a
 level's noise, states and samples are bit for bit those of a call with
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import os
 import traceback
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from multiprocessing import connection, get_context
 
@@ -152,24 +152,19 @@ def simulate_ensemble(system, cfgs, sinks) -> SimSummary:
 
     The levels are split into one contiguous group per usable core, and
     each group is advanced in a forked worker with a noise buffer of its
-    own (in this process when there is only one group).  Every sink is
-    called in the calling process as the messages arrive.  Each sink
-    receives its level's batches in the order the level emitted them;
-    calls to different levels' sinks may interleave in any order.  An
-    exception raised in a worker is re-raised here with its type, a dead
-    worker is reported by its levels and exit code, and no worker outlives
-    the call.
+    own.  Every sink is called in the calling process as the messages
+    arrive.  Each sink receives its level's batches in the order the level
+    emitted them; calls to different levels' sinks may interleave in any
+    order.  An exception raised in a worker is re-raised here with its
+    type, a dead worker is reported by its levels and exit code, and no
+    worker outlives the call.
     """
     cfgs, sinks, lo, hi = _ladder(cfgs, sinks, system.dim_state)
     groups = np.array_split(np.arange(len(cfgs)), min(len(cfgs), _usable_cores()))
     jobs = [_advance(system, [cfgs[i] for i in group], lo, hi) for group in groups]
-    if len(groups) == 1:
-        arrivals = nullcontext(lambda: ((0, tag, payload) for tag, payload in jobs[0]))
-    else:
-        arrivals = _children(jobs, [f"simulation worker for levels {group.tolist()}"
-                                    for group in groups])
     counts = [None] * len(groups)
-    with arrivals as messages:
+    with _children(jobs, [f"simulation worker for levels {group.tolist()}"
+                          for group in groups]) as messages:
         for g, tag, payload in messages():
             if tag == "batches":
                 for level, batch in payload:

@@ -30,13 +30,14 @@ share and added block 0 first.  Given a second usable core and
 one-threaded BLAS, the schedule then runs as two ranks (Goyal et al.,
 2017, synchronous data parallelism): rank 1 is a forked child (fork,
 because the loss callables cannot be pickled) that replays the same
-seeded schedule, and the parameters, every term's Adam moments and one
-gradient row per block live in one anonymous shared mapping.  In each
-step each rank evaluates its block; after a barrier, each adds the two
-block gradients over its own half of the elements and applies Adam to
-that half, rank 0 through ``net.adam_step``, and a second barrier ends
-the step.  The barriers poll with ``time.sleep(0)``: a waiter that
-blocks wakes 0.14 ms late in the median on a virtual machine.
+seeded schedule, and the parameters and one gradient row per block live
+in one anonymous shared mapping.  Each rank owns its half of the
+elements and the Adam moments of that half (ZeRO stage 1, Rajbhandari
+et al., 2020).  In each step each rank evaluates its block; after a
+barrier, each adds the two block gradients over its half and applies
+``net.adam_step`` to it, and a second barrier ends the step.  The
+barriers poll with ``time.sleep(0)``: a waiter that blocks wakes 0.14 ms
+late in the median on a virtual machine.
 Otherwise this process evaluates both blocks in turn, with the same
 bits, so the outputs depend neither on the core count nor on timing.
 An exception in rank 1 is re-raised on rank 0 with its type and the
@@ -289,13 +290,14 @@ def _keep_freed_memory():
     """Let the C allocator keep what a training step frees, for the next step.
 
     glibc serves a block above its mmap threshold (128 KB at start) by mmap,
-    and hands a free heap top above its trim threshold back to the kernel.
-    It raises both only as mapped blocks are freed, so whether each Adam
-    step faults its activations and temporaries in again depends on what
-    the process allocated before: 200 K minor faults in one 1-d train-v
-    of 7,280 steps, 300 in another.  Fixed thresholds of 4 MB and 64 MB
-    keep the memory in the heap; they move no bit of any output.  This
-    sets process-wide allocator state, and does nothing where the C
+    and hands a free heap top above its trim threshold back to the kernel,
+    so by default each paper-width step faults the 128 KB activations of
+    its 64-row blocks in anew: ``paper-train``'s train_qp took 137 K minor
+    faults and 1.64 s without this, against 6.2 K and 1.20 s with it (rank
+    0, medians of 8 alternated runs, 2-core x86-64); the 1-d OU net's
+    small arrays fault alike either way.  Fixed thresholds of 4 MB and
+    64 MB keep the memory in the heap; they move no bit of any output.
+    This sets process-wide allocator state, and does nothing where the C
     library has no ``mallopt``.
     """
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
@@ -329,20 +331,19 @@ def _spare_core():
             and _blas_threads() == 1)
 
 
-def _shared_state(params, lrs, blocks):
-    """The parameters, one Adam state per learning rate in ``lrs`` and one
-    gradient per block, as rows of one anonymous shared mapping, which a
-    forked child shares; then per block its loss value and finiteness, and
-    per rank its barrier count.  Rows start on 64-byte lines."""
+def _shared_state(params, blocks):
+    """The parameters and one gradient per block, as rows of one anonymous
+    shared mapping, which a forked child shares; then per block its loss
+    value and finiteness, and per rank its barrier count.  Rows start on
+    64-byte lines."""
     size = params.size
     stride = -(-size // 8) * 8
-    n_rows = 1 + 2 * len(lrs) + blocks
+    n_rows = 1 + blocks
     buf = np.frombuffer(mmap.mmap(-1, 8 * (n_rows * stride + 3 * blocks)))
     rows = buf[:n_rows * stride].reshape(n_rows, stride)[:, :size]
     shared = MlpParams(params.spec, rows[0])
     shared.flat[...] = params.flat
-    states = [AdamState(lr=lr, m=rows[1 + 2 * i], v=rows[2 + 2 * i]) for i, lr in enumerate(lrs)]
-    return shared, states, rows[1 + 2 * len(lrs):], buf[n_rows * stride:].reshape(3, blocks)
+    return shared, rows[1:], buf[n_rows * stride:].reshape(3, blocks)
 
 
 def alternating_adam(params, terms, loss, cfg, seed):
@@ -353,8 +354,9 @@ def alternating_adam(params, terms, loss, cfg, seed):
     returns its value and flat gradient.  Per epoch the largest term sets
     the number of batches; smaller terms recycle their shuffled stream.
     The FINE_TUNE_TERMS then go on alone at FINE_TUNE_FACTOR times their
-    rate.  Returns the per-epoch mean-loss log and the Adam states.  Raises
-    TrainingDiverged, naming the kind, on a non-finite loss.
+    rate.  Returns the per-epoch mean-loss log and the rejected Adam steps
+    per loss kind.  Raises TrainingDiverged, naming the kind, on a
+    non-finite loss.
 
     A network of at least _BLOCK_MIN_PARAMS parameters evaluates each batch
     as _BLOCKS row blocks, and a step's value and gradient are the blocks',
@@ -366,9 +368,9 @@ def alternating_adam(params, terms, loss, cfg, seed):
     _keep_freed_memory()
     blocks = _BLOCKS if params.size >= _BLOCK_MIN_PARAMS else 1
     ranks = blocks if blocks > 1 and _spare_core() else 1
-    shared = _shared_state(params, [lr for _, _, lr in terms], blocks)
+    shared = _shared_state(params, blocks)
     if ranks == 1:
-        log = _schedule(0, 1, shared, terms, loss, cfg, seed, None)
+        log, rejected = _schedule(0, 1, shared, terms, loss, cfg, seed, None)
     else:
         parent = os.getpid()
 
@@ -385,31 +387,34 @@ def alternating_adam(params, terms, loss, cfg, seed):
                     return
                 raise RuntimeError("training rank 1 ended before rank 0 did")
 
-            log = _schedule(0, ranks, shared, terms, loss, cfg, seed, child_failed)
+            log, rejected = _schedule(0, ranks, shared, terms, loss, cfg, seed, child_failed)
             child()
-    trained, states, _, _ = shared
-    params.flat[...] = trained.flat
-    return log, states
+    params.flat[...] = shared[0].flat
+    return log, rejected
 
 
 def _schedule(rank, ranks, shared, terms, loss, cfg, seed, poll):
-    """The schedule as rank ``rank`` of ``ranks`` runs it, returning the log.
+    """The schedule as rank ``rank`` of ``ranks`` runs it, returning the log
+    and the rejected steps per loss kind.
 
-    Every rank draws the same batches from the seed.  Per step a rank
+    Every rank draws the same batches from the seed, and holds one Adam
+    state per term over its own part of the elements.  Per step a rank
     evaluates its blocks, and copies each block's gradient into the shared
     row as far as the other ranks update it; after a barrier it adds the
-    blocks' weighted gradients over its own part of the elements and takes
-    its part of the Adam step; a second barrier ends the step.  A
-    non-finite block gradient, flagged beside it, makes every rank reject
-    the step.  A waiting rank calls ``poll``.
+    blocks' weighted gradients over its part and takes the Adam step on
+    it; a second barrier ends the step.  A non-finite block gradient,
+    flagged beside it, makes every rank reject the step.  A waiting rank
+    calls ``poll``.
     """
-    params, states, grads, (values, finite, arrived) = shared
+    params, grads, (values, finite, arrived) = shared
     blocks = len(grads)
     rows = BATCH_SIZE // blocks
     share = rows / BATCH_SIZE
     size = params.size
     parts = [slice(r * size // ranks, (r + 1) * size // ranks) for r in range(ranks)]
     part = parts[rank]
+    mine = params.flat[part]
+    states = [AdamState.fresh(mine.size, lr) for _, _, lr in terms]
     rng = _philox(seed)
     sizes = [len(arrays[0]) for _, arrays, _ in terms]
     log = []
@@ -445,7 +450,7 @@ def _schedule(rank, ranks, shared, terms, loss, cfg, seed, poll):
             g += share * local.get(b, grads[b])[part]
         if ranks > 1 and not finite.all():  # a non-finite block rejects the step on every rank
             g[...] = np.nan
-        net.adam_step(states[i], params, g, part)
+        net.adam_step(states[i], mine, g)
         if ranks > 1:
             sync()
         return value
@@ -466,7 +471,7 @@ def _schedule(rank, ranks, shared, terms, loss, cfg, seed, poll):
         states[i].lr *= FINE_TUNE_FACTOR
     for epoch in range(cfg.epochs, cfg.epochs + cfg.fine_tune_epochs):
         sweep(epoch, FINE_TUNE_TERMS)
-    return log
+    return log, {kind: state.rejected for (kind, _, _), state in zip(terms, states)}
 
 
 def train_qp(sets: QpTrainingSets, cfg: QpTrainConfig, system,
@@ -487,13 +492,12 @@ def train_qp(sets: QpTrainingSets, cfg: QpTrainConfig, system,
 
     terms = [("L1", (sets.x1,), cfg.lr1), ("L2", (sets.x2, sets.x2_targets), cfg.lr2),
              ("L3", (sets.x3,), cfg.lr3)]
-    log, states = alternating_adam(params, terms, loss, cfg, cfg.seed)
+    log, rejected = alternating_adam(params, terms, loss, cfg, cfg.seed)
 
     # Scale against the regression references only: curve-derived targets
     # inherit the previous network's scale and would bias the ratio.
     ref = sets.x2_is_reference
     alpha = estimate_alpha(params, sets.x2[ref], sets.x2_targets[ref])
-    rejected = {kind: state.rejected for (kind, _, _), state in zip(terms, states)}
     return TrainedQp(params=params, alpha=alpha, log=log, rejected=rejected)
 
 

@@ -163,6 +163,5 @@ def train_z(sets: ZTrainingSets, cfg: QpTrainConfig, system, trained_v) -> Train
 
     terms = [("L1", (sets.y1, sets.y1_targets), cfg.lr1),
              ("L2", (sets.y2, sets.y2_targets), cfg.lr2), ("L3", (sets.y3, b3, c3), cfg.lr3)]
-    log, states = alternating_adam(params, terms, loss, cfg, cfg.seed)
-    rejected = {kind: state.rejected for (kind, _, _), state in zip(terms, states)}
+    log, rejected = alternating_adam(params, terms, loss, cfg, cfg.seed)
     return TrainedZ(params=params, log=log, rejected=rejected)

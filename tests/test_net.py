@@ -261,8 +261,8 @@ def test_dirgrad_output_seed_adds_grad_params(rng):
 def test_adam_first_step_closed_form():
     spec = small_spec()
     p = MlpParams(spec)
-    state = AdamState.fresh(p, lr=1e-3)
-    net.adam_step(state, p, np.ones(p.size))
+    state = AdamState.fresh(p.size, lr=1e-3)
+    net.adam_step(state, p.flat, np.ones(p.size))
     assert np.allclose(p.flat, -1e-3 / (1.0 + 1e-8))
     assert state.t == 1
 
@@ -271,8 +271,8 @@ def test_adam_zero_gradient_is_noop():
     spec = small_spec()
     p = net.init_params(spec, seed=10)
     before = p.flat.copy()
-    state = AdamState.fresh(p, lr=1e-2)
-    net.adam_step(state, p, np.zeros(p.size))
+    state = AdamState.fresh(p.size, lr=1e-2)
+    net.adam_step(state, p.flat, np.zeros(p.size))
     assert np.array_equal(p.flat, before)
 
 
@@ -280,10 +280,10 @@ def test_adam_rejects_nonfinite_gradient():
     spec = small_spec()
     p = net.init_params(spec, seed=11)
     before = p.flat.copy()
-    state = AdamState.fresh(p, lr=1e-2)
+    state = AdamState.fresh(p.size, lr=1e-2)
     g = np.ones(p.size)
     g[3] = np.nan
-    net.adam_step(state, p, g)
+    net.adam_step(state, p.flat, g)
     assert state.rejected == 1 and state.t == 0
     assert np.array_equal(p.flat, before)
 
@@ -291,11 +291,11 @@ def test_adam_rejects_nonfinite_gradient():
 def test_two_optimizers_keep_independent_state(rng):
     spec = small_spec()
     p = net.init_params(spec, seed=12)
-    s1 = AdamState.fresh(p, lr=1e-3)
-    s2 = AdamState.fresh(p, lr=5e-4)
-    net.adam_step(s1, p, rng.normal(size=p.size))
+    s1 = AdamState.fresh(p.size, lr=1e-3)
+    s2 = AdamState.fresh(p.size, lr=5e-4)
+    net.adam_step(s1, p.flat, rng.normal(size=p.size))
     m1 = s1.m.copy()
-    net.adam_step(s2, p, rng.normal(size=p.size))
+    net.adam_step(s2, p.flat, rng.normal(size=p.size))
     assert np.array_equal(s1.m, m1)  # the second optimizer left s1 untouched
     assert s1.t == 1 and s2.t == 1
 
@@ -314,8 +314,8 @@ def test_flat_view_round_trip(rng):
 def test_checkpoint_round_trip(tmp_path, rng):
     spec = MlpSpec(widths=(2, 4, 1), l2_lambda=2e-3)
     p = net.init_params(spec, seed=14)
-    state = AdamState.fresh(p, lr=3e-4)
-    net.adam_step(state, p, rng.normal(size=p.size))
+    state = AdamState.fresh(p.size, lr=3e-4)
+    net.adam_step(state, p.flat, rng.normal(size=p.size))
     path = tmp_path / "model.dwkbnet"
     net.save_checkpoint(path, p, adam_states=[state], extra=b'{"alpha": 0.93}')
     q, states, extra = net.load_checkpoint(path)

@@ -353,7 +353,7 @@ def use_cores(monkeypatch, cores):
         "ignore:overflow", "ignore:invalid value")),
 ], ids=["ou1d", "figure8", "one-face", "aborts"])
 def test_results_do_not_depend_on_group_count(monkeypatch, system, ladder):
-    # 1 core runs in-process; 2 and 3 split the three levels 2 + 1 and 1 + 1 + 1.
+    # 1 core runs the three levels in one worker; 2 and 3 split them 2 + 1 and 1 + 1 + 1.
     runs = []
     for cores in (1, 2, 3):
         use_cores(monkeypatch, cores)

@@ -86,7 +86,7 @@ def test_paper_width_training_does_not_depend_on_the_core_count(ranks, rng):
 
 @needs_ranks
 @pytest.mark.parametrize("cores", [2, 1])
-def test_two_block_step_is_the_share_weighted_sum_of_its_blocks(ranks, rng, cores):
+def test_two_block_step_is_the_share_weighted_sum_of_its_blocks(ranks, rng, monkeypatch, cores):
     system = make_benchmark("ou2d")
     terms = [("L1", (rng.uniform(-1.0, 1.0, size=(128, 2)),), 1e-3),
              ("L2", (rng.uniform(-1.0, 1.0, size=(128, 2)), rng.uniform(0.0, 1.0, size=128)), 2e-3),
@@ -96,8 +96,17 @@ def test_two_block_step_is_the_share_weighted_sum_of_its_blocks(ranks, rng, core
         return qp_loss(kind, p, batch, system)
 
     ranks(cores)
+    states = []
+    real = net.adam_step
+
+    def recorded(state, flat, grads):
+        states.append(state)
+        return real(state, flat, grads)
+
+    monkeypatch.setattr(net, "adam_step", recorded)
     trained = paper_params()
-    log, states = alternating_adam(trained, terms, loss, ONE_EPOCH, seed=4)
+    log, rejected = alternating_adam(trained, terms, loss, ONE_EPOCH, seed=4)
+    monkeypatch.setattr(net, "adam_step", real)
 
     # Rank 0 alone: rows 0-63 and 64-127 of each batch, weighted by 1/2
     # and added block 0 first, then one whole-vector Adam step per term.
@@ -110,11 +119,12 @@ def test_two_block_step_is_the_share_weighted_sum_of_its_blocks(ranks, rng, core
         (v0, g0), (v1, g1) = (loss(kind, p, b if len(b) > 1 else b[0]) for b in parts)
         g = 0.5 * g0
         g += 0.5 * g1
-        net.adam_step(AdamState.fresh(p, lr), p, g)
+        net.adam_step(AdamState.fresh(p.size, lr), p.flat, g)
         want_log.append(0 + 0.5 * v0 + 0.5 * v1)
     assert np.array_equal(trained.flat, p.flat)
     assert log == [tuple(want_log)]
-    assert [s.t for s in states] == [1, 1, 1]
+    assert [s.t for s in states] == [1, 1, 1] and len({id(s) for s in states}) == 3
+    assert rejected == {"L1": 0, "L2": 0, "L3": 0}
 
 
 @needs_ranks
@@ -122,16 +132,19 @@ def test_two_block_step_is_the_share_weighted_sum_of_its_blocks(ranks, rng, core
     (0, "first", np.nan), (0, "second", np.inf), (1, "first", np.inf), (1, "second", np.nan)])
 def test_nonfinite_block_rejects_the_step_on_every_rank(ranks, rng, monkeypatch,
                                                         block, where, bad):
-    # Rank 0 evaluates block 0 and updates the first half of the elements,
-    # rank 1 block 1 and the second half.  Each record is taken before an
-    # Adam step, after both ranks ended the step before it.
+    # Rank 0 evaluates block 0 and updates the first half of the elements
+    # with its own moments, rank 1 block 1 and the second half.  Rank 0
+    # records the whole parameter vector at each loss call, after both
+    # ranks ended the step before it, and its moments before each Adam step.
     forks = ranks(2)
     parent = os.getpid()
     size = paper_params().size
-    calls = []
+    calls, params_at = [], []
 
     def loss(kind, p, batch):
         calls.append(kind)
+        if os.getpid() == parent:
+            params_at.append(p.flat.copy())
         g = np.full(size, 1e-3 * (len(calls) + float(np.sum(batch))))
         if len(calls) == 5 and (os.getpid() != parent) == (block == 1):  # epoch 1's L2
             g[size // 4 if where == "first" else 3 * size // 4] = bad
@@ -140,22 +153,20 @@ def test_nonfinite_block_rejects_the_step_on_every_rank(ranks, rng, monkeypatch,
     records = []
     real = net.adam_step
 
-    def recorded(state, params, grads, part=slice(None)):
-        records.append((state, state.t, state.rejected, state.m.copy(), state.v.copy(),
-                        params.flat.copy()))
-        return real(state, params, grads, part)
+    def recorded(state, flat, grads):
+        records.append((state, state.t, state.rejected, state.m.copy(), state.v.copy()))
+        return real(state, flat, grads)
 
     monkeypatch.setattr(net, "adam_step", recorded)
-    _, states = alternating_adam(paper_params(), three_terms(rng), loss,
-                                 QpTrainConfig(epochs=2, fine_tune_epochs=1), seed=0)
+    _, rejected_steps = alternating_adam(paper_params(), three_terms(rng), loss,
+                                         QpTrainConfig(epochs=2, fine_tune_epochs=1), seed=0)
     assert len(forks) == 1
-    state, t, rejected, m, v, flat = records[4]
-    after = records[5]
-    assert state is states[1] and (t, rejected) == (1, 0)
+    state, t, rejected, m, v = records[4]
+    assert state is records[1][0] and (t, rejected) == (1, 0)
     assert (state.t, state.rejected) == (1, 1)  # no later L2 step
-    assert np.array_equal(after[5], flat)  # the parameters did not move
+    assert np.array_equal(params_at[5], params_at[4])  # neither half moved
     assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
-    assert [s.rejected for s in states] == [0, 1, 0]
+    assert rejected_steps == {"L1": 0, "L2": 1, "L3": 0}
 
 
 @needs_ranks

@@ -36,7 +36,7 @@ def fit_net_to_parabola(seed=0, steps=4000, match_gradient=False):
     """
     spec = MlpSpec(widths=(1, 24, 1), l2_lambda=0.0)
     params = net.init_params(spec, seed=seed)
-    state = AdamState.fresh(params, lr=3e-3)
+    state = AdamState.fresh(params.size, lr=3e-3)
     rng = np.random.default_rng(seed)
     for k in range(steps):
         if k == int(steps * 0.6):
@@ -51,7 +51,7 @@ def fit_net_to_parabola(seed=0, steps=4000, match_gradient=False):
             g = net.grad_input(params, acts)[:, 0]
             grad += net.grad_params_of_directional_input_grad(
                 params, acts, np.ones_like(x), 2.0 * (g - 2.0 * x[:, 0]) / 64)
-        net.adam_step(state, params, grad)
+        net.adam_step(state, params.flat, grad)
     return params
 
 
@@ -204,7 +204,7 @@ def test_assemble_requires_reliable_targets():
         assemble_qp_sets(attractor, table, QpTrainConfig())
 
 
-def test_alternating_schedule_state_isolation(ou1d, rng):
+def test_alternating_schedule_state_isolation(ou1d, rng, monkeypatch):
     spec = MlpSpec(widths=(1, 4, 1), l2_lambda=0.0)
     params = net.init_params(spec, seed=1)
     sizes = (320, 200, 560)  # 5 batches of 128 per epoch; the smaller sets recycle
@@ -215,10 +215,21 @@ def test_alternating_schedule_state_isolation(ou1d, rng):
         v = acts[-1][:, 0]
         return float(np.mean(v**2)), net.grad_params(p, acts, 2.0 * v / b.shape[0])
 
+    states = []
+    real = net.adam_step
+
+    def recorded(state, flat, grads):
+        states.append(state)
+        return real(state, flat, grads)
+
+    monkeypatch.setattr(net, "adam_step", recorded)
     cfg = QpTrainConfig(epochs=1, fine_tune_epochs=0)
-    log, states = alternating_adam(params, terms, loss, cfg, seed=3)
+    log, rejected = alternating_adam(params, terms, loss, cfg, seed=3)
     n_batches = int(np.ceil(max(sizes) / BATCH_SIZE))
-    assert [s.t for s in states] == [n_batches] * 3  # one step per drawn batch
+    assert all(s is states[k % 3] for k, s in enumerate(states))  # one state per term
+    assert len({id(s) for s in states}) == 3
+    assert [s.t for s in states[:3]] == [n_batches] * 3  # one step per drawn batch
+    assert rejected == {"m0": 0, "m1": 0, "m2": 0}
     assert len(log) == 1
 
 

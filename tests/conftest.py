@@ -73,6 +73,21 @@ def net_calls(monkeypatch):
 
 
 @pytest.fixture
+def adam_calls(monkeypatch):
+    """One (state, t, rejected, m, v) record per ``net.adam_step`` call made
+    in this process during the test, taken before the step."""
+    calls = []
+    real = net.adam_step
+
+    def recorded(state, flat, grads):
+        calls.append((state, state.t, state.rejected, state.m.copy(), state.v.copy()))
+        return real(state, flat, grads)
+
+    monkeypatch.setattr(net, "adam_step", recorded)
+    return calls
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
 

@@ -86,7 +86,7 @@ def test_paper_width_training_does_not_depend_on_the_core_count(ranks, rng):
 
 @needs_ranks
 @pytest.mark.parametrize("cores", [2, 1])
-def test_two_block_step_is_the_share_weighted_sum_of_its_blocks(ranks, rng, monkeypatch, cores):
+def test_two_block_step_is_the_share_weighted_sum_of_its_blocks(ranks, rng, adam_calls, cores):
     system = make_benchmark("ou2d")
     terms = [("L1", (rng.uniform(-1.0, 1.0, size=(128, 2)),), 1e-3),
              ("L2", (rng.uniform(-1.0, 1.0, size=(128, 2)), rng.uniform(0.0, 1.0, size=128)), 2e-3),
@@ -96,17 +96,9 @@ def test_two_block_step_is_the_share_weighted_sum_of_its_blocks(ranks, rng, monk
         return qp_loss(kind, p, batch, system)
 
     ranks(cores)
-    states = []
-    real = net.adam_step
-
-    def recorded(state, flat, grads):
-        states.append(state)
-        return real(state, flat, grads)
-
-    monkeypatch.setattr(net, "adam_step", recorded)
     trained = paper_params()
     log, rejected = alternating_adam(trained, terms, loss, ONE_EPOCH, seed=4)
-    monkeypatch.setattr(net, "adam_step", real)
+    states = [call[0] for call in adam_calls]
 
     # Rank 0 alone: rows 0-63 and 64-127 of each batch, weighted by 1/2
     # and added block 0 first, then one whole-vector Adam step per term.
@@ -130,7 +122,7 @@ def test_two_block_step_is_the_share_weighted_sum_of_its_blocks(ranks, rng, monk
 @needs_ranks
 @pytest.mark.parametrize("block, where, bad", [
     (0, "first", np.nan), (0, "second", np.inf), (1, "first", np.inf), (1, "second", np.nan)])
-def test_nonfinite_block_rejects_the_step_on_every_rank(ranks, rng, monkeypatch,
+def test_nonfinite_block_rejects_the_step_on_every_rank(ranks, rng, adam_calls,
                                                         block, where, bad):
     # Rank 0 evaluates block 0 and updates the first half of the elements
     # with its own moments, rank 1 block 1 and the second half.  Rank 0
@@ -150,19 +142,11 @@ def test_nonfinite_block_rejects_the_step_on_every_rank(ranks, rng, monkeypatch,
             g[size // 4 if where == "first" else 3 * size // 4] = bad
         return 0.0, g
 
-    records = []
-    real = net.adam_step
-
-    def recorded(state, flat, grads):
-        records.append((state, state.t, state.rejected, state.m.copy(), state.v.copy()))
-        return real(state, flat, grads)
-
-    monkeypatch.setattr(net, "adam_step", recorded)
     _, rejected_steps = alternating_adam(paper_params(), three_terms(rng), loss,
                                          QpTrainConfig(epochs=2, fine_tune_epochs=1), seed=0)
     assert len(forks) == 1
-    state, t, rejected, m, v = records[4]
-    assert state is records[1][0] and (t, rejected) == (1, 0)
+    state, t, rejected, m, v = adam_calls[4]
+    assert state is adam_calls[1][0] and (t, rejected) == (1, 0)
     assert (state.t, state.rejected) == (1, 1)  # no later L2 step
     assert np.array_equal(params_at[5], params_at[4])  # neither half moved
     assert np.array_equal(state.m, m) and np.array_equal(state.v, v)

@@ -204,7 +204,7 @@ def test_assemble_requires_reliable_targets():
         assemble_qp_sets(attractor, table, QpTrainConfig())
 
 
-def test_alternating_schedule_state_isolation(ou1d, rng, monkeypatch):
+def test_alternating_schedule_state_isolation(ou1d, rng, adam_calls):
     spec = MlpSpec(widths=(1, 4, 1), l2_lambda=0.0)
     params = net.init_params(spec, seed=1)
     sizes = (320, 200, 560)  # 5 batches of 128 per epoch; the smaller sets recycle
@@ -215,16 +215,9 @@ def test_alternating_schedule_state_isolation(ou1d, rng, monkeypatch):
         v = acts[-1][:, 0]
         return float(np.mean(v**2)), net.grad_params(p, acts, 2.0 * v / b.shape[0])
 
-    states = []
-    real = net.adam_step
-
-    def recorded(state, flat, grads):
-        states.append(state)
-        return real(state, flat, grads)
-
-    monkeypatch.setattr(net, "adam_step", recorded)
     cfg = QpTrainConfig(epochs=1, fine_tune_epochs=0)
     log, rejected = alternating_adam(params, terms, loss, cfg, seed=3)
+    states = [call[0] for call in adam_calls]
     n_batches = int(np.ceil(max(sizes) / BATCH_SIZE))
     assert all(s is states[k % 3] for k, s in enumerate(states))  # one state per term
     assert len({id(s) for s in states}) == 3
